@@ -29,8 +29,6 @@ from .interval import (
     extract_weights,
     interval_dwt,
     interval_idwt,
-    load_matrix,
-    save_system,
 )
 from .signals import (
     SIGNAL_KINDS,
@@ -74,7 +72,7 @@ __all__ = [
     "MinSamples",
     "CascadeTable", "GeometryError", "IntervalSystem", "build_interval_system",
     "cascade_evaluate", "daubechies_filter", "extract_weights", "interval_dwt",
-    "interval_idwt", "load_matrix", "save_system",
+    "interval_idwt",
     "SIGNAL_KINDS", "HolderCheck", "HolderSignal", "check_holder", "make_signal",
     "sample_grid",
     "NOISE_FAMILIES", "EventAReport", "NoiseSpec", "hoeffding_bound",

@@ -18,11 +18,12 @@ import numpy as np
 from .experiments import (
     ExperimentPlan,
     fit_rate,
+    interval_system_for,
     run_plan,
     summarize,
     write_reports,
     write_summaries,
-    _atomic_write,
+    atomic_write,
 )
 from .interval import (
     build_interval_system,
@@ -68,7 +69,7 @@ def _write_column(path: str, values: np.ndarray) -> None:
     def write(fh):
         for v in values:
             fh.write(f"{v:.17g}\n")
-    _atomic_write(path, write)
+    atomic_write(path, write)
 
 
 def cmd_denoise(args: argparse.Namespace) -> int:
@@ -99,9 +100,7 @@ def cmd_denoise(args: argparse.Namespace) -> int:
     system_const: Optional[float] = None
     if args.system == "interval":
         moments = args.moments or max(1, math.ceil(args.alpha))
-        from .experiments import _cached_system, _coarse_for
-        coarse = _coarse_for(n, args.alpha, moments)
-        system = _cached_system(moments, n, coarse)
+        system = interval_system_for(n, args.alpha, moments)
         system_const = system.c_phi_estimate
     cfg = ShrinkageConfig.build(
         n, args.alpha, args.M, args.b, args.delta, args.mode,
@@ -205,8 +204,10 @@ def _verify_interval(rng: np.random.Generator) -> list[str]:
         back = interval_idwt(interval_dwt(y, system), system)
         if np.max(np.abs(back - y)) > 1e-8:
             problems.append(f"interval roundtrip failed (N={moments}, n={n})")
-        gram = system.matrix @ system.matrix.T
-        if np.max(np.abs(gram - np.eye(n))) > 1e-8:
+        # W column by column, through the fast transform
+        W = np.column_stack([interval_dwt(col, system).with_scaling(True).flat()
+                             for col in np.eye(n)])
+        if np.max(np.abs(W @ W.T - np.eye(n))) > 1e-8:
             problems.append(f"interval orthogonality failed (N={moments}, n={n})")
     return problems
 

@@ -11,19 +11,23 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .interval import IntervalSystem, build_interval_system
+from .interval import (
+    IntervalSystem,
+    build_interval_system,
+    interval_dwt,
+    interval_idwt,
+    min_coarse_level,
+)
 from .noise import NoiseSpec, in_event_A, sample_noise
-from .shrinkage import ShrinkageConfig, apply_threshold, min_samples
+from .shrinkage import ShrinkageConfig, apply_threshold, compute_levels, min_samples
 from .signals import make_signal
 from .transform import haar_dwt, haar_idwt
-from .interval import interval_dwt, interval_idwt
 
 _EVENT_A_SIZES = (16, 256, 65536)
 
@@ -111,6 +115,14 @@ def _cached_system(moments: int, n: int, coarse_level: int) -> IntervalSystem:
     return build_interval_system(moments, n, coarse_level)
 
 
+def interval_system_for(n: int, alpha: float, moments: int) -> IntervalSystem:
+    """The interval system the shrinkage pipeline uses for (n, alpha, N):
+    coarse level max(J0(n, alpha), min_coarse_level(N)).  Built once per
+    process and shared, so callers must not modify it."""
+    coarse = max(compute_levels(n, alpha).coarse, min_coarse_level(moments))
+    return _cached_system(moments, n, coarse)
+
+
 def _trial_seed(master_seed: int, cell: int, trial: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(master_seed, spawn_key=(cell, trial))
 
@@ -132,14 +144,12 @@ def run_trial(plan: ExperimentPlan, cell: int, n: int, delta: float,
     system = None
     if plan.system == "interval":
         moments = plan.moments or max(1, math.ceil(plan.alpha))
+        system = interval_system_for(n, plan.alpha, moments)
         cfg = ShrinkageConfig.build(
             n, plan.alpha, plan.holder_const, b_threshold, delta, plan.mode,
             system="interval", moments=moments,
-            system_const=_cached_system(moments, n,
-                                        _coarse_for(n, plan.alpha, moments)
-                                        ).c_phi_estimate,
+            system_const=system.c_phi_estimate,
         )
-        system = _cached_system(cfg.moments, n, cfg.coarse_level)
         noise_pyr = interval_dwt(e, system)
         signal_pyr = interval_dwt(f, system)
         y_pyr = interval_dwt(f + e, system)
@@ -179,12 +189,6 @@ def run_trial(plan: ExperimentPlan, cell: int, n: int, delta: float,
                        exceed_by_level=by_level)
 
 
-def _coarse_for(n: int, alpha: float, moments: int) -> int:
-    from .interval import min_coarse_level
-    from .shrinkage import compute_levels
-    return max(compute_levels(n, alpha).coarse, min_coarse_level(moments))
-
-
 def _assert_detail_contraction(shrunk, signal_pyr, lam: float) -> None:
     """When every noise coefficient is under lambda, soft thresholding must
     move each detail coefficient by at most min(|d_f|, 2 lambda)."""
@@ -211,6 +215,8 @@ def run_plan(plan: ExperimentPlan, workers: Optional[int] = None) -> list[TrialR
     if workers is None:
         workers = int(os.environ.get("WAVESHRINK_WORKERS", "1"))
     if workers > 1 and len(tasks) > 1:
+        # imported here: multiprocessing costs a tenth of the package import
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_cell_args, tasks, chunksize=16))
     return [_run_cell_args(t) for t in tasks]
@@ -218,14 +224,18 @@ def run_plan(plan: ExperimentPlan, workers: Optional[int] = None) -> list[TrialR
 
 def wilson_interval(successes: int, trials: int,
                     z: float = 2.5758293035489004) -> tuple[float, float]:
-    """Wilson score interval; the default z is the two-sided 99% quantile."""
+    """Wilson score interval; the default z is the two-sided 99% quantile.
+
+    The bounds always contain the point estimate: rounding alone would put
+    the upper bound one step below it at successes == trials.
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials ** 2)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    return min(p, max(0.0, center - half)), max(p, min(1.0, center + half))
 
 
 def estimate_event_probability(noise_family: str, b: float, n: int, trials: int,
@@ -315,7 +325,7 @@ _CSV_FIELDS = ("n", "delta", "q50_max", "q50_mse", "p_within_envelope",
                "p_A_hat", "ci_lo", "ci_hi")
 
 
-def _atomic_write(path, write_fn) -> None:
+def atomic_write(path, write_fn) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w", newline="") as fh:
@@ -332,7 +342,7 @@ def write_reports(path, reports: Iterable[TrialReport]) -> None:
         for r in reports:
             row = {k: getattr(r, k) for k in _JSONL_FIELDS}
             fh.write(json.dumps(row) + "\n")
-    _atomic_write(path, write)
+    atomic_write(path, write)
 
 
 def read_reports(path) -> list[TrialReport]:
@@ -353,4 +363,4 @@ def write_summaries(path, summaries: Iterable[CellSummary]) -> None:
             row = [getattr(s, k) for k in _CSV_FIELDS]
             w.writerow([f"{v:.17g}" if isinstance(v, float) else str(v)
                         for v in row])
-    _atomic_write(path, write)
+    atomic_write(path, write)

@@ -9,13 +9,15 @@ coefficients below ~ b sqrt(log n / n).
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .interval import GeometryError, IntervalSystem, interval_dwt
-from .transform import haar_dwt, is_power_of_two
+from .interval import KINDS, GeometryError, IntervalSystem, interval_dwt
+from .transform import _as_samples, haar_dwt, is_power_of_two
 
 NOISE_FAMILIES = ("uniform", "rademacher", "truncated", "mixture")
 
@@ -70,6 +72,51 @@ def sample_noise(spec: NoiseSpec, n: int) -> np.ndarray:
     return draws[np.arange(n) % 3, np.arange(n)]
 
 
+class _BlockWeights(NamedTuple):
+    """Each level-j row of one kind restricted to its own dyadic block."""
+
+    clean: range        # shifts whose restricted rows all equal ``translate``
+    translate: np.ndarray
+    others: np.ndarray  # shifts outside ``clean``
+    rows: np.ndarray    # (len(others), block width)
+
+
+# per-system cache: the weights depend on the system alone and cost one
+# composed row per boundary-affected shift
+_BLOCK_WEIGHTS: "weakref.WeakKeyDictionary[IntervalSystem, dict]" = \
+    weakref.WeakKeyDictionary()
+
+
+def _block_weights(system: IntervalSystem, j: int, kind: str) -> _BlockWeights:
+    cache = _BLOCK_WEIGHTS.setdefault(system, {})
+    if (j, kind) not in cache:
+        stride = 2 ** (system.finest_level - j)
+
+        def in_block(k: int) -> np.ndarray:
+            offset, values = system.row(j, k, kind)
+            w = np.zeros(stride)
+            lo, hi = max(offset, k * stride), min(offset + len(values), (k + 1) * stride)
+            if lo < hi:
+                w[lo - k * stride : hi - k * stride] = values[lo - offset : hi - offset]
+            return w
+
+        clean = system.clean_shifts(j, kind)
+        others = np.fromiter(chain(range(clean.start), range(clean.stop, 2 ** j)),
+                             dtype=int)
+        cache[j, kind] = _BlockWeights(
+            clean, in_block(clean.start) if clean else np.zeros(stride), others,
+            np.array([in_block(k) for k in others]).reshape(len(others), stride))
+    return cache[j, kind]
+
+
+def _first_max(sums: np.ndarray) -> int:
+    """Index of the largest |sum|; sums within rounding of it count as ties,
+    and ties go to the first block.  Block weights of different interval rows
+    can agree up to rounding, so an exact argmax would pick by rounding."""
+    mags = np.abs(sums)
+    return int(np.argmax(mags >= np.max(mags) * (1.0 - 1e-12)))
+
+
 class EventAReport(NamedTuple):
     member: bool
     worst_block: tuple[int, int]  # (level offset l, block index k)
@@ -82,6 +129,13 @@ def in_event_A(noise, b: float, system: Union[str, IntervalSystem] = "haar",
 
     The block geometry needs 2^J / J to be an integer, so J = log2(n) must
     itself be a power of two; only n in {16, 256, 65536} are supported.
+
+    On the interval system each level-j scaling and detail row k is summed
+    over the k-th dyadic block of 2^(J-j) samples only.  Row index does not
+    follow support near the ends: a boundary row sits at whatever index the
+    construction gave it (at N=2 and n=2048, level-10 detail row 1022 is
+    supported on samples 0-11), so such a row can miss its own block almost
+    entirely.
     """
     e = np.asarray(noise, dtype=float)
     n = len(e)
@@ -94,6 +148,7 @@ def in_event_A(noise, b: float, system: Union[str, IntervalSystem] = "haar",
         )
     if b <= 0:
         raise ValueError("noise range b must be > 0")
+    e = _as_samples(e)
     if isinstance(system, IntervalSystem) and system.n != n:
         raise ValueError("interval system size does not match the noise vector")
 
@@ -106,14 +161,16 @@ def in_event_A(noise, b: float, system: Union[str, IntervalSystem] = "haar",
             j = J - log_j - level_offset
             if not system.coarse_level <= j < J:
                 continue  # no basis functions at this level
-            stride = 2 ** (J - j)
             factor = 2.0 ** ((J - j) / 2.0)
+            blocks = e.reshape(n_blocks, -1)
             sums = np.empty(n_blocks)
-            for rows in (system.scaling_rows[j], system.detail_rows[j]):
-                for k in range(n_blocks):
-                    w = rows[k, k * stride : (k + 1) * stride] * factor
-                    sums[k] = w @ e[k * stride : (k + 1) * stride]
-                k = int(np.argmax(np.abs(sums)))
+            for kind in KINDS:
+                bw = _block_weights(system, j, kind)
+                sums[bw.clean.start : bw.clean.stop] = \
+                    blocks[bw.clean.start : bw.clean.stop] @ bw.translate
+                sums[bw.others] = np.einsum("ij,ij->i", blocks[bw.others], bw.rows)
+                sums *= factor
+                k = _first_max(sums)
                 if abs(sums[k]) / bound > margin:
                     margin, worst = abs(sums[k]) / bound, (level_offset, k)
         else:
@@ -152,7 +209,7 @@ def noise_coeff_bound_check(noise, b: float,
     For noise vectors inside the event A this must always hold (conditional
     invariant); callers are expected to gate on :func:`in_event_A`.
     """
-    e = np.asarray(noise, dtype=float)
+    e = _as_samples(noise)
     n = len(e)
     if isinstance(system, IntervalSystem):
         pyr = interval_dwt(e, system)

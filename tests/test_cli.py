@@ -74,6 +74,18 @@ class TestDenoise:
                                  moments="2")) == 0
         assert len(np.loadtxt(out)) == 1024
 
+    def test_non_finite_input_fails_on_both_systems(self, noisy_csv, tmp_path):
+        values = np.loadtxt(noisy_csv)
+        values[100] = np.nan
+        inp = tmp_path / "nan.csv"
+        write_column(inp, values)
+        codes = []
+        for extra in ({}, {"system": "interval", "moments": "2"}):
+            out = tmp_path / "o.csv"
+            codes.append(main(denoise_args(inp, out, **extra)))
+            assert not out.exists()
+        assert codes[0] != 0 and codes[1] == codes[0]
+
     def test_missing_input(self, tmp_path):
         assert main(denoise_args(tmp_path / "nope.csv",
                                  tmp_path / "o.csv")) == 1

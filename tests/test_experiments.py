@@ -115,6 +115,14 @@ class TestStatistics:
         p = successes / trials
         assert 0.0 <= lo <= p + 1e-12 and p - 1e-12 <= hi <= 1.0
 
+    @given(st.integers(1, 10 ** 6), st.data())
+    @settings(max_examples=200)
+    def test_wilson_bounds_contain_estimate_exactly(self, trials, data):
+        successes = data.draw(st.one_of(st.just(0), st.just(trials),
+                                        st.integers(0, trials)))
+        lo, hi = wilson_interval(successes, trials)
+        assert 0.0 <= lo <= successes / trials <= hi <= 1.0
+
     def test_fit_rate_recovers_exact_power_law(self):
         ns = [2 ** j for j in (8, 10, 12, 14)]
         meds = [3.0 * (math.log2(n) / n) ** 0.61 for n in ns]

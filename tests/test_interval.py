@@ -14,9 +14,7 @@ from waveshrink.interval import (
     highpass_from_lowpass,
     interval_dwt,
     interval_idwt,
-    load_matrix,
     min_coarse_level,
-    save_system,
 )
 from waveshrink.transform import haar_dwt
 
@@ -72,7 +70,10 @@ class TestOrthogonality:
     @pytest.mark.parametrize("N", [1, 2, 3])
     @pytest.mark.parametrize("n", [128, 256])
     def test_matrix_is_orthogonal(self, systems, N, n):
-        W = systems[(N, n)].matrix
+        # W column by column, through the fast transform
+        system = systems[(N, n)]
+        W = np.column_stack([interval_dwt(col, system).with_scaling(True).flat()
+                             for col in np.eye(n)])
         assert np.max(np.abs(W @ W.T - np.eye(n))) < TOL
 
     @pytest.mark.parametrize("N", [1, 2, 3])
@@ -147,6 +148,18 @@ class TestWeights:
         for system in systems.values():
             assert system.c_phi_estimate >= 1.0
 
+    def test_extract_weights_leaves_system_unchanged(self, systems):
+        system = systems[(3, 256)]
+        before = (system.c_phi_estimate,
+                  [[e.rows.copy() for e in level.edges] for level in system.levels])
+        for j in range(system.coarse_level, system.finest_level):
+            for k in (0, 2 ** j - 1):
+                extract_weights(system, j, k)
+        assert system.c_phi_estimate == before[0]
+        for level, rows in zip(system.levels, before[1]):
+            for e, r in zip(level.edges, rows):
+                assert np.array_equal(e.rows, r)
+
     def test_out_of_range_indices(self, systems):
         system = systems[(2, 128)]
         with pytest.raises(IndexError):
@@ -169,14 +182,17 @@ class TestGeometryAndSerialization:
         assert min_coarse_level(2) == 1 + math.ceil(math.log2(3))
         assert min_coarse_level(3) == 1 + math.ceil(math.log2(5))
 
-    def test_save_load_round_trip(self, systems, tmp_path):
-        system = systems[(2, 128)]
-        path = tmp_path / "w.bin"
-        save_system(path, system)
-        N, J0, n, W = load_matrix(path)
-        assert (N, J0, n) == (2, system.coarse_level, 128)
-        assert np.array_equal(W, system.matrix)
-
     def test_dwt_length_mismatch(self, systems):
         with pytest.raises(ValueError):
             interval_dwt(np.zeros(64), systems[(2, 128)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_dwt_rejects_non_finite(self, systems, bad):
+        y = np.zeros(128)
+        y[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            interval_dwt(y, systems[(2, 128)])
+
+    def test_dwt_rejects_non_vector(self, systems):
+        with pytest.raises(ValueError):
+            interval_dwt(np.zeros((2, 64)), systems[(2, 128)])

@@ -83,6 +83,15 @@ class TestEventA:
         assert rep.margin == pytest.approx(worst, rel=1e-12)
         assert rep.member == (worst <= 1.0)
 
+    @pytest.mark.parametrize("system", ["haar", "interval"])
+    def test_rejects_non_finite_noise(self, system):
+        if system == "interval":
+            system = build_interval_system(2, 256, min_coarse_level(2))
+        e = np.zeros(256)
+        e[17] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            in_event_A(e, 1.0, system)
+
     def test_interval_variant_runs(self):
         system = build_interval_system(2, 256, min_coarse_level(2))
         e = sample_noise(NoiseSpec("uniform", 1.0, 5), 256)
@@ -127,6 +136,15 @@ class TestCoefficientBound:
         e = sample_noise(NoiseSpec("uniform", 1.0, seed), 256)
         if in_event_A(e, 1.0).member:
             assert noise_coeff_bound_check(e, 1.0)
+
+    @pytest.mark.parametrize("system", ["haar", "interval"])
+    def test_rejects_non_finite_noise(self, system):
+        if system == "interval":
+            system = build_interval_system(2, 256, min_coarse_level(2))
+        e = np.zeros(256)
+        e[0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            noise_coeff_bound_check(e, 1.0, system)
 
     def test_large_noise_fails(self):
         assert not noise_coeff_bound_check(np.full(256, 0.5), 1.0)
