@@ -2,9 +2,11 @@
 
 from .transform import (
     CoefficientPyramid,
+    haar_analyze,
     haar_coeff_closed_form,
     haar_dwt,
     haar_idwt,
+    haar_synthesize,
     is_power_of_two,
 )
 from .shrinkage import (
@@ -55,6 +57,7 @@ from .experiments import (
     estimate_event_probability,
     fit_rate,
     read_reports,
+    run_cell,
     run_plan,
     run_trial,
     summarize,
@@ -65,8 +68,8 @@ from .experiments import (
 )
 
 __all__ = [
-    "CoefficientPyramid", "haar_dwt", "haar_idwt", "haar_coeff_closed_form",
-    "is_power_of_two",
+    "CoefficientPyramid", "haar_analyze", "haar_synthesize", "haar_dwt",
+    "haar_idwt", "haar_coeff_closed_form", "is_power_of_two",
     "soft_threshold", "hard_threshold", "apply_threshold", "compute_threshold",
     "compute_levels", "min_samples", "shrink", "ShrinkageConfig", "Levels",
     "MinSamples",
@@ -78,7 +81,7 @@ __all__ = [
     "NOISE_FAMILIES", "EventAReport", "NoiseSpec", "hoeffding_bound",
     "in_event_A", "noise_coeff_bound_check", "sample_noise",
     "CellSummary", "ExperimentPlan", "RateFit", "TrialReport",
-    "estimate_event_probability", "fit_rate", "read_reports", "run_plan",
-    "run_trial", "summarize", "threshold_exceedance_census", "wilson_interval",
+    "estimate_event_probability", "fit_rate", "read_reports", "run_cell",
+    "run_plan", "run_trial", "summarize", "threshold_exceedance_census", "wilson_interval",
     "write_reports", "write_summaries",
 ]

@@ -4,6 +4,15 @@ and empirical convergence rates.
 Every trial is a pure function of (plan, cell index, trial index); seeds are
 derived with a splittable scheme so results are bit-for-bit reproducible
 regardless of execution order or worker count.
+
+Trials run a cell at a time (:func:`run_cell`): the signal, the config, the
+wavelet system and the signal's coefficients are made once per chunk, and the
+chunk's trials go through the transform, thresholding, error and exceedance
+computations as one (trials, n) batch.  A chunk holds at most
+``_CHUNK_ELEMENTS`` values per batched array, a fixed constant, so the split
+depends on n alone.  Each row of a batch goes through the same floating-point
+operations as the trial would alone, so the output bytes depend neither on
+the chunking nor on the worker count.
 """
 from __future__ import annotations
 
@@ -12,7 +21,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -25,11 +34,26 @@ from .interval import (
     min_coarse_level,
 )
 from .noise import NoiseSpec, in_event_A, sample_noise
-from .shrinkage import ShrinkageConfig, apply_threshold, compute_levels, min_samples
+from .shrinkage import (
+    ShrinkageConfig,
+    apply_threshold,
+    compute_levels,
+    hard_threshold,
+    min_samples,
+    soft_threshold,
+)
 from .signals import make_signal
-from .transform import haar_dwt, haar_idwt
+from .transform import haar_analyze, haar_dwt, haar_idwt, haar_synthesize
+
+# Trials run batched, so the pyramid functions haar_dwt, haar_idwt,
+# interval_dwt, interval_idwt and apply_threshold are not called here; they
+# stay bound in this namespace because perfbench/tracer.py wraps them by name.
 
 _EVENT_A_SIZES = (16, 256, 65536)
+# Most float64 values in one batched (trials, n) array: 2^15 values, 256 KiB.
+# Batching amortizes per-call overhead; the cap keeps peak memory near that of
+# one trial at a time.
+_CHUNK_ELEMENTS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -127,21 +151,24 @@ def _trial_seed(master_seed: int, cell: int, trial: int) -> np.random.SeedSequen
     return np.random.SeedSequence(master_seed, spawn_key=(cell, trial))
 
 
-def run_trial(plan: ExperimentPlan, cell: int, n: int, delta: float,
-              trial: int) -> TrialReport:
-    """One pure Monte Carlo trial."""
+def _chunk_trials(n: int) -> int:
+    """Trials per batch at sample count n.  Depends on n alone, so the split
+    of a cell into chunks never depends on the worker count."""
+    return max(1, _CHUNK_ELEMENTS // n)
+
+
+def run_cell(plan: ExperimentPlan, cell: int, n: int, delta: float,
+             trials: range) -> list[TrialReport]:
+    """Reports for a range of trials of one cell, computed as one batch.
+
+    The signal, the config, the system and the signal's coefficients are made
+    once.  Each trial draws its noise from its own seed, and the rows of the
+    (trials, n) batch go through the same elementwise operations as a single
+    trial would, so a report does not depend on which trials share its batch.
+    """
     signal = make_signal(plan.signal_kind, plan.alpha, plan.holder_const)
     f = signal.sample(n)
-    seed_seq = _trial_seed(plan.master_seed, cell, trial)
-    seed_id = int(seed_seq.generate_state(1, np.uint64)[0])
-
     b_threshold = plan.noise_bound if plan.noise_bound > 0 else plan.threshold_bound
-    if plan.noise_bound > 0:
-        e = sample_noise(NoiseSpec(plan.noise_family, plan.noise_bound, seed_seq), n)
-    else:
-        e = np.zeros(n)
-
-    system = None
     if plan.system == "interval":
         moments = plan.moments or max(1, math.ceil(plan.alpha))
         system = interval_system_for(n, plan.alpha, moments)
@@ -150,76 +177,140 @@ def run_trial(plan: ExperimentPlan, cell: int, n: int, delta: float,
             system="interval", moments=moments,
             system_const=system.c_phi_estimate,
         )
-        noise_pyr = interval_dwt(e, system)
-        signal_pyr = interval_dwt(f, system)
-        y_pyr = interval_dwt(f + e, system)
+        analyze, synthesize = system.analyze, system.synthesize
     else:
+        system = "haar"
         cfg = ShrinkageConfig.build(
             n, plan.alpha, plan.holder_const, b_threshold, delta, plan.mode,
         )
-        noise_pyr = haar_dwt(e, cfg.coarse_level)
-        signal_pyr = haar_dwt(f, cfg.coarse_level)
-        y_pyr = haar_dwt(f + e, cfg.coarse_level)
+        analyze = partial(haar_analyze, coarse_level=cfg.coarse_level)
+        synthesize = partial(haar_synthesize, coarse_level=cfg.coarse_level)
+    lam, lo = cfg.threshold, 2 ** cfg.coarse_level
 
-    shrunk = apply_threshold(y_pyr, cfg.threshold, cfg.mode)
-    estimate = interval_idwt(shrunk, system) if system is not None \
-        else haar_idwt(shrunk)
+    seeds = [_trial_seed(plan.master_seed, cell, t) for t in trials]
+    noise = np.zeros((len(seeds), n))
+    if plan.noise_bound > 0:
+        for row, seed in zip(noise, seeds):
+            row[...] = sample_noise(NoiseSpec(plan.noise_family, plan.noise_bound, seed), n)
 
-    sq = (estimate - f) ** 2
-    max_sq, mse = float(np.max(sq)), float(np.mean(sq))
+    if n not in _EVENT_A_SIZES:
+        members = [None] * len(seeds)
+    elif plan.noise_bound > 0:
+        members = [in_event_A(e, plan.noise_bound, system).member for e in noise]
+    else:
+        members = [True] * len(seeds)  # zero noise is trivially inside A
 
-    by_level = {cfg.coarse_level: int(np.sum(np.abs(noise_pyr.approx) > cfg.threshold))}
-    for j in range(cfg.coarse_level, noise_pyr.finest_level):
-        by_level[j] = by_level.get(j, 0) \
-            + int(np.sum(np.abs(noise_pyr.detail(j)) > cfg.threshold))
-    exceed = int(sum(by_level.values()))
+    # Coefficients in the integral convention, as the pyramid functions return
+    # them.  Arrays are reused in place where the values are no longer needed,
+    # which keeps the number of live (trials, n) arrays small.
+    to_integral = 1.0 / np.sqrt(n)
+    over = analyze(noise)
+    over *= to_integral
+    over = np.abs(over, out=over) > lam
+    levels = range(cfg.coarse_level, n.bit_length() - 1)
+    by_level = np.empty((len(seeds), len(levels)), dtype=int)
+    for i, j in enumerate(levels):
+        by_level[:, i] = np.count_nonzero(over[:, 2 ** j : 2 ** (j + 1)], axis=-1)
+    by_level[:, 0] += np.count_nonzero(over[:, :lo], axis=-1)
+    exceed = by_level.sum(axis=-1)
 
-    if exceed == 0 and plan.mode == "soft":
-        _assert_detail_contraction(shrunk, signal_pyr, cfg.threshold)
+    signal_c = analyze(f) * to_integral
+    shrunk = analyze(np.add(noise, f, out=noise))  # noise is not needed again
+    shrunk *= to_integral
+    threshold = soft_threshold if cfg.mode == "soft" else hard_threshold
+    shrunk[:, lo:] = threshold(shrunk[:, lo:], lam)
+    _assert_detail_contraction(shrunk, signal_c, lam, cfg.coarse_level,
+                               exceed, cfg.mode)
 
-    member: Optional[bool] = None
-    if n in _EVENT_A_SIZES and plan.noise_bound > 0:
-        member = in_event_A(e, plan.noise_bound,
-                            system if system is not None else "haar").member
-    elif n in _EVENT_A_SIZES:
-        member = True  # zero noise is trivially inside A
+    shrunk *= np.sqrt(n)
+    sq = synthesize(shrunk)
+    sq -= f
+    np.square(sq, out=sq)
+    max_sq, mse = np.max(sq, axis=-1), np.mean(sq, axis=-1)
 
-    return TrialReport(trial=trial, n=n, delta=delta, max_sq_err=max_sq, mse=mse,
-                       in_A=member, exceed_count=exceed, seed=seed_id,
-                       exceed_by_level=by_level)
-
-
-def _assert_detail_contraction(shrunk, signal_pyr, lam: float) -> None:
-    """When every noise coefficient is under lambda, soft thresholding must
-    move each detail coefficient by at most min(|d_f|, 2 lambda)."""
-    for j in range(shrunk.coarse_level, shrunk.finest_level):
-        diff = np.abs(shrunk.detail(j) - signal_pyr.detail(j))
-        d_f = np.abs(signal_pyr.detail(j))
-        bad = (diff > d_f + 1e-12) | (diff > 2 * lam + 1e-12)
-        if np.any(bad):
-            raise RuntimeError(
-                f"thresholding contraction violated at level {j}"
-            )
+    return [TrialReport(trial=t, n=n, delta=delta, max_sq_err=float(max_sq[i]),
+                        mse=float(mse[i]), in_A=members[i],
+                        exceed_count=int(exceed[i]),
+                        seed=int(seeds[i].generate_state(1, np.uint64)[0]),
+                        exceed_by_level=dict(zip(levels, by_level[i].tolist())))
+            for i, t in enumerate(trials)]
 
 
-def _run_cell_args(args):
-    plan, cell, n, delta, trial = args
-    return run_trial(plan, cell, n, delta, trial)
+def run_trial(plan: ExperimentPlan, cell: int, n: int, delta: float,
+              trial: int) -> TrialReport:
+    """One pure Monte Carlo trial: the one-trial case of :func:`run_cell`."""
+    return run_cell(plan, cell, n, delta, range(trial, trial + 1))[0]
+
+
+def _assert_detail_contraction(shrunk: np.ndarray, signal: np.ndarray, lam: float,
+                               coarse_level: int, exceed: np.ndarray,
+                               mode: str) -> None:
+    """When every noise coefficient of a trial is under lambda, soft
+    thresholding must move each of its detail coefficients by at most
+    min(|d_f|, 2 lambda).
+
+    ``shrunk`` holds the thresholded coefficients of a batch (trials, n) and
+    ``signal`` those of the noise-free signal (n,), both flat and in the
+    integral convention.  Trials with ``exceed`` > 0 and hard thresholding are
+    not checked.
+    """
+    if mode != "soft":
+        return
+    lo = 2 ** coarse_level
+    d_f = np.abs(signal[lo:])
+    diff = np.subtract(shrunk[:, lo:], signal[lo:])
+    np.abs(diff, out=diff)
+    bad = (diff > d_f + 1e-12) | (diff > 2 * lam + 1e-12)
+    bad &= (np.asarray(exceed) == 0)[:, None]
+    if np.any(bad):
+        row, i = np.argwhere(bad)[0]
+        level = (lo + int(i)).bit_length() - 1
+        raise RuntimeError(
+            f"thresholding contraction violated at level {level} "
+            f"(batch row {row})"
+        )
+
+
+def _run_chunk(task) -> list[TrialReport]:
+    return run_cell(*task)
+
+
+def _plan_tasks(plan: ExperimentPlan) -> list[tuple]:
+    """(plan, cell, n, delta, trial range) for every chunk, in report order."""
+    tasks = []
+    for cell, n, delta in plan.cells():
+        step = _chunk_trials(n)
+        for start in range(0, plan.trials, step):
+            tasks.append((plan, cell, n, delta,
+                          range(start, min(start + step, plan.trials))))
+    return tasks
 
 
 def run_plan(plan: ExperimentPlan, workers: Optional[int] = None) -> list[TrialReport]:
-    """All trial reports for the plan, in deterministic (cell, trial) order."""
-    tasks = [(plan, cell, n, delta, trial)
-             for cell, n, delta in plan.cells()
-             for trial in range(plan.trials)]
+    """All trial reports for the plan, in deterministic (cell, trial) order.
+
+    ``workers`` defaults to the WAVESHRINK_WORKERS environment variable, else
+    1; a pool never gets more processes than there are chunks.
+    """
     if workers is None:
-        workers = int(os.environ.get("WAVESHRINK_WORKERS", "1"))
-    if workers > 1 and len(tasks) > 1:
+        raw = os.environ.get("WAVESHRINK_WORKERS", "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ValueError(
+                f"WAVESHRINK_WORKERS must be an integer, got {raw!r}") from None
+    if workers < 1:
+        raise ValueError(f"worker count must be >= 1, got {workers}")
+    tasks = _plan_tasks(plan)
+    workers = min(workers, len(tasks))
+    if workers > 1:
         # imported here: multiprocessing costs a tenth of the package import
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_cell_args, tasks, chunksize=16))
-    return [_run_cell_args(t) for t in tasks]
+            chunks = list(pool.map(_run_chunk, tasks))
+    else:
+        chunks = [_run_chunk(t) for t in tasks]
+    return [r for chunk in chunks for r in chunk]
 
 
 def wilson_interval(successes: int, trials: int,

@@ -192,6 +192,24 @@ class _Edge(NamedTuple):
     def stop(self) -> int:
         return self.start + self.rows.shape[1]
 
+    # Both products run as a loop of elementwise multiply-adds rather than a
+    # matmul: BLAS rounds a batch (gemm) differently from one vector (gemv),
+    # and each row of a batch must equal that row transformed alone.
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The edge rows applied to the window of x: (..., n) -> (..., rows)."""
+        acc = x[..., self.start, None] * self.rows[:, 0]
+        for s in range(1, self.rows.shape[1]):
+            acc += x[..., self.start + s, None] * self.rows[:, s]
+        return acc
+
+    def apply_transpose(self, c: np.ndarray) -> np.ndarray:
+        """Transpose of :meth:`apply` from the stacked coefficients c:
+        (..., L) -> (..., window width)."""
+        acc = c[..., self.index[0], None] * self.rows[0]
+        for r in range(1, len(self.index)):
+            acc += c[..., self.index[r], None] * self.rows[r]
+        return acc
+
 
 def _merge(pieces: list[tuple[int, np.ndarray]]) -> tuple[int, np.ndarray]:
     """Sum of vectors given as (first column, values)."""
@@ -227,7 +245,7 @@ class _Level:
             for s in range(1, len(band.taps)):
                 seg += band.taps[s] * x[..., 2 * band.lo + s : stop + s : 2]
         for e in self.edges:
-            out[..., e.index] = x[..., e.start : e.stop] @ e.rows.T
+            out[..., e.index] = e.apply(x)
         return out
 
     def synthesize(self, c: np.ndarray) -> np.ndarray:
@@ -242,7 +260,7 @@ class _Level:
             for s, tap in enumerate(band.taps):
                 x[..., 2 * band.lo + s : stop + s : 2] += tap * seg
         for e in self.edges:
-            x[..., e.start : e.stop] += c[..., e.index] @ e.rows
+            x[..., e.start : e.stop] += e.apply_transpose(c)
         return x
 
     def row(self, i: int) -> tuple[int, np.ndarray]:
@@ -804,17 +822,11 @@ def interval_dwt(samples, system: IntervalSystem) -> CoefficientPyramid:
     if len(y) != system.n:
         raise ValueError(f"expected {system.n} samples, got {len(y)}")
     coeffs = system.analyze(y)
-    J0, J = system.coarse_level, system.finest_level
-    approx = coeffs[: 2 ** J0]
-    details, pos = [], 2 ** J0
-    for j in range(J0, J):
-        details.append(coeffs[pos : pos + 2 ** j])
-        pos += 2 ** j
-    pyr = CoefficientPyramid(J0, approx, tuple(details), scaled=True)
-    return pyr.with_scaling(False)
+    coeffs *= 1.0 / np.sqrt(system.n)
+    return CoefficientPyramid.from_flat(coeffs, system.coarse_level)
 
 
 def interval_idwt(pyramid: CoefficientPyramid, system: IntervalSystem) -> np.ndarray:
     if pyramid.n != system.n or pyramid.coarse_level != system.coarse_level:
         raise ValueError("pyramid geometry does not match the system")
-    return system.synthesize(pyramid.with_scaling(True).flat())
+    return system.synthesize(pyramid.scaled_flat())

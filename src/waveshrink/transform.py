@@ -4,6 +4,11 @@ Coefficients are stored in the integral convention (inner products of the
 piecewise-constant sample extension with the basis functions).  The discrete
 orthonormal transform differs by a factor of sqrt(n); the ``scaled`` flag on
 the pyramid records which convention the stored entries use.
+
+:func:`haar_analyze` and :func:`haar_synthesize` apply the orthonormal
+transform along the last axis of a batch, in the flat layout the interval
+system uses; :func:`haar_dwt` and :func:`haar_idwt` wrap them for one vector
+and the pyramid.
 """
 from __future__ import annotations
 
@@ -87,42 +92,89 @@ class CoefficientPyramid:
         return np.concatenate([self.approx, *self.details]) if self.details \
             else np.array(self.approx)
 
+    def scaled_flat(self) -> np.ndarray:
+        """A fresh flat copy of the coefficients in the sqrt(n)-scaled
+        convention."""
+        out = np.asarray(self.flat(), dtype=float)
+        if not self.scaled:
+            out *= np.sqrt(self.n)
+        return out
+
+    @classmethod
+    def from_flat(cls, coeffs: np.ndarray, coarse_level: int) -> "CoefficientPyramid":
+        """Integral-convention pyramid over a flat coefficient vector laid out
+        as :meth:`flat` returns it.  The detail levels are views into
+        ``coeffs``; the small approximation block is copied, so a pyramid
+        whose details were replaced (:meth:`map_details`) no longer holds the
+        whole vector."""
+        levels = len(coeffs).bit_length() - 1
+        details = tuple(coeffs[2 ** j : 2 ** (j + 1)]
+                        for j in range(coarse_level, levels))
+        return cls(coarse_level, coeffs[: 2 ** coarse_level].copy(), details)
+
     def map_details(self, fn) -> "CoefficientPyramid":
         return replace(self, details=tuple(fn(d) for d in self.details))
 
 
-def haar_dwt(values, coarse_level: int) -> CoefficientPyramid:
-    """Haar wavelet coefficients of the piecewise-constant sample extension.
-
-    Runs the O(n) pyramid recursion on the sqrt(n)-scaled coefficients and
-    returns the integral-convention pyramid.
-    """
-    y = _as_samples(values)
-    n = len(y)
-    levels = int(np.log2(n))
+def _check_levels(n: int, coarse_level: int) -> int:
+    if n < 2 or not is_power_of_two(n):
+        raise ValueError(f"sample count must be a power of two >= 2, got {n}")
+    levels = n.bit_length() - 1
     if not 0 <= coarse_level <= levels:
         raise ValueError(f"coarse_level must be in [0, {levels}], got {coarse_level}")
-    s = y.copy()
-    details = []
-    for _ in range(levels - coarse_level):
-        even, odd = s[0::2], s[1::2]
-        details.append((even - odd) / _SQRT2)
-        s = (even + odd) / _SQRT2
-    details.reverse()
-    pyr = CoefficientPyramid(coarse_level, s, tuple(details), scaled=True)
-    return pyr.with_scaling(False)
+    return levels
+
+
+def haar_analyze(samples: np.ndarray, coarse_level: int) -> np.ndarray:
+    """Orthonormal Haar transform along the last axis: (..., n) -> (..., n).
+
+    The output holds the sqrt(n)-scaled coefficients in the flat layout of
+    :meth:`IntervalSystem.analyze`: the 2**coarse_level approximation
+    coefficients, then detail levels coarse to fine (level j at [2**j, 2**(j+1))).
+    Every row is computed by the same elementwise operations as a 1-d call,
+    so a batched row is bit-equal to that row transformed alone.
+    """
+    samples = np.asarray(samples, dtype=float)
+    levels = _check_levels(samples.shape[-1], coarse_level)
+    out = np.empty(samples.shape)
+    s = samples
+    for j in range(levels - 1, coarse_level - 1, -1):
+        even, odd = s[..., 0::2], s[..., 1::2]
+        detail = out[..., 2 ** j : 2 ** (j + 1)]
+        np.subtract(even, odd, out=detail)
+        detail /= _SQRT2
+        s = even + odd
+        s /= _SQRT2
+    out[..., : 2 ** coarse_level] = s
+    return out
+
+
+def haar_synthesize(coeffs: np.ndarray, coarse_level: int) -> np.ndarray:
+    """Inverse of :func:`haar_analyze` along the last axis."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    levels = _check_levels(coeffs.shape[-1], coarse_level)
+    s = coeffs[..., : 2 ** coarse_level].copy()
+    for j in range(coarse_level, levels):
+        d = coeffs[..., 2 ** j : 2 ** (j + 1)]
+        out = np.empty(coeffs.shape[:-1] + (2 ** (j + 1),))
+        out[..., 0::2] = (s + d) / _SQRT2
+        out[..., 1::2] = (s - d) / _SQRT2
+        s = out
+    return s
+
+
+def haar_dwt(values, coarse_level: int) -> CoefficientPyramid:
+    """Haar wavelet coefficients of the piecewise-constant sample extension,
+    in the integral convention: :func:`haar_analyze` divided by sqrt(n)."""
+    y = _as_samples(values)
+    coeffs = haar_analyze(y, coarse_level)
+    coeffs *= 1.0 / np.sqrt(len(y))
+    return CoefficientPyramid.from_flat(coeffs, coarse_level)
 
 
 def haar_idwt(pyramid: CoefficientPyramid) -> np.ndarray:
     """Exact inverse of :func:`haar_dwt`."""
-    p = pyramid.with_scaling(True)
-    s = np.asarray(p.approx, dtype=float)
-    for d in p.details:
-        out = np.empty(2 * len(s))
-        out[0::2] = (s + d) / _SQRT2
-        out[1::2] = (s - d) / _SQRT2
-        s = out
-    return s
+    return haar_synthesize(pyramid.scaled_flat(), pyramid.coarse_level)
 
 
 def haar_coeff_closed_form(values, j: int, k: int, kind: str = "detail") -> float:

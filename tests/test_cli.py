@@ -134,6 +134,15 @@ class TestSimulate:
                      str(tmp_path / "sb.csv")]) == 0
         assert base.read_text() == out[0]  # plan's master_seed is 3
 
+    def test_workers_must_be_positive(self, tmp_path, capsys):
+        plan = self.plan(tmp_path)
+        rep, summ = tmp_path / "r.jsonl", tmp_path / "s.csv"
+        for workers in ("0", "-2"):
+            assert main(["simulate", str(plan), str(rep), str(summ),
+                         "--workers", workers]) == 1
+            assert "worker count" in capsys.readouterr().err
+        assert not rep.exists() and not summ.exists()
+
     def test_malformed_plan(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

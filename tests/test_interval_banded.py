@@ -215,3 +215,19 @@ def test_row_rejects_bad_arguments():
         system.row(system.coarse_level, 2 ** system.coarse_level)
     with pytest.raises(ValueError):
         system.row(system.coarse_level, 0, "wavelet")
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("lead", [(), (1,), (3,), (40,), (2, 5)])
+def test_batched_rows_equal_single_rows_bit_for_bit(N, lead):
+    """A row of a batch goes through the same operations as the row alone,
+    whatever the leading shape, so batching cannot change a trial's bits."""
+    n = 256
+    system = build_interval_system(N, n, min_coarse_level(N))
+    rng = np.random.default_rng(N)
+    x = rng.standard_normal(lead + (n,))
+    coeffs, back = system.analyze(x), system.synthesize(x)
+    assert coeffs.shape == back.shape == x.shape
+    for idx in np.ndindex(*lead):
+        assert np.array_equal(coeffs[idx], system.analyze(x[idx]))
+        assert np.array_equal(back[idx], system.synthesize(x[idx]))

@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from waveshrink.transform import (
     CoefficientPyramid,
+    haar_analyze,
     haar_coeff_closed_form,
     haar_dwt,
     haar_idwt,
+    haar_synthesize,
     is_power_of_two,
 )
 
@@ -113,3 +115,72 @@ class TestPyramidApi:
             pyr.detail(5)
         with pytest.raises(IndexError):
             pyr.detail(0)
+
+
+def _recursive_haar_dwt(values, coarse_level):
+    """haar_dwt as a per-level recursion on pyramid arrays, the form it had
+    before the flat batched kernel: the bits the wrappers must reproduce."""
+    s = np.asarray(values, dtype=float).copy()
+    details = []
+    for _ in range(int(np.log2(len(s))) - coarse_level):
+        even, odd = s[0::2], s[1::2]
+        details.append((even - odd) / np.sqrt(2.0))
+        s = (even + odd) / np.sqrt(2.0)
+    details.reverse()
+    factor = 1.0 / np.sqrt(len(values))
+    return s * factor, [d * factor for d in details]
+
+
+def _recursive_haar_idwt(pyramid):
+    factor = np.sqrt(pyramid.n)
+    s = pyramid.approx * factor
+    for d in pyramid.details:
+        d = d * factor
+        out = np.empty(2 * len(s))
+        out[0::2] = (s + d) / np.sqrt(2.0)
+        out[1::2] = (s - d) / np.sqrt(2.0)
+        s = out
+    return s
+
+
+class TestFlatKernel:
+    @given(st.integers(1, 12), st.data(), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_wrappers_match_the_recursion_bit_for_bit(self, J, data, seed):
+        coarse = data.draw(st.integers(0, J))
+        y = np.random.default_rng(seed).standard_normal(2 ** J) * 10.0 ** (seed % 7 - 3)
+        pyr = haar_dwt(y, coarse)
+        approx, details = _recursive_haar_dwt(y, coarse)
+        assert np.array_equal(pyr.approx, approx)
+        assert len(pyr.details) == len(details)
+        for got, want in zip(pyr.details, details):
+            assert np.array_equal(got, want)
+        assert np.array_equal(haar_idwt(pyr), _recursive_haar_idwt(pyr))
+
+    def test_flat_layout_is_the_scaled_pyramid(self):
+        y = np.random.default_rng(1).standard_normal(64)
+        flat = haar_analyze(y, 2)
+        assert np.array_equal(flat, haar_dwt(y, 2).scaled_flat())
+        assert np.allclose(haar_synthesize(flat, 2), y, atol=1e-13)
+
+    @pytest.mark.parametrize("lead", [(), (1,), (3,), (40,), (2, 5)])
+    def test_batched_rows_equal_single_rows_bit_for_bit(self, lead):
+        x = np.random.default_rng(7).standard_normal(lead + (128,))
+        for coarse in (0, 3, 7):
+            coeffs = haar_analyze(x, coarse)
+            back = haar_synthesize(coeffs, coarse)
+            for idx in np.ndindex(*lead):
+                assert np.array_equal(coeffs[idx], haar_analyze(x[idx], coarse))
+                assert np.array_equal(back[idx], haar_synthesize(coeffs[idx], coarse))
+
+    def test_rejects_bad_geometry(self):
+        with pytest.raises(ValueError):
+            haar_analyze(np.zeros((2, 6)), 0)
+        with pytest.raises(ValueError):
+            haar_synthesize(np.zeros(8), 4)
+
+    def test_coarsest_level_returns_a_copy(self):
+        c = np.arange(4.0)
+        out = haar_synthesize(c, 2)
+        out[0] = 9.0
+        assert c[0] == 0.0
