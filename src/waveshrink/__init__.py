@@ -2,6 +2,7 @@
 
 from .transform import (
     CoefficientPyramid,
+    HaarSystem,
     haar_analyze,
     haar_coeff_closed_form,
     haar_dwt,
@@ -20,13 +21,12 @@ from .shrinkage import (
     min_samples,
     shrink,
     soft_threshold,
+    wavelet_system,
 )
 from .interval import (
-    CascadeTable,
     GeometryError,
     IntervalSystem,
     build_interval_system,
-    cascade_evaluate,
     daubechies_filter,
     extract_weights,
     interval_dwt,
@@ -68,14 +68,13 @@ from .experiments import (
 )
 
 __all__ = [
-    "CoefficientPyramid", "haar_analyze", "haar_synthesize", "haar_dwt",
-    "haar_idwt", "haar_coeff_closed_form", "is_power_of_two",
+    "CoefficientPyramid", "HaarSystem", "haar_analyze", "haar_synthesize",
+    "haar_dwt", "haar_idwt", "haar_coeff_closed_form", "is_power_of_two",
     "soft_threshold", "hard_threshold", "apply_threshold", "compute_threshold",
     "compute_levels", "min_samples", "shrink", "ShrinkageConfig", "Levels",
-    "MinSamples",
-    "CascadeTable", "GeometryError", "IntervalSystem", "build_interval_system",
-    "cascade_evaluate", "daubechies_filter", "extract_weights", "interval_dwt",
-    "interval_idwt",
+    "MinSamples", "wavelet_system",
+    "GeometryError", "IntervalSystem", "build_interval_system",
+    "daubechies_filter", "extract_weights", "interval_dwt", "interval_idwt",
     "SIGNAL_KINDS", "HolderCheck", "HolderSignal", "check_holder", "make_signal",
     "sample_grid",
     "NOISE_FAMILIES", "EventAReport", "NoiseSpec", "hoeffding_bound",

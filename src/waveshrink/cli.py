@@ -18,7 +18,6 @@ import numpy as np
 from .experiments import (
     ExperimentPlan,
     fit_rate,
-    interval_system_for,
     run_plan,
     summarize,
     write_reports,
@@ -32,13 +31,14 @@ from .interval import (
     min_coarse_level,
 )
 from .shrinkage import (
+    SYSTEM_KINDS,
     ShrinkageConfig,
-    apply_threshold,
     hard_threshold,
     min_samples,
+    shrink,
     soft_threshold,
+    wavelet_system,
 )
-from .signals import make_signal
 from .transform import haar_coeff_closed_form, haar_dwt, haar_idwt, is_power_of_two
 
 _PLAN_FIELDS = {
@@ -96,28 +96,15 @@ def cmd_denoise(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    system = None
-    system_const: Optional[float] = None
-    if args.system == "interval":
-        moments = args.moments or max(1, math.ceil(args.alpha))
-        system = interval_system_for(n, args.alpha, moments)
-        system_const = system.c_phi_estimate
+    system = wavelet_system(args.system, n, args.alpha, args.moments)
     cfg = ShrinkageConfig.build(
         n, args.alpha, args.M, args.b, args.delta, args.mode,
-        system=args.system, moments=args.moments, system_const=system_const,
+        system=args.system, moments=system.moments,
+        system_const=system.c_phi_estimate,
     )
     print(f"J0={cfg.coarse_level} J1={cfg.boundary_level} "
           f"lambda={cfg.threshold:.17g}", file=sys.stderr)
-
-    if system is not None:
-        pyr = interval_dwt(y, system)
-        pyr = apply_threshold(pyr, cfg.threshold, cfg.mode)
-        out = interval_idwt(pyr, system)
-    else:
-        pyr = haar_dwt(y, cfg.coarse_level)
-        pyr = apply_threshold(pyr, cfg.threshold, cfg.mode)
-        out = haar_idwt(pyr)
-    _write_column(args.output, out[:n_orig])
+    _write_column(args.output, shrink(y, cfg, system)[:n_orig])
     return 0
 
 
@@ -204,10 +191,9 @@ def _verify_interval(rng: np.random.Generator) -> list[str]:
         back = interval_idwt(interval_dwt(y, system), system)
         if np.max(np.abs(back - y)) > 1e-8:
             problems.append(f"interval roundtrip failed (N={moments}, n={n})")
-        # W column by column, through the fast transform
-        W = np.column_stack([interval_dwt(col, system).with_scaling(True).flat()
-                             for col in np.eye(n)])
-        if np.max(np.abs(W @ W.T - np.eye(n))) > 1e-8:
+        # row i is W e_i, so this is the transpose of W
+        Wt = system.analyze(np.eye(n))
+        if np.max(np.abs(Wt @ Wt.T - np.eye(n))) > 1e-8:
             problems.append(f"interval orthogonality failed (N={moments}, n={n})")
     return problems
 
@@ -257,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, required=True, help="total noise range")
     p.add_argument("--delta", type=float, default=1.0)
     p.add_argument("--mode", choices=("soft", "hard"), default="soft")
-    p.add_argument("--system", choices=("haar", "interval"), default="haar")
+    p.add_argument("--system", choices=SYSTEM_KINDS, default="haar")
     p.add_argument("--moments", type=int, default=None,
                    help="vanishing moments for the interval system")
     p.add_argument("--n-pad", action="store_true",

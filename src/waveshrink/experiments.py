@@ -21,7 +21,6 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -31,23 +30,23 @@ from .interval import (
     build_interval_system,
     interval_dwt,
     interval_idwt,
-    min_coarse_level,
 )
 from .noise import NoiseSpec, in_event_A, sample_noise
 from .shrinkage import (
     ShrinkageConfig,
     apply_threshold,
-    compute_levels,
-    hard_threshold,
     min_samples,
-    soft_threshold,
+    system_moments,
+    threshold_rule,
+    wavelet_system,
 )
 from .signals import make_signal
-from .transform import haar_analyze, haar_dwt, haar_idwt, haar_synthesize
+from .transform import haar_dwt, haar_idwt
 
-# Trials run batched, so the pyramid functions haar_dwt, haar_idwt,
-# interval_dwt, interval_idwt and apply_threshold are not called here; they
-# stay bound in this namespace because perfbench/tracer.py wraps them by name.
+# Trials run batched through the system objects, so the pyramid functions
+# haar_dwt, haar_idwt, interval_dwt, interval_idwt, apply_threshold and
+# build_interval_system are not called here; they stay bound in this
+# namespace because perfbench/tracer.py wraps them by name.
 
 _EVENT_A_SIZES = (16, 256, 65536)
 # Most float64 values in one batched (trials, n) array: 2^15 values, 256 KiB.
@@ -75,8 +74,10 @@ class ExperimentPlan:
     threshold_bound: Optional[float] = None  # b used for lambda when noise_bound=0
 
     def __post_init__(self):
-        if self.trials < 0:
-            raise ValueError("trials must be >= 0")
+        if not isinstance(self.trials, (int, np.integer)) or self.trials < 0:
+            raise ValueError(f"trials must be an integer >= 0, got {self.trials!r}")
+        system_moments(self.system, self.alpha, self.moments)
+        threshold_rule(self.mode)
         if self.noise_bound < 0:
             raise ValueError("noise bound must be >= 0")
         if self.noise_bound == 0 and self.threshold_bound is None:
@@ -134,17 +135,10 @@ class RateFit:
     target: float
 
 
-@lru_cache(maxsize=8)
-def _cached_system(moments: int, n: int, coarse_level: int) -> IntervalSystem:
-    return build_interval_system(moments, n, coarse_level)
-
-
 def interval_system_for(n: int, alpha: float, moments: int) -> IntervalSystem:
-    """The interval system the shrinkage pipeline uses for (n, alpha, N):
-    coarse level max(J0(n, alpha), min_coarse_level(N)).  Built once per
-    process and shared, so callers must not modify it."""
-    coarse = max(compute_levels(n, alpha).coarse, min_coarse_level(moments))
-    return _cached_system(moments, n, coarse)
+    """The interval system the shrinkage pipeline uses for (n, alpha, N); see
+    :func:`~waveshrink.shrinkage.wavelet_system`."""
+    return wavelet_system("interval", n, alpha, moments)
 
 
 def _trial_seed(master_seed: int, cell: int, trial: int) -> np.random.SeedSequence:
@@ -169,22 +163,12 @@ def run_cell(plan: ExperimentPlan, cell: int, n: int, delta: float,
     signal = make_signal(plan.signal_kind, plan.alpha, plan.holder_const)
     f = signal.sample(n)
     b_threshold = plan.noise_bound if plan.noise_bound > 0 else plan.threshold_bound
-    if plan.system == "interval":
-        moments = plan.moments or max(1, math.ceil(plan.alpha))
-        system = interval_system_for(n, plan.alpha, moments)
-        cfg = ShrinkageConfig.build(
-            n, plan.alpha, plan.holder_const, b_threshold, delta, plan.mode,
-            system="interval", moments=moments,
-            system_const=system.c_phi_estimate,
-        )
-        analyze, synthesize = system.analyze, system.synthesize
-    else:
-        system = "haar"
-        cfg = ShrinkageConfig.build(
-            n, plan.alpha, plan.holder_const, b_threshold, delta, plan.mode,
-        )
-        analyze = partial(haar_analyze, coarse_level=cfg.coarse_level)
-        synthesize = partial(haar_synthesize, coarse_level=cfg.coarse_level)
+    system = wavelet_system(plan.system, n, plan.alpha, plan.moments)
+    cfg = ShrinkageConfig.build(
+        n, plan.alpha, plan.holder_const, b_threshold, delta, plan.mode,
+        system=plan.system, moments=system.moments,
+        system_const=system.c_phi_estimate,
+    )
     lam, lo = cfg.threshold, 2 ** cfg.coarse_level
 
     seeds = [_trial_seed(plan.master_seed, cell, t) for t in trials]
@@ -204,7 +188,7 @@ def run_cell(plan: ExperimentPlan, cell: int, n: int, delta: float,
     # them.  Arrays are reused in place where the values are no longer needed,
     # which keeps the number of live (trials, n) arrays small.
     to_integral = 1.0 / np.sqrt(n)
-    over = analyze(noise)
+    over = system.analyze(noise)
     over *= to_integral
     over = np.abs(over, out=over) > lam
     levels = range(cfg.coarse_level, n.bit_length() - 1)
@@ -214,16 +198,16 @@ def run_cell(plan: ExperimentPlan, cell: int, n: int, delta: float,
     by_level[:, 0] += np.count_nonzero(over[:, :lo], axis=-1)
     exceed = by_level.sum(axis=-1)
 
-    signal_c = analyze(f) * to_integral
-    shrunk = analyze(np.add(noise, f, out=noise))  # noise is not needed again
+    signal_c = system.analyze(f) * to_integral
+    # noise is not needed again
+    shrunk = system.analyze(np.add(noise, f, out=noise))
     shrunk *= to_integral
-    threshold = soft_threshold if cfg.mode == "soft" else hard_threshold
-    shrunk[:, lo:] = threshold(shrunk[:, lo:], lam)
+    shrunk[:, lo:] = threshold_rule(cfg.mode)(shrunk[:, lo:], lam)
     _assert_detail_contraction(shrunk, signal_c, lam, cfg.coarse_level,
                                exceed, cfg.mode)
 
     shrunk *= np.sqrt(n)
-    sq = synthesize(shrunk)
+    sq = system.synthesize(shrunk)
     sq -= f
     np.square(sq, out=sq)
     max_sq, mse = np.max(sq, axis=-1), np.mean(sq, axis=-1)

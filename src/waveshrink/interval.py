@@ -86,79 +86,6 @@ def highpass_from_lowpass(h: np.ndarray) -> np.ndarray:
     return signs * h[::-1]
 
 
-class CascadeTable(NamedTuple):
-    """Scaling function and wavelet tabulated on a dyadic grid over [0, 2N-1]."""
-
-    moments: int
-    resolution: int
-    grid: np.ndarray
-    phi: np.ndarray
-    psi: np.ndarray
-
-    @property
-    def step(self) -> float:
-        return 2.0 ** -self.resolution
-
-
-def cascade_evaluate(moments: int, resolution: int) -> CascadeTable:
-    """Tabulate the Daubechies-N scaling function and wavelet.
-
-    Integer-grid values come from the eigenvector of the refinement operator;
-    dyadic values are then filled in exactly by the two-scale relation, so the
-    refinement-equation residual is pure roundoff.
-    """
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
-    h = daubechies_filter(moments)
-    width = 2 * moments - 1
-    grid = np.arange(width * 2 ** resolution + 1) * 2.0 ** -resolution
-    if moments == 1:
-        phi = np.ones_like(grid)
-        phi[0] = 0.0
-        psi = np.where(grid <= 0.5, 1.0, -1.0)
-        psi[0] = 0.0
-        return CascadeTable(1, resolution, grid, phi, psi)
-
-    # values at the interior integers: eigenvector of A[m,l] = sqrt(2) h[2m-l]
-    m_idx = np.arange(1, width)
-    A = np.zeros((width - 1, width - 1))
-    for r, m in enumerate(m_idx):
-        for c, l in enumerate(m_idx):
-            s = 2 * m - l
-            if 0 <= s < len(h):
-                A[r, c] = math.sqrt(2.0) * h[s]
-    eigvals, eigvecs = np.linalg.eig(A)
-    pick = np.argmin(np.abs(eigvals - 1.0))
-    v = np.real(eigvecs[:, pick])
-    v /= v.sum()
-    phi = np.zeros(width + 1)
-    phi[1:width] = v
-
-    for depth in range(1, resolution + 1):
-        prev = phi
-        cur = np.zeros(width * 2 ** depth + 1)
-        cur[::2] = prev
-        # odd points x: phi(x) = sqrt(2) sum_s h_s phi(2x - s)
-        odd = np.arange(1, len(cur), 2)  # index at step 2^-depth
-        acc = np.zeros(len(odd))
-        for s, hs in enumerate(h):
-            src = odd - s * 2 ** (depth - 1)  # index of 2x - s at step 2^-(depth-1)
-            ok = (src >= 0) & (src < len(prev))
-            acc[ok] += hs * prev[src[ok]]
-        cur[odd] = math.sqrt(2.0) * acc
-        phi = cur
-
-    g = highpass_from_lowpass(h)
-    psi = np.zeros_like(phi)
-    idx = np.arange(len(phi))
-    for s, gs in enumerate(g):
-        src = 2 * idx - s * 2 ** resolution
-        ok = (src >= 0) & (src < len(phi))
-        psi[ok] += gs * phi[src[ok]]
-    psi *= math.sqrt(2.0)
-    return CascadeTable(moments, resolution, grid, phi, psi)
-
-
 class _Band(NamedTuple):
     """Interior rows lo..hi of one filter: row k holds ``taps`` at columns
     2k .. 2k + len(taps) - 1.  Empty when hi < lo."""

@@ -12,16 +12,17 @@ import math
 import weakref
 from dataclasses import dataclass
 from itertools import chain
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
-from .interval import KINDS, GeometryError, IntervalSystem, interval_dwt
-from .transform import _as_samples, haar_dwt, is_power_of_two
+from .interval import KINDS, GeometryError, IntervalSystem
+from .transform import HaarSystem, _as_samples, is_power_of_two
 
 NOISE_FAMILIES = ("uniform", "rademacher", "truncated", "mixture")
 
 Seed = Union[int, np.random.SeedSequence]
+System = Union[str, HaarSystem, IntervalSystem]
 
 
 @dataclass(frozen=True)
@@ -123,14 +124,26 @@ class EventAReport(NamedTuple):
     margin: float                 # largest |block sum| / bound; member iff <= 1
 
 
-def in_event_A(noise, b: float, system: Union[str, IntervalSystem] = "haar",
-               ) -> EventAReport:
+def _system_at(system: System, n: int, coarse_level: int = 0):
+    """``system``, or the Haar system at n samples for the name "haar"."""
+    if isinstance(system, str):
+        if system != "haar":
+            raise ValueError(f"unknown wavelet system {system!r}")
+        return HaarSystem(n, coarse_level)
+    if system.n != n:
+        raise ValueError("wavelet system size does not match the noise vector")
+    return system
+
+
+def in_event_A(noise, b: float, system: System = "haar") -> EventAReport:
     """Membership in the good event A.
 
     The block geometry needs 2^J / J to be an integer, so J = log2(n) must
     itself be a power of two; only n in {16, 256, 65536} are supported.
 
-    On the interval system each level-j scaling and detail row k is summed
+    ``system`` is "haar" or a :class:`HaarSystem`, whose block sums do not
+    depend on the coarse level, or an :class:`IntervalSystem`.  On the
+    interval system each level-j scaling and detail row k is summed
     over the k-th dyadic block of 2^(J-j) samples only.  Row index does not
     follow support near the ends: a boundary row sits at whatever index the
     construction gave it (at N=2 and n=2048, level-10 detail row 1022 is
@@ -149,8 +162,7 @@ def in_event_A(noise, b: float, system: Union[str, IntervalSystem] = "haar",
     if b <= 0:
         raise ValueError("noise range b must be > 0")
     e = _as_samples(e)
-    if isinstance(system, IntervalSystem) and system.n != n:
-        raise ValueError("interval system size does not match the noise vector")
+    system = _system_at(system, n)
 
     log_j = int(math.log2(J))
     margin, worst = 0.0, (-1, 0)
@@ -174,8 +186,6 @@ def in_event_A(noise, b: float, system: Union[str, IntervalSystem] = "haar",
                 if abs(sums[k]) / bound > margin:
                     margin, worst = abs(sums[k]) / bound, (level_offset, k)
         else:
-            if system != "haar":
-                raise ValueError(f"unknown wavelet system {system!r}")
             # the Haar block sums run over J 2^(l-1) samples, half the stride
             if level_offset == -1:
                 stride, terms = J // 2, J // 4
@@ -201,25 +211,19 @@ def hoeffding_bound(m: int, t: float, lo: float, hi: float) -> float:
     return 1.0 - math.exp(-2.0 * t * t / (m * (hi - lo) ** 2))
 
 
-def noise_coeff_bound_check(noise, b: float,
-                            system: Union[str, IntervalSystem] = "haar",
-                            coarse_level: Optional[int] = None) -> bool:
+def noise_coeff_bound_check(noise, b: float, system: System = "haar",
+                            coarse_level: int = 0) -> bool:
     """All noise wavelet coefficients within b * C_phi * sqrt(log2(n)/n).
 
-    For noise vectors inside the event A this must always hold (conditional
-    invariant); callers are expected to gate on :func:`in_event_A`.
+    ``system`` is a wavelet system, or "haar" for the Haar system at
+    ``coarse_level``.  For noise vectors inside the event A this must always
+    hold (conditional invariant); callers are expected to gate on
+    :func:`in_event_A`.
     """
     e = _as_samples(noise)
     n = len(e)
-    if isinstance(system, IntervalSystem):
-        pyr = interval_dwt(e, system)
-        c_phi = system.c_phi_estimate
-    else:
-        if system != "haar":
-            raise ValueError(f"unknown wavelet system {system!r}")
-        pyr = haar_dwt(e, 0 if coarse_level is None else coarse_level)
-        c_phi = 1.0
-    bound = b * c_phi * math.sqrt(math.log2(n) / n)
-    worst = max(np.max(np.abs(pyr.approx)),
-                max(np.max(np.abs(d)) for d in pyr.details))
-    return bool(worst <= bound)
+    system = _system_at(system, n, coarse_level)
+    coeffs = system.analyze(e)
+    coeffs *= 1.0 / np.sqrt(n)  # the integral convention
+    bound = b * system.c_phi_estimate * math.sqrt(math.log2(n) / n)
+    return bool(np.max(np.abs(coeffs)) <= bound)

@@ -1,18 +1,28 @@
-"""Thresholding rules, threshold/level selection, and the shrinkage pipeline."""
+"""Thresholding rules, threshold/level selection, the choice of wavelet
+system, and the shrinkage pipeline."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import interval
+from .interval import IntervalSystem, min_coarse_level
 from .transform import (
     CoefficientPyramid,
+    HaarSystem,
     haar_dwt,
     haar_idwt,
     is_power_of_two,
 )
+
+# shrink calls the systems directly; haar_dwt and haar_idwt stay bound here
+# because perfbench/tracer.py wraps them by name.
+
+SYSTEM_KINDS = ("haar", "interval")
 
 
 def soft_threshold(x, lam: float):
@@ -20,7 +30,10 @@ def soft_threshold(x, lam: float):
     if lam < 0:
         raise ValueError("threshold must be >= 0")
     x = np.asarray(x, dtype=float)
-    return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
+    out = np.abs(x, out=np.empty_like(x))
+    out -= lam
+    np.maximum(out, 0.0, out=out)
+    return np.copysign(out, x, out=out)[()]  # a scalar for a scalar x
 
 
 def hard_threshold(x, lam: float):
@@ -34,13 +47,18 @@ def hard_threshold(x, lam: float):
 _THRESHOLD_FNS = {"soft": soft_threshold, "hard": hard_threshold}
 
 
-def apply_threshold(pyramid: CoefficientPyramid, lam: float, mode: str = "soft"):
-    """Threshold the detail coefficients; the approximation block passes through."""
+def threshold_rule(mode: str):
+    """The thresholding function of ``mode``, 'soft' or 'hard'."""
     if mode not in _THRESHOLD_FNS:
         raise ValueError(f"mode must be 'soft' or 'hard', got {mode!r}")
+    return _THRESHOLD_FNS[mode]
+
+
+def apply_threshold(pyramid: CoefficientPyramid, lam: float, mode: str = "soft"):
+    """Threshold the detail coefficients; the approximation block passes through."""
+    fn = threshold_rule(mode)
     if lam < 0:
         raise ValueError("threshold must be >= 0")
-    fn = _THRESHOLD_FNS[mode]
     return pyramid.map_details(lambda d: fn(d, lam))
 
 
@@ -99,6 +117,66 @@ def compute_levels(n: int, alpha: float) -> Levels:
     return Levels(J, J0, J1)
 
 
+def system_moments(kind: str, alpha: float, moments: Optional[int] = None) -> int:
+    """Vanishing moments N of the wavelet system ``kind`` at smoothness alpha.
+
+    Haar has N = 1 and takes no other value.  The interval system takes the
+    given N, an integer >= max(1, alpha), by default max(1, ceil(alpha)).
+    """
+    if kind not in SYSTEM_KINDS:
+        raise ValueError(f"unknown wavelet system {kind!r}; choose from {SYSTEM_KINDS}")
+    if kind == "haar":
+        if moments not in (None, 1):
+            raise ValueError(
+                f"the Haar system has 1 vanishing moment, got moments={moments!r}")
+        return 1
+    if moments is None:
+        return max(1, math.ceil(alpha))
+    if not isinstance(moments, (int, np.integer)) or moments < 1:
+        raise ValueError(
+            f"interval system needs an integer moments >= 1, got {moments!r}")
+    if moments < alpha:
+        raise ValueError("need moments >= alpha for the interval system")
+    return int(moments)
+
+
+def coarse_level_for(n: int, alpha: float, moments: int) -> int:
+    """The pipeline's coarse level at n samples: J0 of :func:`compute_levels`,
+    raised to :func:`~waveshrink.interval.min_coarse_level` of the N
+    vanishing moments so that the boundary construction has room.  A J0
+    pushed above J1 leaves the estimator well defined but outside the
+    deviation-bound range."""
+    coarse = max(compute_levels(n, alpha).coarse, min_coarse_level(moments))
+    if coarse >= int(math.log2(n)):
+        raise ValueError(
+            f"n={n} too small for a system with {moments} vanishing moments")
+    return coarse
+
+
+def wavelet_system(kind: str, n: int, alpha: float,
+                   moments: Optional[int] = None) -> HaarSystem | IntervalSystem:
+    """The wavelet system the shrinkage pipeline uses for (kind, n, alpha, N),
+    with N from :func:`system_moments` and the coarse level from
+    :func:`coarse_level_for`.  Interval systems are built once per process
+    and shared, so callers must not modify them."""
+    moments = system_moments(kind, alpha, moments)
+    coarse = coarse_level_for(n, alpha, moments)
+    if kind == "haar":
+        return HaarSystem(n, coarse)
+    return _interval_system(moments, n, coarse)
+
+
+@lru_cache(maxsize=8)
+def _interval_system(moments: int, n: int, coarse_level: int) -> IntervalSystem:
+    # looked up on the module, so that a wrapper installed on
+    # waveshrink.interval.build_interval_system sees the build
+    return interval.build_interval_system(moments, n, coarse_level)
+
+
+# c_phi of the systems whose constant is known without building them
+_EXACT_C_PHI = {"haar": HaarSystem.c_phi_estimate}
+
+
 @dataclass(frozen=True)
 class ShrinkageConfig:
     """Everything the shrinkage pipeline needs for one sample count."""
@@ -110,87 +188,78 @@ class ShrinkageConfig:
     delta: float
     system_const: float       # c_phi of the wavelet system
     system: str               # "haar" or "interval"
-    moments: Optional[int]    # vanishing moments for the interval system
+    moments: int              # vanishing moments N of the system
     coarse_level: int
-    boundary_level: int
-    threshold: float
     mode: str = "soft"
 
     def __post_init__(self):
-        if self.system not in ("haar", "interval"):
-            raise ValueError(f"unknown wavelet system {self.system!r}")
-        if self.mode not in _THRESHOLD_FNS:
-            raise ValueError(f"unknown thresholding mode {self.mode!r}")
-        J = int(math.log2(self.n))
-        if not self.coarse_level <= self.boundary_level <= J:
-            raise ValueError("levels must satisfy J0 <= J1 <= J")
-        if self.system == "interval":
-            if self.moments is None or self.moments < 1:
-                raise ValueError("interval system needs vanishing moments >= 1")
-            if self.moments < self.alpha:
-                raise ValueError("need moments >= alpha for the interval system")
-            if self.coarse_level < 1 + math.ceil(math.log2(2 * self.moments - 1)):
-                raise ValueError("coarse level too small for the interval system")
-        want = compute_threshold(self.n, self.delta, self.noise_bound, self.system_const)
-        if not math.isclose(self.threshold, want, rel_tol=1e-12):
+        moments = system_moments(self.system, self.alpha, self.moments)
+        threshold_rule(self.mode)
+        J = compute_levels(self.n, self.alpha).finest
+        if not min_coarse_level(moments) <= self.coarse_level <= J:
             raise ValueError(
-                f"threshold {self.threshold} does not match the formula value {want}"
-            )
+                f"coarse level {self.coarse_level} out of range "
+                f"[{min_coarse_level(moments)}, {J}] for N={moments}")
+        self.threshold  # validates delta, b and c_phi
+
+    @property
+    def boundary_level(self) -> int:
+        """J1, never below the coarse level."""
+        return max(compute_levels(self.n, self.alpha).boundary, self.coarse_level)
+
+    @property
+    def threshold(self) -> float:
+        return compute_threshold(self.n, self.delta, self.noise_bound,
+                                 self.system_const)
 
     @classmethod
     def build(cls, n: int, alpha: float, holder_const: float, noise_bound: float,
               delta: float, mode: str = "soft", system: str = "haar",
               moments: Optional[int] = None,
               system_const: Optional[float] = None) -> "ShrinkageConfig":
-        """Derive levels and threshold from the primitive parameters."""
-        levels = compute_levels(n, alpha)
-        if system == "haar":
-            if system_const is None:
-                system_const = 1.0  # Haar basis functions are bounded by 1
-            if moments is None:
-                moments = 1
-        coarse = levels.coarse
-        if system == "interval":
-            if moments is None:
-                moments = max(1, math.ceil(alpha))
-            if system_const is None:
+        """Derive the vanishing moments and the coarse level from the
+        primitive parameters (:func:`system_moments`, :func:`coarse_level_for`).
+        ``system_const`` may be left out only where c_phi is exact (Haar)."""
+        moments = system_moments(system, alpha, moments)
+        if system_const is None:
+            if system not in _EXACT_C_PHI:
                 raise ValueError(
-                    "interval runs need system_const (use the estimate from "
-                    "build_interval_system)"
-                )
-            if moments > 1:
-                # the boundary construction needs room at the coarse level;
-                # pushing J0 above J1 leaves the estimator well defined but
-                # outside the deviation-bound range
-                coarse = max(coarse, 1 + math.ceil(math.log2(2 * moments - 1)))
-            if coarse >= int(math.log2(n)):
-                raise ValueError(
-                    f"n={n} too small for an interval system with {moments} "
-                    f"vanishing moments"
-                )
-        lam = compute_threshold(n, delta, noise_bound, system_const)
+                    f"{system} runs need system_const (use the c_phi_estimate "
+                    "of the built system)")
+            system_const = _EXACT_C_PHI[system]
         return cls(
             n=n, alpha=alpha, holder_const=holder_const, noise_bound=noise_bound,
             delta=delta, system_const=system_const, system=system, moments=moments,
-            coarse_level=coarse, boundary_level=max(levels.boundary, coarse),
-            threshold=lam, mode=mode,
+            coarse_level=coarse_level_for(n, alpha, moments), mode=mode,
         )
 
 
-def shrink(y, config: ShrinkageConfig, interval_system=None) -> np.ndarray:
-    """Denoise one sample vector: analyze, threshold details, synthesize."""
+def shrink(y, config: ShrinkageConfig, system=None) -> np.ndarray:
+    """Denoise samples along the last axis: analyze, threshold the detail
+    coefficients at ``config.threshold``, synthesize.
+
+    ``y`` is one sample vector or a batch (..., n), and each row of a batch
+    comes out bit-equal to that row denoised alone.  ``system`` defaults to
+    the pipeline's system for the config (:func:`wavelet_system`); a given
+    system must match the config in n, coarse level, vanishing moments and
+    c_phi, else ValueError.
+    """
+    if system is None:
+        system = wavelet_system(config.system, config.n, config.alpha, config.moments)
+    got = (system.n, system.coarse_level, system.moments, system.c_phi_estimate)
+    want = (config.n, config.coarse_level, config.moments, config.system_const)
+    if got != want:
+        raise ValueError(f"system (n, coarse level, moments, c_phi) {got} does "
+                         f"not match the config's {want}")
     y = np.asarray(y, dtype=float)
-    if len(y) != config.n:
-        raise ValueError(f"signal length {len(y)} does not match config n={config.n}")
-    if config.system == "haar":
-        pyr = haar_dwt(y, config.coarse_level)
-        pyr = apply_threshold(pyr, config.threshold, config.mode)
-        return haar_idwt(pyr)
-    from .interval import build_interval_system, interval_dwt, interval_idwt
-    if interval_system is None:
-        interval_system = build_interval_system(
-            config.moments, config.n, config.coarse_level
-        )
-    pyr = interval_dwt(y, interval_system)
-    pyr = apply_threshold(pyr, config.threshold, config.mode)
-    return interval_idwt(pyr, interval_system)
+    if y.shape[-1:] != (config.n,):
+        raise ValueError(f"signal shape {y.shape} does not match config n={config.n}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("samples must be finite")
+    # the threshold applies to coefficients in the integral convention
+    coeffs = system.analyze(y)
+    coeffs *= 1.0 / np.sqrt(config.n)
+    details = coeffs[..., 2 ** config.coarse_level :]
+    details[...] = threshold_rule(config.mode)(details, config.threshold)
+    coeffs *= np.sqrt(config.n)
+    return system.synthesize(coeffs)

@@ -7,12 +7,14 @@ the pyramid records which convention the stored entries use.
 
 :func:`haar_analyze` and :func:`haar_synthesize` apply the orthonormal
 transform along the last axis of a batch, in the flat layout the interval
-system uses; :func:`haar_dwt` and :func:`haar_idwt` wrap them for one vector
-and the pyramid.
+system uses; :class:`HaarSystem` holds them behind the interface of
+:class:`~waveshrink.interval.IntervalSystem`, and :func:`haar_dwt` and
+:func:`haar_idwt` wrap them for one vector and the pyramid.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -161,6 +163,33 @@ def haar_synthesize(coeffs: np.ndarray, coarse_level: int) -> np.ndarray:
         out[..., 1::2] = (s - d) / _SQRT2
         s = out
     return s
+
+
+@dataclass(frozen=True)
+class HaarSystem:
+    """The Haar system on [0,1] with the interface of
+    :class:`~waveshrink.interval.IntervalSystem`: :meth:`analyze` and
+    :meth:`synthesize` apply the orthonormal transform and its inverse along
+    the last axis, in the same flat layout.  Its functions are bounded by 1
+    (scaled), so c_phi is exact."""
+
+    n: int
+    coarse_level: int
+    moments: ClassVar[int] = 1
+    c_phi_estimate: ClassVar[float] = 1.0
+
+    def __post_init__(self):
+        _check_levels(self.n, self.coarse_level)
+
+    @property
+    def finest_level(self) -> int:
+        return self.n.bit_length() - 1
+
+    def analyze(self, samples) -> np.ndarray:
+        return haar_analyze(samples, self.coarse_level)
+
+    def synthesize(self, coeffs) -> np.ndarray:
+        return haar_synthesize(coeffs, self.coarse_level)
 
 
 def haar_dwt(values, coarse_level: int) -> CoefficientPyramid:

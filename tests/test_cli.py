@@ -86,6 +86,12 @@ class TestDenoise:
             assert not out.exists()
         assert codes[0] != 0 and codes[1] == codes[0]
 
+    def test_haar_takes_no_moments(self, noisy_csv, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main(denoise_args(noisy_csv, out, system="haar", moments="3")) == 1
+        assert "vanishing moment" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input(self, tmp_path):
         assert main(denoise_args(tmp_path / "nope.csv",
                                  tmp_path / "o.csv")) == 1
@@ -141,6 +147,19 @@ class TestSimulate:
             assert main(["simulate", str(plan), str(rep), str(summ),
                          "--workers", workers]) == 1
             assert "worker count" in capsys.readouterr().err
+        assert not rep.exists() and not summ.exists()
+
+    @pytest.mark.parametrize("override, message", [
+        ({"system": "daubechies"}, "unknown wavelet system"),
+        ({"trials": 2.5}, "trials must be an integer"),
+        ({"moments": 4}, "vanishing moment"),  # the Haar system has one
+        ({"mode": "medium"}, "mode must be"),
+    ], ids=["system", "trials", "haar-moments", "mode"])
+    def test_bad_plan_values_rejected(self, tmp_path, capsys, override, message):
+        plan = self.plan(tmp_path, **override)
+        rep, summ = tmp_path / "r.jsonl", tmp_path / "s.csv"
+        assert main(["simulate", str(plan), str(rep), str(summ)]) == 1
+        assert message in capsys.readouterr().err
         assert not rep.exists() and not summ.exists()
 
     def test_malformed_plan(self, tmp_path):

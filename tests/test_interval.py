@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from waveshrink.interval import (
     GeometryError,
     build_interval_system,
-    cascade_evaluate,
     daubechies_filter,
     extract_weights,
     highpass_from_lowpass,
@@ -16,15 +15,18 @@ from waveshrink.interval import (
     interval_idwt,
     min_coarse_level,
 )
-from waveshrink.transform import haar_dwt
+from waveshrink.transform import HaarSystem, haar_dwt
 
 TOL = 1e-8
 
 
 @pytest.fixture(scope="module")
 def systems():
-    return {(N, n): build_interval_system(N, n, min_coarse_level(N))
-            for N in (1, 2, 3) for n in (128, 256)}
+    """Interval systems keyed by (N, n), and the Haar system under ("haar", n)."""
+    out = {(N, n): build_interval_system(N, n, min_coarse_level(N))
+           for N in (1, 2, 3) for n in (128, 256)}
+    out.update({("haar", n): HaarSystem(n, 0) for n in (128, 256)})
+    return out
 
 
 class TestFilters:
@@ -55,32 +57,20 @@ class TestFilters:
             daubechies_filter(0)
 
 
-class TestCascade:
-    @pytest.mark.parametrize("N", [1, 2, 3])
-    def test_partition_of_unity(self, N):
-        table = cascade_evaluate(N, 6)
-        # integral of phi over its support is 1
-        assert np.sum(table.phi) * table.step == pytest.approx(1.0, abs=1e-9)
-        # psi has N vanishing moments
-        for p in range(N):
-            assert abs(np.sum(table.psi * table.grid ** p) * table.step) < 1e-8
-
-
 class TestOrthogonality:
-    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("N", [1, 2, 3, "haar"])
     @pytest.mark.parametrize("n", [128, 256])
     def test_matrix_is_orthogonal(self, systems, N, n):
-        # W column by column, through the fast transform
-        system = systems[(N, n)]
-        W = np.column_stack([interval_dwt(col, system).with_scaling(True).flat()
-                             for col in np.eye(n)])
-        assert np.max(np.abs(W @ W.T - np.eye(n))) < TOL
+        # row i is W e_i: the transpose of W, in one batched call
+        Wt = systems[(N, n)].analyze(np.eye(n))
+        assert np.max(np.abs(Wt @ Wt.T - np.eye(n))) < TOL
 
-    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("N", [1, 2, 3, "haar"])
     def test_round_trip(self, systems, N):
-        rng = np.random.default_rng(N)
+        rng = np.random.default_rng(N if N != "haar" else 0)
         system = systems[(N, 256)]
         y = rng.standard_normal(256)
+        assert np.max(np.abs(system.synthesize(system.analyze(y)) - y)) < TOL
         back = interval_idwt(interval_dwt(y, system), system)
         assert np.max(np.abs(back - y)) < TOL
 
@@ -88,10 +78,10 @@ class TestOrthogonality:
     @settings(max_examples=20, deadline=None)
     def test_round_trip_random(self, systems, seed):
         rng = np.random.default_rng(seed)
-        system = systems[(2, 128)]
         y = rng.uniform(-10, 10, 128)
-        back = interval_idwt(interval_dwt(y, system), system)
-        assert np.max(np.abs(back - y)) < TOL
+        for system in (systems[(2, 128)], systems[("haar", 128)]):
+            back = system.synthesize(system.analyze(y))
+            assert np.max(np.abs(back - y)) < TOL
 
 
 class TestVanishingMoments:

@@ -14,6 +14,7 @@ from waveshrink.noise import (
     noise_coeff_bound_check,
     sample_noise,
 )
+from waveshrink.transform import HaarSystem
 
 seeds = st.integers(0, 2 ** 31 - 1)
 
@@ -82,11 +83,11 @@ class TestEventA:
         rep = in_event_A(e, 1.0)
         assert rep.margin == pytest.approx(worst, rel=1e-12)
         assert rep.member == (worst <= 1.0)
+        assert in_event_A(e, 1.0, HaarSystem(256, 3)) == rep
 
-    @pytest.mark.parametrize("system", ["haar", "interval"])
+    @pytest.mark.parametrize("system", ["haar", "interval", "haar-system"])
     def test_rejects_non_finite_noise(self, system):
-        if system == "interval":
-            system = build_interval_system(2, 256, min_coarse_level(2))
+        system = _system(system)
         e = np.zeros(256)
         e[17] = np.nan
         with pytest.raises(ValueError, match="finite"):
@@ -99,6 +100,12 @@ class TestEventA:
         assert isinstance(rep.member, bool)
         with pytest.raises(ValueError):
             in_event_A(sample_noise(NoiseSpec("uniform", 1.0, 5), 16), 1.0, system)
+
+    def test_unknown_system_name(self):
+        with pytest.raises(ValueError, match="unknown wavelet system"):
+            in_event_A(np.zeros(256), 1.0, "daubechies")
+        with pytest.raises(ValueError, match="size"):
+            in_event_A(np.zeros(256), 1.0, HaarSystem(16, 0))
 
 
 class TestHoeffding:
@@ -136,11 +143,11 @@ class TestCoefficientBound:
         e = sample_noise(NoiseSpec("uniform", 1.0, seed), 256)
         if in_event_A(e, 1.0).member:
             assert noise_coeff_bound_check(e, 1.0)
+            assert noise_coeff_bound_check(e, 1.0, HaarSystem(256, 0))
 
-    @pytest.mark.parametrize("system", ["haar", "interval"])
+    @pytest.mark.parametrize("system", ["haar", "interval", "haar-system"])
     def test_rejects_non_finite_noise(self, system):
-        if system == "interval":
-            system = build_interval_system(2, 256, min_coarse_level(2))
+        system = _system(system)
         e = np.zeros(256)
         e[0] = np.inf
         with pytest.raises(ValueError, match="finite"):
@@ -148,3 +155,20 @@ class TestCoefficientBound:
 
     def test_large_noise_fails(self):
         assert not noise_coeff_bound_check(np.full(256, 0.5), 1.0)
+
+    def test_haar_name_is_the_haar_system(self):
+        e = sample_noise(NoiseSpec("uniform", 1.0, 3), 256)
+        for coarse in (0, 4):
+            for b in (0.05, 0.1, 0.2, 1.0):
+                assert noise_coeff_bound_check(e, b, "haar", coarse) == \
+                    noise_coeff_bound_check(e, b, HaarSystem(256, coarse))
+        with pytest.raises(ValueError, match="unknown wavelet system"):
+            noise_coeff_bound_check(e, 1.0, "daubechies")
+
+
+def _system(name):
+    """The system a parametrized test names: "haar", "interval" (N=2) or
+    "haar-system" (the HaarSystem object), at n = 256."""
+    if name == "interval":
+        return build_interval_system(2, 256, min_coarse_level(2))
+    return HaarSystem(256, 0) if name == "haar-system" else name

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from waveshrink.interval import (
+    build_interval_system,
+    interval_dwt,
+    interval_idwt,
+    min_coarse_level,
+)
 from waveshrink.shrinkage import (
     ShrinkageConfig,
     apply_threshold,
@@ -14,8 +21,10 @@ from waveshrink.shrinkage import (
     min_samples,
     shrink,
     soft_threshold,
+    system_moments,
+    wavelet_system,
 )
-from waveshrink.transform import haar_dwt
+from waveshrink.transform import HaarSystem, haar_dwt, haar_idwt
 
 finite = st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False)
 lams = st.floats(0, 1e6, allow_nan=False, allow_infinity=False)
@@ -42,6 +51,20 @@ class TestThresholdFunctions:
         xs = np.asarray(xs)
         assert np.array_equal(soft_threshold(xs, lam),
                               [soft_threshold(x, lam) for x in xs])
+
+    @given(st.one_of(finite, st.sampled_from([0.0, -0.0]),
+                     st.lists(st.one_of(finite, st.sampled_from([0.0, -0.0])),
+                              max_size=20).map(np.array)), lams)
+    def test_soft_matches_the_formula(self, x, lam):
+        want = np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
+        got = soft_threshold(x, lam)
+        assert type(got) is type(want)  # a numpy scalar for a scalar input
+        assert np.array_equal(got, want)
+
+    def test_soft_leaves_its_input_alone(self):
+        x = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
+        soft_threshold(x, 1.0)
+        assert np.array_equal(x, [-2.0, -0.5, 0.0, 0.5, 2.0])
 
     def test_negative_lambda_rejected(self):
         for fn in (soft_threshold, hard_threshold):
@@ -123,17 +146,16 @@ class TestConfigAndPipeline:
             compute_threshold(1024, 1.0, 1.0), rel=1e-15)
         assert cfg.coarse_level == 0
 
-    def test_wrong_threshold_rejected(self):
+    def test_threshold_and_boundary_level_are_derived(self):
         cfg = ShrinkageConfig.build(1024, 1.0, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            ShrinkageConfig(
-                n=cfg.n, alpha=cfg.alpha, holder_const=cfg.holder_const,
-                noise_bound=cfg.noise_bound, delta=cfg.delta,
-                system_const=cfg.system_const, system=cfg.system,
-                moments=cfg.moments, coarse_level=cfg.coarse_level,
-                boundary_level=cfg.boundary_level,
-                threshold=cfg.threshold * 1.01, mode=cfg.mode,
-            )
+        assert len(dataclasses.fields(cfg)) == 10
+        wider = dataclasses.replace(cfg, delta=2.0, noise_bound=3.0)
+        assert wider.threshold == compute_threshold(1024, 2.0, 3.0)
+        assert cfg.boundary_level == compute_levels(1024, 1.0).boundary
+        pushed = ShrinkageConfig.build(256, 1.0, 1.0, 1.0, 1.0, system="interval",
+                                       moments=3, system_const=2.0)
+        assert pushed.coarse_level == min_coarse_level(3)
+        assert pushed.boundary_level == pushed.coarse_level  # J1 = 2 < J0 = 4
 
     def test_interval_build_needs_system_const(self):
         with pytest.raises(ValueError):
@@ -157,3 +179,96 @@ class TestConfigAndPipeline:
         cfg = ShrinkageConfig.build(256, 1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             shrink(np.zeros(128), cfg)
+
+
+def _pipeline(kind, n, moments, mode):
+    """A system from the resolver and the config that matches it."""
+    alpha = 0.5 if kind == "haar" else 1.0
+    system = wavelet_system(kind, n, alpha, moments)
+    cfg = ShrinkageConfig.build(n, alpha, 1.0, 1.0, 1.0, mode, system=kind,
+                                moments=moments, system_const=system.c_phi_estimate)
+    return system, cfg
+
+
+class TestShrinkDifferential:
+    """shrink against the pyramid compositions it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("mode", ["soft", "hard"])
+    @pytest.mark.parametrize("n", [256, 4096])
+    @pytest.mark.parametrize("kind, moments", [("haar", None), ("interval", 1),
+                                               ("interval", 2), ("interval", 3)])
+    def test_matches_pyramid_pipeline(self, kind, moments, n, mode):
+        system, cfg = _pipeline(kind, n, moments, mode)
+        y = np.random.default_rng(n + (moments or 0)).uniform(-1, 1, (3, n))
+        y += np.sin(7 * np.arange(n) / n)
+        batch = shrink(y, cfg, system)
+        for row, got in zip(y, batch):
+            if kind == "haar":
+                pyr = haar_dwt(row, cfg.coarse_level)
+                want = haar_idwt(apply_threshold(pyr, cfg.threshold, mode))
+            else:
+                pyr = interval_dwt(row, system)
+                want = interval_idwt(apply_threshold(pyr, cfg.threshold, mode), system)
+            assert np.array_equal(got, want)
+            assert np.array_equal(shrink(row, cfg, system), want)
+        assert np.array_equal(shrink(y, cfg), batch)  # the resolver's system
+
+    def test_rejects_non_finite_samples(self):
+        system, cfg = _pipeline("interval", 256, 2, "soft")
+        y = np.zeros((2, 256))
+        y[1, 9] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            shrink(y, cfg, system)
+
+
+class TestShrinkSystemMatch:
+    @pytest.mark.parametrize("case", ["n", "coarse level", "interval under haar",
+                                      "N=3 under N=2", "c_phi"])
+    def test_mismatched_system_rejected(self, case):
+        n = 256
+        system, cfg = _pipeline("interval", n, 2, "soft")  # J0 = 3
+        haar_system, haar_cfg = _pipeline("haar", n, None, "soft")
+        bad = {
+            "n": (HaarSystem(2 * n, 0), haar_cfg),
+            "coarse level": (build_interval_system(2, n, 4), cfg),
+            "interval under haar": (system, haar_cfg),
+            "N=3 under N=2": (build_interval_system(3, n, min_coarse_level(3)), cfg),
+            "c_phi": (system, dataclasses.replace(
+                cfg, system_const=cfg.system_const * 1.01)),
+        }[case]
+        with pytest.raises(ValueError, match="does not match"):
+            shrink(np.zeros(n), *bad[::-1])
+
+    def test_matching_systems_accepted(self):
+        for kind, moments in (("haar", None), ("interval", 2)):
+            system, cfg = _pipeline(kind, 256, moments, "soft")
+            assert shrink(np.zeros(256), cfg, system).shape == (256,)
+
+
+class TestWaveletSystem:
+    def test_haar(self):
+        system = wavelet_system("haar", 1024, 1.0)
+        assert system == HaarSystem(1024, compute_levels(1024, 1.0).coarse)
+        assert wavelet_system("haar", 1024, 1.0, 1) == system
+
+    def test_interval_defaults_and_coarse_rule(self):
+        assert system_moments("interval", 2.5) == 3  # ceil(alpha)
+        assert system_moments("interval", 0.5) == 1
+        assert wavelet_system("interval", 1024, 1.0).moments == 1
+        system = wavelet_system("interval", 1024, 1.0, 2)
+        assert system.coarse_level == min_coarse_level(2)
+        assert wavelet_system("interval", 1024, 1.0, 2) is system  # built once
+
+    @pytest.mark.parametrize("kind, n, alpha, moments", [
+        ("daubechies", 256, 1.0, None),  # unknown kind
+        ("haar", 256, 1.0, 3),           # Haar has one vanishing moment
+        ("interval", 256, 2.5, 2),       # fewer moments than alpha
+        ("interval", 256, 1.0, 0),
+        ("interval", 16, 1.0, 3),        # no room above the coarse level
+    ])
+    def test_rejects(self, kind, n, alpha, moments):
+        with pytest.raises(ValueError):
+            wavelet_system(kind, n, alpha, moments)
+        with pytest.raises(ValueError):
+            ShrinkageConfig.build(n, alpha, 1.0, 1.0, 1.0, system=kind,
+                                  moments=moments, system_const=1.0)

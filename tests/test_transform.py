@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from waveshrink.transform import (
     CoefficientPyramid,
+    HaarSystem,
     haar_analyze,
     haar_coeff_closed_form,
     haar_dwt,
@@ -184,3 +187,23 @@ class TestFlatKernel:
         out = haar_synthesize(c, 2)
         out[0] = 9.0
         assert c[0] == 0.0
+
+
+class TestHaarSystem:
+    def test_interface(self):
+        system = HaarSystem(64, 2)
+        assert (system.n, system.coarse_level, system.finest_level) == (64, 2, 6)
+        assert (system.moments, system.c_phi_estimate) == (1, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            system.coarse_level = 3
+
+    def test_applies_the_flat_kernels(self):
+        x = np.random.default_rng(2).standard_normal((3, 64))
+        system = HaarSystem(64, 2)
+        assert np.array_equal(system.analyze(x), haar_analyze(x, 2))
+        assert np.array_equal(system.synthesize(x), haar_synthesize(x, 2))
+
+    @pytest.mark.parametrize("n, coarse", [(6, 0), (1, 0), (8, 4), (8, -1)])
+    def test_rejects_bad_geometry(self, n, coarse):
+        with pytest.raises(ValueError):
+            HaarSystem(n, coarse)
