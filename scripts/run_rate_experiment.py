@@ -4,7 +4,9 @@ max-square-error against the theoretical 2a/(1+2a) and check the tail
 envelope calibrated at the smallest sample count.
 
 Writes per-trial JSONL and per-cell CSV summaries next to the chosen
-output prefix and prints the fitted exponents.
+output prefix and prints the fitted exponents.  ``--system interval`` runs
+the study on the interval system with ``--moments`` vanishing moments; both
+plans then use the same systems, which the process builds once.
 """
 import argparse
 import os
@@ -20,6 +22,7 @@ from waveshrink.experiments import (
     write_reports,
     write_summaries,
 )
+from waveshrink.shrinkage import SYSTEM_KINDS
 
 
 def main() -> int:
@@ -29,6 +32,9 @@ def main() -> int:
     ap.add_argument("--workers", type=int,
                     default=int(os.environ.get("WAVESHRINK_WORKERS",
                                                os.cpu_count() or 1)))
+    ap.add_argument("--system", choices=SYSTEM_KINDS, default="haar")
+    ap.add_argument("--moments", type=int, default=None,
+                    help="vanishing moments of the interval system")
     ap.add_argument("--out-prefix", default="results/rate")
     args = ap.parse_args()
 
@@ -38,8 +44,8 @@ def main() -> int:
             signal_kind=kind, alpha=alpha, holder_const=1.0,
             noise_family="uniform", noise_bound=1.0,
             ns=(2 ** 8, 2 ** 10, 2 ** 12, 2 ** 14), deltas=(1.0,),
-            trials=args.trials, mode="soft", system="haar",
-            master_seed=args.seed,
+            trials=args.trials, mode="soft", system=args.system,
+            moments=args.moments, master_seed=args.seed,
         )
         reports = run_plan(plan, workers=args.workers)
         tag = f"{args.out_prefix}_{kind}_a{alpha:g}"

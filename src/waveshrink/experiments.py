@@ -13,6 +13,14 @@ computations as one (trials, n) batch.  A chunk holds at most
 depends on n alone.  Each row of a batch goes through the same floating-point
 operations as the trial would alone, so the output bytes depend neither on
 the chunking nor on the worker count.
+
+Interval systems come from one bounded store per process
+(:func:`~waveshrink.shrinkage.wavelet_systems`).  With a pool, :func:`run_plan`
+resolves the system of each n before any chunk runs: systems missing from the
+caller's store are built once each, in the pool's workers, and kept in the
+caller.  Every chunk task then carries its system, so workers never build
+one for a chunk, whatever the start method, and a process that runs several
+plans on the same systems builds each once.
 """
 from __future__ import annotations
 
@@ -35,10 +43,12 @@ from .noise import NoiseSpec, in_event_A, sample_noise
 from .shrinkage import (
     ShrinkageConfig,
     apply_threshold,
+    coarse_level_for,
     min_samples,
     system_moments,
     threshold_rule,
     wavelet_system,
+    wavelet_systems,
 )
 from .signals import make_signal
 from .transform import haar_dwt, haar_idwt
@@ -76,14 +86,27 @@ class ExperimentPlan:
     def __post_init__(self):
         if not isinstance(self.trials, (int, np.integer)) or self.trials < 0:
             raise ValueError(f"trials must be an integer >= 0, got {self.trials!r}")
-        system_moments(self.system, self.alpha, self.moments)
+        moments = system_moments(self.system, self.alpha, self.moments)
         threshold_rule(self.mode)
         if self.noise_bound < 0:
             raise ValueError("noise bound must be >= 0")
         if self.noise_bound == 0 and self.threshold_bound is None:
             raise ValueError("noise-free plans need an explicit threshold_bound")
-        object.__setattr__(self, "ns", tuple(int(n) for n in self.ns))
-        object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
+        ns, deltas = tuple(self.ns), tuple(self.deltas)
+        if not ns:
+            raise ValueError("ns must name at least one sample count")
+        for n in ns:
+            # 256 and 256.0 are the same count; 256.5 is not a count
+            if not (isinstance(n, (int, float, np.integer, np.floating))
+                    and float(n).is_integer()):
+                raise ValueError(f"ns entries must be whole numbers, got {n!r}")
+            coarse_level_for(int(n), self.alpha, moments)  # power of two, large enough
+        if not deltas:
+            raise ValueError("deltas must name at least one delta")
+        if not all(math.isfinite(d) and d >= 0 for d in deltas):
+            raise ValueError(f"deltas must be finite and >= 0, got {list(deltas)}")
+        object.__setattr__(self, "ns", tuple(int(n) for n in ns))
+        object.__setattr__(self, "deltas", tuple(float(d) for d in deltas))
 
     def below_range(self, n: int) -> bool:
         """True when n is below the deviation bounds' minimal sample count; such
@@ -152,18 +175,21 @@ def _chunk_trials(n: int) -> int:
 
 
 def run_cell(plan: ExperimentPlan, cell: int, n: int, delta: float,
-             trials: range) -> list[TrialReport]:
+             trials: range, system=None) -> list[TrialReport]:
     """Reports for a range of trials of one cell, computed as one batch.
 
-    The signal, the config, the system and the signal's coefficients are made
-    once.  Each trial draws its noise from its own seed, and the rows of the
-    (trials, n) batch go through the same elementwise operations as a single
-    trial would, so a report does not depend on which trials share its batch.
+    ``system`` is the cell's wavelet system; by default it is resolved with
+    :func:`~waveshrink.shrinkage.wavelet_system` for the plan and n.
+    The signal, the config and the signal's coefficients are made once.  Each
+    trial draws its noise from its own seed, and the rows of the (trials, n)
+    batch go through the same elementwise operations as a single trial would,
+    so a report does not depend on which trials share its batch.
     """
     signal = make_signal(plan.signal_kind, plan.alpha, plan.holder_const)
     f = signal.sample(n)
     b_threshold = plan.noise_bound if plan.noise_bound > 0 else plan.threshold_bound
-    system = wavelet_system(plan.system, n, plan.alpha, plan.moments)
+    if system is None:
+        system = wavelet_system(plan.system, n, plan.alpha, plan.moments)
     cfg = ShrinkageConfig.build(
         n, plan.alpha, plan.holder_const, b_threshold, delta, plan.mode,
         system=plan.system, moments=system.moments,
@@ -274,7 +300,10 @@ def run_plan(plan: ExperimentPlan, workers: Optional[int] = None) -> list[TrialR
     """All trial reports for the plan, in deterministic (cell, trial) order.
 
     ``workers`` defaults to the WAVESHRINK_WORKERS environment variable, else
-    1; a pool never gets more processes than there are chunks.
+    1; a pool never gets more processes than there are chunks.  Interval
+    systems missing from this process's store are built by the pool, if
+    there is one, and stored here, so a later call with the same systems
+    builds none.
     """
     if workers is None:
         raw = os.environ.get("WAVESHRINK_WORKERS", "1")
@@ -291,7 +320,11 @@ def run_plan(plan: ExperimentPlan, workers: Optional[int] = None) -> list[TrialR
         # imported here: multiprocessing costs a tenth of the package import
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_chunk, tasks))
+            # the systems missing here are built in the workers, once each;
+            # every chunk then carries its system, so workers never build
+            systems = wavelet_systems(plan.system, {t[2] for t in tasks},
+                                      plan.alpha, plan.moments, build_map=pool.map)
+            chunks = list(pool.map(_run_chunk, [t + (systems[t[2]],) for t in tasks]))
     else:
         chunks = [_run_chunk(t) for t in tasks]
     return [r for chunk in chunks for r in chunk]
@@ -317,6 +350,8 @@ def estimate_event_probability(noise_family: str, b: float, n: int, trials: int,
                                master_seed: int = 0,
                                system="haar") -> tuple[float, tuple[float, float]]:
     """Empirical P(A) with a Wilson 99% confidence interval."""
+    if not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     if n not in _EVENT_A_SIZES:
         raise ValueError(f"event-A geometry supports n in {_EVENT_A_SIZES}")
     hits = 0

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -157,20 +156,54 @@ def wavelet_system(kind: str, n: int, alpha: float,
                    moments: Optional[int] = None) -> HaarSystem | IntervalSystem:
     """The wavelet system the shrinkage pipeline uses for (kind, n, alpha, N),
     with N from :func:`system_moments` and the coarse level from
-    :func:`coarse_level_for`.  Interval systems are built once per process
-    and shared, so callers must not modify them."""
+    :func:`coarse_level_for`.  Interval systems come from one store per
+    process (see :func:`wavelet_systems`) and are shared, so callers must not
+    modify them."""
+    return wavelet_systems(kind, (n,), alpha, moments)[n]
+
+
+def wavelet_systems(kind: str, ns, alpha: float, moments: Optional[int] = None,
+                    build_map=map) -> dict[int, HaarSystem | IntervalSystem]:
+    """:func:`wavelet_system` for every n of ``ns``, as a dict keyed by n.
+
+    Interval systems live in one store per process, keyed by (N, n, J0), that
+    keeps the ``_STORE_SIZE`` most recently used.  Those missing from it are
+    built once per distinct key, by mapping a module-level build function
+    over the keys with ``build_map``, and stored: the builtin ``map`` builds
+    them here, a process pool's ``map`` builds them in its workers, in
+    parallel, and they come back here.
+    """
     moments = system_moments(kind, alpha, moments)
-    coarse = coarse_level_for(n, alpha, moments)
+    coarse = {n: coarse_level_for(n, alpha, moments) for n in ns}
     if kind == "haar":
-        return HaarSystem(n, coarse)
-    return _interval_system(moments, n, coarse)
+        return {n: HaarSystem(n, j0) for n, j0 in coarse.items()}
+    keys = {n: (moments, n, j0) for n, j0 in coarse.items()}
+    wanted = set(keys.values())
+    # largest first, so that a pool does not start its longest build last
+    missing = sorted(wanted - _INTERVAL_SYSTEMS.keys(), reverse=True)
+    built = dict(zip(missing, build_map(_build_system, missing)))
+    # (re-)inserted smallest first, so that past the bound the cheapest
+    # rebuilds go out first
+    systems = {key: built[key] if key in built else _INTERVAL_SYSTEMS.pop(key)
+               for key in sorted(wanted)}
+    _INTERVAL_SYSTEMS.update(systems)
+    while len(_INTERVAL_SYSTEMS) > _STORE_SIZE:
+        del _INTERVAL_SYSTEMS[next(iter(_INTERVAL_SYSTEMS))]
+    return {n: systems[key] for n, key in keys.items()}
 
 
-@lru_cache(maxsize=8)
-def _interval_system(moments: int, n: int, coarse_level: int) -> IntervalSystem:
-    # looked up on the module, so that a wrapper installed on
-    # waveshrink.interval.build_interval_system sees the build
-    return interval.build_interval_system(moments, n, coarse_level)
+# The interval systems built in this process, by (N, n, J0), least recently
+# used first.
+_INTERVAL_SYSTEMS: dict[tuple[int, int, int], IntervalSystem] = {}
+_STORE_SIZE = 8
+
+
+def _build_system(key: tuple[int, int, int]) -> IntervalSystem:
+    """Build the interval system (N, n, J0).  Module-level, so that a process
+    pool can run it; ``build_interval_system`` is looked up on
+    :mod:`waveshrink.interval` at each call, so a wrapper installed there
+    sees every build."""
+    return interval.build_interval_system(*key)
 
 
 # c_phi of the systems whose constant is known without building them

@@ -154,7 +154,18 @@ class TestSimulate:
         ({"trials": 2.5}, "trials must be an integer"),
         ({"moments": 4}, "vanishing moment"),  # the Haar system has one
         ({"mode": "medium"}, "mode must be"),
-    ], ids=["system", "trials", "haar-moments", "mode"])
+        ({"ns": []}, "ns must name"),
+        # the n=16384 cell would run for a second before n=1000 failed
+        ({"ns": [16384, 1000]}, "power of two"),
+        ({"ns": [256.5]}, "ns entries must be whole numbers"),
+        ({"alpha": 2.0, "ns": [256]}, "too small for alpha"),
+        ({"system": "interval", "moments": 3, "ns": [16]},
+         "too small for a system with 3 vanishing moments"),
+        ({"deltas": []}, "deltas must name"),
+        ({"deltas": [1.0, -0.5]}, "deltas must be finite and >= 0"),
+    ], ids=["system", "trials", "haar-moments", "mode", "empty-ns",
+            "ns-not-power-of-two", "ns-not-whole", "ns-too-small-for-alpha",
+            "ns-too-small-for-moments", "empty-deltas", "negative-delta"])
     def test_bad_plan_values_rejected(self, tmp_path, capsys, override, message):
         plan = self.plan(tmp_path, **override)
         rep, summ = tmp_path / "r.jsonl", tmp_path / "s.csv"

@@ -42,6 +42,12 @@ class TestPlan:
         plan = tiny_plan(noise_bound=0.0, threshold_bound=1.0)
         assert plan.threshold_bound == 1.0
 
+    def test_whole_float_sample_counts_are_counts(self):
+        assert tiny_plan(ns=(256.0, np.float64(512))).ns == (256, 512)
+        for bad in (256.5, float("inf"), "256"):
+            with pytest.raises(ValueError, match="whole numbers"):
+                tiny_plan(ns=(bad,))
+
     def test_below_range(self):
         assert tiny_plan().below_range(256)
         assert not tiny_plan().below_range(512)
@@ -141,6 +147,11 @@ class TestStatistics:
         assert 0 <= lo <= p <= hi <= 1
         with pytest.raises(ValueError):
             estimate_event_probability("uniform", 1.0, 512, 10)
+
+    @pytest.mark.parametrize("trials", [0, -3, 2.0, 2.5, "10"])
+    def test_event_probability_rejects_bad_trials(self, trials):
+        with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+            estimate_event_probability("uniform", 1.0, 256, trials)
 
 
 class TestSummaries:

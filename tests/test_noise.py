@@ -51,6 +51,45 @@ class TestSampling:
             sample_noise(NoiseSpec("uniform", 1.0, 0), 0)
 
 
+def _oracle_truncated(rng, half, n):
+    out = rng.normal(0.0, half / 2.0, n)
+    bad = np.abs(out) > half
+    while np.any(bad):
+        out[bad] = rng.normal(0.0, half / 2.0, int(np.sum(bad)))
+        bad = np.abs(out) > half
+    return out
+
+
+def oracle_noise(spec, n):
+    """sample_noise as first written: the mixture picks from a (3, n) stack
+    and the truncated Gaussian rescans all n entries after every redraw."""
+    rng = np.random.default_rng(spec.seed)
+    half = spec.b / 2.0
+    if spec.family == "uniform":
+        return rng.uniform(-half, half, n)
+    if spec.family == "rademacher":
+        return (2.0 * rng.integers(0, 2, n) - 1.0) * half
+    if spec.family == "truncated":
+        return _oracle_truncated(rng, half, n)
+    draws = np.empty((3, n))
+    draws[0] = rng.uniform(-half, half, n)
+    draws[1] = (2.0 * rng.integers(0, 2, n) - 1.0) * half
+    draws[2] = _oracle_truncated(rng, half, n)
+    return draws[np.arange(n) % 3, np.arange(n)]
+
+
+@pytest.mark.parametrize("family", NOISE_FAMILIES)
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 256, 65536])
+def test_sampling_matches_oracle_bytes(family, n):
+    for k in range(20):
+        # integer seeds and the SeedSequence form simulate uses
+        seed = k if k % 2 else np.random.SeedSequence(7, spawn_key=(k, 3))
+        spec = NoiseSpec(family, (0.5, 1.0, 3.0)[k % 3], seed)
+        got, want = sample_noise(spec, n), oracle_noise(spec, n)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 class TestEventA:
     def test_geometry_restrictions(self):
         with pytest.raises(GeometryError):

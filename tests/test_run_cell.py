@@ -1,13 +1,17 @@
 """The batched Monte Carlo harness against the per-trial oracle, its
-contraction check, and the worker-count contract of ``run_plan``."""
+contraction check, the worker-count contract of ``run_plan``, and where
+``run_plan`` builds the interval systems it needs."""
 import concurrent.futures
 import math
+import multiprocessing
+import os
+import pickle
 
 import numpy as np
 import pytest
 
 from trial_oracle import run_trial as oracle_trial
-from waveshrink import experiments
+from waveshrink import experiments, interval, noise, shrinkage
 from waveshrink.experiments import (
     ExperimentPlan,
     _assert_detail_contraction,
@@ -16,7 +20,7 @@ from waveshrink.experiments import (
     run_plan,
     run_trial,
 )
-from waveshrink.shrinkage import soft_threshold
+from waveshrink.shrinkage import soft_threshold, wavelet_system
 
 
 def plan_of(**overrides):
@@ -217,3 +221,107 @@ class TestWorkers:
         plan = plan_of(ns=(256,), deltas=(1.0,))
         run_plan(plan, workers=4)
         assert pools == []
+
+
+@pytest.fixture
+def store(monkeypatch):
+    """An empty store of interval systems, restored afterwards."""
+    fresh = {}
+    monkeypatch.setattr(shrinkage, "_INTERVAL_SYSTEMS", fresh)
+    return fresh
+
+
+def refuse(*args):
+    raise AssertionError(f"unexpected call {args}")
+
+
+def test_plan_without_trials_builds_nothing(store, monkeypatch):
+    monkeypatch.setattr(interval, "build_interval_system", refuse)
+    assert run_plan(interval_plan(trials=0), workers=2) == []
+    assert store == {}
+
+
+def test_store_keeps_the_most_recently_used_systems(store):
+    def fake_build(fn, keys):  # stands in for the builds, in order
+        return [("system", key) for key in keys]
+
+    ns = [2 ** k for k in range(4, 14)]  # ten systems, two over the bound
+    got = shrinkage.wavelet_systems("interval", ns, 1.0, 2, build_map=fake_build)
+    assert got == {n: ("system", (2, n, 3)) for n in ns}
+    # stored smallest first, so the two smallest went out first
+    assert sorted(store) == [(2, n, 3) for n in ns[2:]]
+    assert shrinkage.wavelet_system("interval", 2 ** 13, 1.0, 2) == \
+        ("system", (2, 2 ** 13, 3))
+    assert list(store)[-1] == (2, 2 ** 13, 3)  # a hit is used most recently
+    got = shrinkage.wavelet_systems("interval", [16], 1.0, 2, build_map=fake_build)
+    assert got == {16: ("system", (2, 16, 3))}
+    assert len(store) == shrinkage._STORE_SIZE and (2, 32, 3) not in store
+
+
+def test_run_cell_takes_the_system_it_is_given(store, monkeypatch):
+    plan = INTERVAL_PLANS["soft"]
+    cell, n, delta = plan.cells()[3]
+    system = wavelet_system(plan.system, n, plan.alpha, plan.moments)
+    shipped = pickle.loads(pickle.dumps(system))
+    want = [oracle_trial(plan, cell, n, delta, t) for t in range(4)]
+    monkeypatch.setattr(experiments, "wavelet_system", refuse)
+    monkeypatch.setattr(interval, "build_interval_system", refuse)
+    assert run_cell(plan, cell, n, delta, range(0, 4), shipped) == want
+
+
+def test_shipped_copies_share_the_event_a_block_weights(monkeypatch):
+    system = wavelet_system("interval", 256, 1.0, 2)
+    copy = pickle.loads(pickle.dumps(system))
+    assert copy is not system
+    e = np.random.default_rng(3).uniform(-0.5, 0.5, 256)
+    monkeypatch.setattr(noise, "_BLOCK_WEIGHTS", {})
+    first = noise.in_event_A(e, 1.0, system)
+    weights = dict(noise._BLOCK_WEIGHTS[2, 256, 3])
+    # recomputing the weights would compose rows again
+    monkeypatch.setattr(interval.IntervalSystem, "row", refuse)
+    assert noise.in_event_A(e, 1.0, copy) == first
+    assert list(noise._BLOCK_WEIGHTS) == [(2, 256, 3)]
+    assert all(noise._BLOCK_WEIGHTS[2, 256, 3][k] is w for k, w in weights.items())
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers must inherit the patched build function")
+class TestRealPool:
+    """run_plan with a real two-process pool.  Forked workers inherit the
+    build function patched here, so a build anywhere is seen."""
+
+    PLAN = interval_plan(ns=(256, 1024), deltas=(0.5, 1.0), trials=40)
+
+    def test_warm_store_builds_nothing(self, store, monkeypatch):
+        serial = run_plan(self.PLAN, workers=1)  # fills the store here
+        assert sorted(store) == [(2, 256, 3), (2, 1024, 3)]
+        monkeypatch.setattr(interval, "build_interval_system", refuse)
+        # chunks get their system with the task, not by resolving it
+        monkeypatch.setattr(experiments, "wavelet_system", refuse)
+        assert run_plan(self.PLAN, workers=2) == serial
+
+    def test_cold_store_builds_each_system_once(self, store, monkeypatch,
+                                                tmp_path):
+        log = tmp_path / "builds"
+        build = interval.build_interval_system
+
+        def logged(*args):
+            with open(log, "a") as fh:  # one short append per build
+                fh.write(f"{os.getpid()} {args}\n")
+            return build(*args)
+
+        monkeypatch.setattr(interval, "build_interval_system", logged)
+        parallel = run_plan(self.PLAN, workers=2)
+        lines = log.read_text().splitlines()
+        assert sorted(line.split(" ", 1)[1] for line in lines) == \
+            ["(2, 1024, 3)", "(2, 256, 3)"]
+        assert all(int(line.split()[0]) != os.getpid() for line in lines)
+        assert sorted(store) == [(2, 256, 3), (2, 1024, 3)]
+
+        monkeypatch.setattr(interval, "build_interval_system", build)
+        store.clear()
+        serial = run_plan(self.PLAN, workers=1)
+        assert parallel == serial
+        for a, b in zip(parallel, serial):
+            assert (a.max_sq_err, a.mse, a.exceed_by_level) == \
+                (b.max_sq_err, b.mse, b.exceed_by_level)
