@@ -9,9 +9,17 @@ import sys
 
 import numpy as np
 
-from waveshrink.interval import build_interval_system, interval_dwt, min_coarse_level
+from waveshrink.shrinkage import wavelet_system
 from waveshrink.signals import make_signal, sample_grid
-from waveshrink.transform import haar_dwt
+
+
+def detail_maxima(system, f) -> dict:
+    """max |d_{j,k}| of each detail level j of f, in the integral convention
+    (analyze(f) / sqrt(n); level j at [2^j, 2^(j+1)))."""
+    coeffs = system.analyze(f)
+    coeffs *= 1.0 / np.sqrt(system.n)
+    return {j: float(np.max(np.abs(coeffs[2 ** j : 2 ** (j + 1)])))
+            for j in range(system.coarse_level, system.finest_level)}
 
 
 def main() -> int:
@@ -22,21 +30,15 @@ def main() -> int:
     for kind, alpha in (("cusp", 0.5), ("cusp", 1.0),
                         ("weierstrass", 0.5), ("weierstrass", 1.0)):
         f = make_signal(kind, alpha, 1.0).sample(args.n)
-        pyr = haar_dwt(f, 0)
-        worst = 0.0
-        for j in range(pyr.finest_level):
-            ceiling = 2.0 ** (-j * (0.5 + alpha))
-            worst = max(worst, float(np.max(np.abs(pyr.detail(j)))) / ceiling)
+        maxima = detail_maxima(wavelet_system("haar", args.n, alpha), f)
+        worst = max(m / 2.0 ** (-j * (0.5 + alpha)) for j, m in maxima.items())
         print(f"haar {kind:12s} alpha={alpha:<4g} "
               f"max |d|/ceiling = {worst:.4f} (< 1 required)")
 
     n, moments = 1024, 2
-    system = build_interval_system(moments, n, min_coarse_level(moments))
     f = np.sin(2 * math.pi * sample_grid(n))
-    pyr = interval_dwt(f, system)
-    js = np.arange(system.coarse_level, pyr.finest_level)
-    maxima = [float(np.max(np.abs(pyr.detail(j)))) for j in js]
-    slope = np.polyfit(js, np.log2(maxima), 1)[0]
+    maxima = detail_maxima(wavelet_system("interval", n, 1.0, moments), f)
+    slope = np.polyfit(list(maxima), np.log2(list(maxima.values())), 1)[0]
     print(f"interval N={moments} sin(2 pi t): per-level decay slope "
           f"{slope:.3f} (target -2.5)")
     return 0

@@ -28,7 +28,6 @@ from .interval import (
     IntervalSystem,
     build_interval_system,
     daubechies_filter,
-    extract_weights,
     interval_dwt,
     interval_idwt,
 )
@@ -74,7 +73,7 @@ __all__ = [
     "compute_levels", "min_samples", "shrink", "ShrinkageConfig", "Levels",
     "MinSamples", "wavelet_system",
     "GeometryError", "IntervalSystem", "build_interval_system",
-    "daubechies_filter", "extract_weights", "interval_dwt", "interval_idwt",
+    "daubechies_filter", "interval_dwt", "interval_idwt",
     "SIGNAL_KINDS", "HolderCheck", "HolderSignal", "check_holder", "make_signal",
     "sample_grid",
     "NOISE_FAMILIES", "EventAReport", "NoiseSpec", "hoeffding_bound",

@@ -7,6 +7,7 @@ All output files are written atomically (write to a temp file, then rename).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -24,12 +25,6 @@ from .experiments import (
     write_summaries,
     atomic_write,
 )
-from .interval import (
-    build_interval_system,
-    interval_dwt,
-    interval_idwt,
-    min_coarse_level,
-)
 from .shrinkage import (
     SYSTEM_KINDS,
     ShrinkageConfig,
@@ -39,13 +34,7 @@ from .shrinkage import (
     soft_threshold,
     wavelet_system,
 )
-from .transform import haar_coeff_closed_form, haar_dwt, haar_idwt, is_power_of_two
-
-_PLAN_FIELDS = {
-    "signal_kind", "alpha", "holder_const", "noise_family", "noise_bound",
-    "ns", "deltas", "trials", "mode", "system", "moments", "master_seed",
-    "threshold_bound",
-}
+from .transform import haar_coeff_closed_form, is_power_of_two
 
 
 def _fail_usage(message: str) -> int:
@@ -96,15 +85,11 @@ def cmd_denoise(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    system = wavelet_system(args.system, n, args.alpha, args.moments)
-    cfg = ShrinkageConfig.build(
-        n, args.alpha, args.M, args.b, args.delta, args.mode,
-        system=args.system, moments=system.moments,
-        system_const=system.c_phi_estimate,
-    )
+    cfg = ShrinkageConfig.build(n, args.alpha, args.M, args.b, args.delta,
+                                args.mode, system=args.system, moments=args.moments)
     print(f"J0={cfg.coarse_level} J1={cfg.boundary_level} "
           f"lambda={cfg.threshold:.17g}", file=sys.stderr)
-    _write_column(args.output, shrink(y, cfg, system)[:n_orig])
+    _write_column(args.output, shrink(y, cfg)[:n_orig])
     return 0
 
 
@@ -113,17 +98,15 @@ def _load_plan(path: str, seed: Optional[int]) -> ExperimentPlan:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError("plan JSON must be an object")
-    unknown = set(raw) - _PLAN_FIELDS
+    fields = dataclasses.fields(ExperimentPlan)
+    unknown = set(raw) - {f.name for f in fields}
     if unknown:
         raise ValueError(f"unknown plan fields: {sorted(unknown)}")
-    missing = {"signal_kind", "alpha", "holder_const", "noise_family",
-               "noise_bound", "ns", "deltas", "trials"} - set(raw)
+    missing = {f.name for f in fields if f.default is dataclasses.MISSING} - set(raw)
     if missing:
         raise ValueError(f"plan is missing required fields: {sorted(missing)}")
     if seed is not None:
         raw["master_seed"] = seed
-    raw["ns"] = tuple(raw["ns"])
-    raw["deltas"] = tuple(raw["deltas"])
     return ExperimentPlan(**raw)
 
 
@@ -164,37 +147,39 @@ def cmd_rates(args: argparse.Namespace) -> int:
     return status
 
 
-def _verify_haar(rng: np.random.Generator) -> list[str]:
+# (system, vanishing moments, n) checked by ``verify``: the round trip at
+# each, Parseval for Haar and the orthogonality of W for the interval systems
+_VERIFY_SYSTEMS = (("haar", None, 8), ("haar", None, 64), ("haar", None, 1024),
+                   ("interval", 2, 128), ("interval", 3, 256))
+_ROUNDTRIP_TOL = {"haar": 1e-10, "interval": 1e-8}
+
+
+def _verify_systems(rng: np.random.Generator) -> list[str]:
     problems = []
-    for n in (8, 64, 1024):
+    for kind, moments, n in _VERIFY_SYSTEMS:
+        system = wavelet_system(kind, n, 1.0, moments)
+        where = f"{kind} N={system.moments}, n={n}"
         y = rng.standard_normal(n)
-        pyr = haar_dwt(y, 0)
-        if np.max(np.abs(haar_idwt(pyr) - y)) > 1e-10:
-            problems.append(f"haar roundtrip failed at n={n}")
-        if abs(np.sum(pyr.flat() ** 2) - np.mean(y ** 2)) > 1e-10:
-            problems.append(f"haar Parseval failed at n={n}")
+        coeffs = system.analyze(y)
+        if np.max(np.abs(system.synthesize(coeffs) - y)) > _ROUNDTRIP_TOL[kind]:
+            problems.append(f"roundtrip failed ({where})")
+        if kind == "haar":
+            # in the integral convention, analyze(y) / sqrt(n)
+            if abs(np.sum((coeffs / np.sqrt(n)) ** 2) - np.mean(y ** 2)) > 1e-10:
+                problems.append(f"Parseval failed ({where})")
+        else:
+            # row i is W e_i, so this is the transpose of W
+            Wt = system.analyze(np.eye(n))
+            if np.max(np.abs(Wt @ Wt.T - np.eye(n))) > 1e-8:
+                problems.append(f"orthogonality failed ({where})")
     y = rng.standard_normal(256)
-    pyr = haar_dwt(y, 0)
-    for j in range(8):
+    system = wavelet_system("haar", 256, 1.0)
+    coeffs = system.analyze(y) / np.sqrt(256)
+    for j in range(system.coarse_level, system.finest_level):
         for k in range(2 ** j):
-            if abs(pyr.detail(j)[k] - haar_coeff_closed_form(y, j, k, "detail")) \
+            if abs(coeffs[2 ** j + k] - haar_coeff_closed_form(y, j, k, "detail")) \
                     > 1e-10:
                 problems.append(f"haar oracle mismatch at (j={j}, k={k})")
-    return problems
-
-
-def _verify_interval(rng: np.random.Generator) -> list[str]:
-    problems = []
-    for moments, n in ((2, 128), (3, 256)):
-        system = build_interval_system(moments, n, min_coarse_level(moments))
-        y = rng.standard_normal(n)
-        back = interval_idwt(interval_dwt(y, system), system)
-        if np.max(np.abs(back - y)) > 1e-8:
-            problems.append(f"interval roundtrip failed (N={moments}, n={n})")
-        # row i is W e_i, so this is the transpose of W
-        Wt = system.analyze(np.eye(n))
-        if np.max(np.abs(Wt @ Wt.T - np.eye(n))) > 1e-8:
-            problems.append(f"interval orthogonality failed (N={moments}, n={n})")
     return problems
 
 
@@ -217,8 +202,7 @@ def _verify_thresholding(rng: np.random.Generator) -> list[str]:
 
 def cmd_verify(_args: argparse.Namespace) -> int:
     rng = np.random.default_rng(0)
-    problems = _verify_haar(rng) + _verify_interval(rng) + \
-        _verify_thresholding(rng)
+    problems = _verify_systems(rng) + _verify_thresholding(rng)
     if abs(min_samples(2.0).raw / 1.1e7 - 1.0) > 0.01:
         problems.append("min_samples(2) far from expected magnitude")
     for p in problems:

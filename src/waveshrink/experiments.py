@@ -15,12 +15,12 @@ operations as the trial would alone, so the output bytes depend neither on
 the chunking nor on the worker count.
 
 Interval systems come from one bounded store per process
-(:func:`~waveshrink.shrinkage.wavelet_systems`).  With a pool, :func:`run_plan`
-resolves the system of each n before any chunk runs: systems missing from the
-caller's store are built once each, in the pool's workers, and kept in the
-caller.  Every chunk task then carries its system, so workers never build
-one for a chunk, whatever the start method, and a process that runs several
-plans on the same systems builds each once.
+(:func:`~waveshrink.shrinkage.wavelet_systems`).  :func:`run_plan` resolves
+the system of each n before any chunk runs: systems missing from the
+caller's store are built once each, in the pool's workers if there is a pool,
+and kept in the caller.  Every chunk task then carries its system, so workers
+never build one for a chunk, whatever the start method, and a process that
+runs several plans on the same systems builds each once.
 """
 from __future__ import annotations
 
@@ -28,13 +28,13 @@ import csv
 import json
 import math
 import os
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .interval import (
-    IntervalSystem,
     build_interval_system,
     interval_dwt,
     interval_idwt,
@@ -88,10 +88,15 @@ class ExperimentPlan:
             raise ValueError(f"trials must be an integer >= 0, got {self.trials!r}")
         moments = system_moments(self.system, self.alpha, self.moments)
         threshold_rule(self.mode)
-        if self.noise_bound < 0:
-            raise ValueError("noise bound must be >= 0")
+        if not (math.isfinite(self.noise_bound) and self.noise_bound >= 0):
+            raise ValueError(
+                f"noise bound must be finite and >= 0, got {self.noise_bound}")
         if self.noise_bound == 0 and self.threshold_bound is None:
             raise ValueError("noise-free plans need an explicit threshold_bound")
+        if self.threshold_bound is not None and not (
+                math.isfinite(self.threshold_bound) and self.threshold_bound > 0):
+            raise ValueError(
+                f"threshold_bound must be finite and > 0, got {self.threshold_bound}")
         ns, deltas = tuple(self.ns), tuple(self.deltas)
         if not ns:
             raise ValueError("ns must name at least one sample count")
@@ -105,12 +110,13 @@ class ExperimentPlan:
             raise ValueError("deltas must name at least one delta")
         if not all(math.isfinite(d) and d >= 0 for d in deltas):
             raise ValueError(f"deltas must be finite and >= 0, got {list(deltas)}")
+        make_signal(self.signal_kind, self.alpha, self.holder_const)
         object.__setattr__(self, "ns", tuple(int(n) for n in ns))
         object.__setattr__(self, "deltas", tuple(float(d) for d in deltas))
 
     def below_range(self, n: int) -> bool:
-        """True when n is below the deviation bounds' minimal sample count; such
-        cells still run but are reported as out-of-range."""
+        """True when n is below the deviation bounds' minimal sample count.
+        Such cells still run, and the bounds do not apply to them."""
         return n < min_samples(self.alpha).padded
 
     def cells(self) -> list[tuple[int, int, float]]:
@@ -156,12 +162,6 @@ class RateFit:
     intercept: float
     residual: float
     target: float
-
-
-def interval_system_for(n: int, alpha: float, moments: int) -> IntervalSystem:
-    """The interval system the shrinkage pipeline uses for (n, alpha, N); see
-    :func:`~waveshrink.shrinkage.wavelet_system`."""
-    return wavelet_system("interval", n, alpha, moments)
 
 
 def _trial_seed(master_seed: int, cell: int, trial: int) -> np.random.SeedSequence:
@@ -300,10 +300,11 @@ def run_plan(plan: ExperimentPlan, workers: Optional[int] = None) -> list[TrialR
     """All trial reports for the plan, in deterministic (cell, trial) order.
 
     ``workers`` defaults to the WAVESHRINK_WORKERS environment variable, else
-    1; a pool never gets more processes than there are chunks.  Interval
-    systems missing from this process's store are built by the pool, if
-    there is one, and stored here, so a later call with the same systems
-    builds none.
+    1; a pool never gets more processes than there are chunks.  The system of
+    each n is resolved once, before any chunk runs, and sent with every chunk
+    of that n.  Interval systems missing from this process's store are built
+    by the pool, if there is one, else here, and stored here, so a later call
+    with the same systems builds none.
     """
     if workers is None:
         raw = os.environ.get("WAVESHRINK_WORKERS", "1")
@@ -316,17 +317,15 @@ def run_plan(plan: ExperimentPlan, workers: Optional[int] = None) -> list[TrialR
         raise ValueError(f"worker count must be >= 1, got {workers}")
     tasks = _plan_tasks(plan)
     workers = min(workers, len(tasks))
-    if workers > 1:
-        # imported here: multiprocessing costs a tenth of the package import
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # the systems missing here are built in the workers, once each;
-            # every chunk then carries its system, so workers never build
-            systems = wavelet_systems(plan.system, {t[2] for t in tasks},
-                                      plan.alpha, plan.moments, build_map=pool.map)
-            chunks = list(pool.map(_run_chunk, [t + (systems[t[2]],) for t in tasks]))
-    else:
-        chunks = [_run_chunk(t) for t in tasks]
+    with ExitStack() as stack:
+        run_map = map
+        if workers > 1:
+            # imported here: multiprocessing costs a tenth of the package import
+            from concurrent.futures import ProcessPoolExecutor
+            run_map = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        systems = wavelet_systems(plan.system, {t[2] for t in tasks},
+                                  plan.alpha, plan.moments, build_map=run_map)
+        chunks = list(run_map(_run_chunk, [t + (systems[t[2]],) for t in tasks]))
     return [r for chunk in chunks for r in chunk]
 
 

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .transform import CoefficientPyramid, _as_samples, is_power_of_two
+from .transform import CoefficientPyramid, _as_samples, _last_axis, is_power_of_two
 
 _ORTHO_TOL = 1e-9
 _NULL_TOL = 1e-9
@@ -617,7 +617,7 @@ class IntervalSystem:
 
     def analyze(self, samples) -> np.ndarray:
         """W applied along the last axis: (..., n) -> (..., n)."""
-        s = np.asarray(samples, dtype=float)
+        s = _last_axis(samples, self.n)
         details = []
         for level in reversed(self.levels):
             out = level.analyze(s)
@@ -628,7 +628,7 @@ class IntervalSystem:
 
     def synthesize(self, coeffs) -> np.ndarray:
         """W.T applied along the last axis: the inverse of :meth:`analyze`."""
-        c = np.asarray(coeffs, dtype=float)
+        c = _last_axis(coeffs, self.n)
         pos = 2 ** self.coarse_level
         s = c[..., :pos]
         for level in self.levels:
@@ -714,41 +714,8 @@ def build_interval_system(moments: int, n: int, coarse_level: int) -> IntervalSy
     return replace(system, c_phi_estimate=c_phi)
 
 
-class LevelWeights(NamedTuple):
-    alphas: np.ndarray
-    betas: np.ndarray
-    offset: int  # sample index where the joint support starts
-
-
-def extract_weights(system: IntervalSystem, j: int, k: int) -> LevelWeights:
-    """Per-sample coefficient weights of the (j, k) scaling and detail rows.
-
-    Normalized so that the integral-convention coefficient equals
-    2^(-J + j/2) * sum_i weight_i * sample_{offset + i}.
-    """
-    if not system.coarse_level <= j < system.finest_level:
-        raise IndexError(f"level {j} out of range")
-    if not 0 <= k < 2 ** j:
-        raise IndexError(f"shift {k} out of range at level {j}")
-    factor = 2.0 ** ((system.finest_level - j) / 2.0)
-    a, b = system.row(j, k, "scaling"), system.row(j, k, "detail")
-    lo = min(a.offset, b.offset)
-    hi = max(a.offset + len(a.values), b.offset + len(b.values))
-    rows = np.zeros((2, hi - lo))
-    for r, (offset, values) in zip(rows, (a, b)):
-        r[offset - lo : offset - lo + len(values)] = values * factor
-    support = np.nonzero(np.any(np.abs(rows) > 1e-14, axis=0))[0]
-    if len(support) == 0:
-        return LevelWeights(np.zeros(0), np.zeros(0), 0)
-    s0, s1 = support[0], support[-1] + 1
-    return LevelWeights(rows[0, s0:s1], rows[1, s0:s1], int(lo + s0))
-
-
 def interval_dwt(samples, system: IntervalSystem) -> CoefficientPyramid:
-    y = _as_samples(samples)
-    if len(y) != system.n:
-        raise ValueError(f"expected {system.n} samples, got {len(y)}")
-    coeffs = system.analyze(y)
+    coeffs = system.analyze(_as_samples(samples))
     coeffs *= 1.0 / np.sqrt(system.n)
     return CoefficientPyramid.from_flat(coeffs, system.coarse_level)
 

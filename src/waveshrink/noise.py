@@ -126,12 +126,13 @@ class EventAReport(NamedTuple):
     margin: float                 # largest |block sum| / bound; member iff <= 1
 
 
-def _system_at(system: System, n: int, coarse_level: int = 0):
-    """``system``, or the Haar system at n samples for the name "haar"."""
+def _system_at(system: System, n: int):
+    """``system``, or the Haar system at n samples and coarse level 0 for the
+    name "haar"."""
     if isinstance(system, str):
         if system != "haar":
             raise ValueError(f"unknown wavelet system {system!r}")
-        return HaarSystem(n, coarse_level)
+        return HaarSystem(n, 0)
     if system.n != n:
         raise ValueError("wavelet system size does not match the noise vector")
     return system
@@ -213,21 +214,21 @@ def hoeffding_bound(m: int, t: float, lo: float, hi: float) -> float:
     return 1.0 - math.exp(-2.0 * t * t / (m * (hi - lo) ** 2))
 
 
-def noise_coeff_bound_check(noise, b: float, system: System = "haar",
-                            coarse_level: int = 0) -> bool:
+def noise_coeff_bound_check(noise, b: float, system: System = "haar") -> bool:
     """All noise wavelet coefficients within b * C_phi * sqrt(log2(n)/n).
 
-    ``system`` is a wavelet system, or "haar" for the Haar system at
-    ``coarse_level``.  Membership in the event A (:func:`in_event_A`) does
-    not imply this bound.  For Haar at coarse level 0 and n = 256, the
-    constant noise e = 0.2081 b is in A (margin 1.0), and its approximation
-    coefficient exceeds the bound.  Adversarial noise b/2 sign(row), scaled
-    to margin <= 1, can push detail coefficients over it too, by up to 1.18x.
-    Random draws of the four noise families stayed under it in A.
+    ``system`` is a wavelet system, or "haar" for the Haar system at coarse
+    level 0 (pass ``HaarSystem(n, j0)`` for another).  Membership in the
+    event A (:func:`in_event_A`) does not imply this bound.  For Haar at
+    coarse level 0 and n = 256, the constant noise e = 0.2081 b is in A
+    (margin 1.0), and its approximation coefficient exceeds the bound.
+    Adversarial noise b/2 sign(row), scaled to margin <= 1, can push detail
+    coefficients over it too, by up to 1.18x.  Random draws of the four noise
+    families stayed under it in A.
     """
     e = _as_samples(noise)
     n = len(e)
-    system = _system_at(system, n, coarse_level)
+    system = _system_at(system, n)
     coeffs = system.analyze(e)
     coeffs *= 1.0 / np.sqrt(n)  # the integral convention
     bound = b * system.c_phi_estimate * math.sqrt(math.log2(n) / n)

@@ -65,12 +65,12 @@ def compute_threshold(n: int, delta: float, b: float, c_phi: float = 1.0) -> flo
     """Shrinkage threshold c_phi * b * (1 + 2*sqrt((1+delta)*ln 2)) * sqrt(log2(n)/n)."""
     if not is_power_of_two(n) or n < 2:
         raise ValueError(f"n must be a power of two >= 2, got {n}")
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    if b <= 0:
-        raise ValueError("noise range b must be > 0")
-    if c_phi < 1:
-        raise ValueError("wavelet-system constant must be >= 1")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
+    if not (math.isfinite(b) and b > 0):
+        raise ValueError(f"noise range b must be finite and > 0, got {b}")
+    if not (math.isfinite(c_phi) and c_phi >= 1):
+        raise ValueError(f"wavelet-system constant must be finite and >= 1, got {c_phi}")
     return c_phi * b * (1.0 + 2.0 * math.sqrt((1.0 + delta) * math.log(2.0))) \
         * math.sqrt(math.log2(n) / n)
 
@@ -80,10 +80,14 @@ class MinSamples(NamedTuple):
     padded: int  # raw rounded up to the next power of two
 
 
+def _check_alpha(alpha: float) -> None:
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+
+
 def min_samples(alpha: float) -> MinSamples:
     """Smallest sample count for which the deviation bounds apply."""
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
+    _check_alpha(alpha)
     if alpha <= 1:
         return MinSamples(512.0, 512)
     raw = (4 * alpha + 2) ** (2 * alpha + 2) * math.log2(4 * alpha + 2) ** 2
@@ -100,8 +104,7 @@ def compute_levels(n: int, alpha: float) -> Levels:
     """Coarse and boundary decomposition levels for a given sample count."""
     if not is_power_of_two(n) or n < 2:
         raise ValueError(f"n must be a power of two >= 2, got {n}")
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
+    _check_alpha(alpha)
     J = int(math.log2(n))
     J1 = math.ceil((J - math.log2(J)) / (1.0 + 2.0 * alpha))
     if alpha <= 1:
@@ -122,6 +125,7 @@ def system_moments(kind: str, alpha: float, moments: Optional[int] = None) -> in
     Haar has N = 1 and takes no other value.  The interval system takes the
     given N, an integer >= max(1, alpha), by default max(1, ceil(alpha)).
     """
+    _check_alpha(alpha)
     if kind not in SYSTEM_KINDS:
         raise ValueError(f"unknown wavelet system {kind!r}; choose from {SYSTEM_KINDS}")
     if kind == "haar":
@@ -206,13 +210,14 @@ def _build_system(key: tuple[int, int, int]) -> IntervalSystem:
     return interval.build_interval_system(*key)
 
 
-# c_phi of the systems whose constant is known without building them
-_EXACT_C_PHI = {"haar": HaarSystem.c_phi_estimate}
-
-
 @dataclass(frozen=True)
 class ShrinkageConfig:
-    """Everything the shrinkage pipeline needs for one sample count."""
+    """Everything the shrinkage pipeline needs for one sample count.
+
+    The threshold, the coarse level J0 and the boundary level J1 are derived
+    from the fields, never stored.  ``moments`` is normalized by
+    :func:`system_moments` (None becomes the system's default N).
+    """
 
     n: int
     alpha: float
@@ -222,18 +227,23 @@ class ShrinkageConfig:
     system_const: float       # c_phi of the wavelet system
     system: str               # "haar" or "interval"
     moments: int              # vanishing moments N of the system
-    coarse_level: int
     mode: str = "soft"
 
     def __post_init__(self):
-        moments = system_moments(self.system, self.alpha, self.moments)
+        object.__setattr__(self, "moments",
+                           system_moments(self.system, self.alpha, self.moments))
         threshold_rule(self.mode)
-        J = compute_levels(self.n, self.alpha).finest
-        if not min_coarse_level(moments) <= self.coarse_level <= J:
+        if not (math.isfinite(self.holder_const) and self.holder_const > 0):
             raise ValueError(
-                f"coarse level {self.coarse_level} out of range "
-                f"[{min_coarse_level(moments)}, {J}] for N={moments}")
-        self.threshold  # validates delta, b and c_phi
+                f"smoothness-class constant M must be finite and > 0, "
+                f"got {self.holder_const}")
+        self.coarse_level  # validates n against alpha and the moments
+        self.threshold     # validates delta, b and c_phi
+
+    @property
+    def coarse_level(self) -> int:
+        """J0 of :func:`coarse_level_for`, the coarse level of the system."""
+        return coarse_level_for(self.n, self.alpha, self.moments)
 
     @property
     def boundary_level(self) -> int:
@@ -250,20 +260,16 @@ class ShrinkageConfig:
               delta: float, mode: str = "soft", system: str = "haar",
               moments: Optional[int] = None,
               system_const: Optional[float] = None) -> "ShrinkageConfig":
-        """Derive the vanishing moments and the coarse level from the
-        primitive parameters (:func:`system_moments`, :func:`coarse_level_for`).
-        ``system_const`` may be left out only where c_phi is exact (Haar)."""
-        moments = system_moments(system, alpha, moments)
+        """The config from the primitive parameters.  ``system_const``
+        defaults to the c_phi of the pipeline's system,
+        :func:`wavelet_system` of (system, n, alpha, moments); an interval
+        system missing from this process's store is built for it."""
         if system_const is None:
-            if system not in _EXACT_C_PHI:
-                raise ValueError(
-                    f"{system} runs need system_const (use the c_phi_estimate "
-                    "of the built system)")
-            system_const = _EXACT_C_PHI[system]
+            system_const = wavelet_system(system, n, alpha, moments).c_phi_estimate
         return cls(
             n=n, alpha=alpha, holder_const=holder_const, noise_bound=noise_bound,
             delta=delta, system_const=system_const, system=system, moments=moments,
-            coarse_level=coarse_level_for(n, alpha, moments), mode=mode,
+            mode=mode,
         )
 
 
@@ -285,8 +291,6 @@ def shrink(y, config: ShrinkageConfig, system=None) -> np.ndarray:
         raise ValueError(f"system (n, coarse level, moments, c_phi) {got} does "
                          f"not match the config's {want}")
     y = np.asarray(y, dtype=float)
-    if y.shape[-1:] != (config.n,):
-        raise ValueError(f"signal shape {y.shape} does not match config n={config.n}")
     if not np.all(np.isfinite(y)):
         raise ValueError("samples must be finite")
     # the threshold applies to coefficients in the integral convention

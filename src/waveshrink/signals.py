@@ -66,8 +66,8 @@ def _weierstrass_evaluator(alpha: float, M: float):
 
 def make_signal(kind: str, alpha: float, M: float) -> HolderSignal:
     """Build a certified Hölder-class signal of the given kind."""
-    if alpha <= 0 or M <= 0:
-        raise ValueError("need alpha > 0 and M > 0")
+    if not (math.isfinite(alpha) and alpha > 0 and math.isfinite(M) and M > 0):
+        raise ValueError(f"need finite alpha > 0 and M > 0, got alpha={alpha}, M={M}")
     if kind == "constant":
         evaluate = lambda t: np.full_like(np.asarray(t, dtype=float), M)
     elif kind == "linear":
@@ -135,8 +135,8 @@ def check_holder(samples, alpha: float, M: float) -> HolderCheck:
     n = len(y)
     if n < 2:
         raise ValueError("need at least two samples")
-    if alpha <= 0 or M <= 0:
-        raise ValueError("need alpha > 0 and M > 0")
+    if not (math.isfinite(alpha) and alpha > 0 and math.isfinite(M) and M > 0):
+        raise ValueError(f"need finite alpha > 0 and M > 0, got alpha={alpha}, M={M}")
 
     if alpha > 1:
         quot = (y[1:] - y[:-1]) * n

@@ -118,6 +118,14 @@ class CoefficientPyramid:
         return replace(self, details=tuple(fn(d) for d in self.details))
 
 
+def _last_axis(values, n: int) -> np.ndarray:
+    """``values`` as a float array of length n along the last axis."""
+    x = np.asarray(values, dtype=float)
+    if x.shape[-1:] != (n,):
+        raise ValueError(f"expected length {n} along the last axis, got shape {x.shape}")
+    return x
+
+
 def _check_levels(n: int, coarse_level: int) -> int:
     if n < 2 or not is_power_of_two(n):
         raise ValueError(f"sample count must be a power of two >= 2, got {n}")
@@ -186,10 +194,10 @@ class HaarSystem:
         return self.n.bit_length() - 1
 
     def analyze(self, samples) -> np.ndarray:
-        return haar_analyze(samples, self.coarse_level)
+        return haar_analyze(_last_axis(samples, self.n), self.coarse_level)
 
     def synthesize(self, coeffs) -> np.ndarray:
-        return haar_synthesize(coeffs, self.coarse_level)
+        return haar_synthesize(_last_axis(coeffs, self.n), self.coarse_level)
 
 
 def haar_dwt(values, coarse_level: int) -> CoefficientPyramid:

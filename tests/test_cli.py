@@ -92,6 +92,21 @@ class TestDenoise:
         assert "vanishing moment" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("delta", "nan", "delta must be finite"),
+        ("b", "inf", "noise range b must be finite"),
+        ("M", "-1", "constant M must be finite and > 0"),
+        ("M", "nan", "constant M must be finite and > 0"),
+        ("alpha", "nan", "alpha must be finite"),
+    ])
+    def test_non_finite_or_bad_numbers_rejected(self, noisy_csv, tmp_path, capsys,
+                                                flag, value, message):
+        out = tmp_path / "o.csv"
+        # argparse keeps the last occurrence of a flag
+        assert main(denoise_args(noisy_csv, out) + [f"--{flag}", value]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input(self, tmp_path):
         assert main(denoise_args(tmp_path / "nope.csv",
                                  tmp_path / "o.csv")) == 1
@@ -167,6 +182,23 @@ class TestSimulate:
             "ns-not-power-of-two", "ns-not-whole", "ns-too-small-for-alpha",
             "ns-too-small-for-moments", "empty-deltas", "negative-delta"])
     def test_bad_plan_values_rejected(self, tmp_path, capsys, override, message):
+        plan = self.plan(tmp_path, **override)
+        rep, summ = tmp_path / "r.jsonl", tmp_path / "s.csv"
+        assert main(["simulate", str(plan), str(rep), str(summ)]) == 1
+        assert message in capsys.readouterr().err
+        assert not rep.exists() and not summ.exists()
+
+    @pytest.mark.parametrize("override, message", [
+        ({"noise_bound": float("nan")}, "noise bound must be finite"),
+        ({"holder_const": float("nan")}, "need finite alpha > 0 and M > 0"),
+        ({"holder_const": -1.0}, "need finite alpha > 0 and M > 0"),
+        ({"alpha": float("nan")}, "alpha must be finite"),
+        ({"noise_bound": 0.0, "threshold_bound": float("inf")},
+         "threshold_bound must be finite"),
+    ], ids=["noise-bound-nan", "holder-const-nan", "holder-const-negative",
+            "alpha-nan", "threshold-bound-inf"])
+    def test_non_finite_plan_values_rejected(self, tmp_path, capsys, override,
+                                             message):
         plan = self.plan(tmp_path, **override)
         rep, summ = tmp_path / "r.jsonl", tmp_path / "s.csv"
         assert main(["simulate", str(plan), str(rep), str(summ)]) == 1

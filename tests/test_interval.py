@@ -9,7 +9,6 @@ from waveshrink.interval import (
     GeometryError,
     build_interval_system,
     daubechies_filter,
-    extract_weights,
     highpass_from_lowpass,
     interval_dwt,
     interval_idwt,
@@ -113,12 +112,16 @@ class TestVanishingMoments:
 
 
 class TestWeights:
+    """Composed rows (:meth:`IntervalSystem.row`), which c_phi and the event A
+    read, against the transform."""
+
     def test_haar_weights_are_unit(self, systems):
         system = systems[(1, 256)]
-        w = extract_weights(system, 3, 2)
-        assert np.allclose(np.abs(w.alphas), 1.0, atol=1e-12)
-        assert np.allclose(np.abs(w.betas), 1.0, atol=1e-12)
-        assert w.offset == 2 * 32
+        factor = 2.0 ** ((system.finest_level - 3) / 2.0)
+        for kind in ("scaling", "detail"):
+            offset, values = system.row(3, 2, kind)
+            assert offset == 2 * 32
+            assert np.allclose(np.abs(values * factor), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("N", [2, 3])
     def test_weight_identity(self, systems, N):
@@ -126,36 +129,22 @@ class TestWeights:
         rng = np.random.default_rng(N + 10)
         y = rng.standard_normal(256)
         pyr = interval_dwt(y, system)
-        J = system.finest_level
-        for j in (system.coarse_level, J - 2):
+        J, J0 = system.finest_level, system.coarse_level
+
+        def coeff(j, k, kind):
+            offset, values = system.row(j, k, kind)
+            return 2.0 ** (-J / 2.0) * float(values @ y[offset : offset + len(values)])
+
+        for j in (J0, J - 2):
             for k in (0, 2 ** j - 1, 2 ** (j - 1)):
-                w = extract_weights(system, j, k)
-                seg = y[w.offset : w.offset + len(w.betas)]
-                expected = 2.0 ** (-J + j / 2.0) * float(w.betas @ seg)
-                assert pyr.detail(j)[k] == pytest.approx(expected, abs=1e-10)
+                assert pyr.detail(j)[k] == pytest.approx(coeff(j, k, "detail"),
+                                                         abs=1e-10)
+        for k in range(2 ** J0):
+            assert pyr.approx[k] == pytest.approx(coeff(J0, k, "scaling"), abs=1e-10)
 
     def test_c_phi_at_least_one(self, systems):
         for system in systems.values():
             assert system.c_phi_estimate >= 1.0
-
-    def test_extract_weights_leaves_system_unchanged(self, systems):
-        system = systems[(3, 256)]
-        before = (system.c_phi_estimate,
-                  [[e.rows.copy() for e in level.edges] for level in system.levels])
-        for j in range(system.coarse_level, system.finest_level):
-            for k in (0, 2 ** j - 1):
-                extract_weights(system, j, k)
-        assert system.c_phi_estimate == before[0]
-        for level, rows in zip(system.levels, before[1]):
-            for e, r in zip(level.edges, rows):
-                assert np.array_equal(e.rows, r)
-
-    def test_out_of_range_indices(self, systems):
-        system = systems[(2, 128)]
-        with pytest.raises(IndexError):
-            extract_weights(system, system.finest_level, 0)
-        with pytest.raises(IndexError):
-            extract_weights(system, system.coarse_level, -1)
 
 
 class TestGeometryAndSerialization:
@@ -175,6 +164,15 @@ class TestGeometryAndSerialization:
     def test_dwt_length_mismatch(self, systems):
         with pytest.raises(ValueError):
             interval_dwt(np.zeros(64), systems[(2, 128)])
+
+    @pytest.mark.parametrize("length", [128, 512, 255])
+    @pytest.mark.parametrize("method", ["analyze", "synthesize"])
+    @pytest.mark.parametrize("N", [2, "haar"])
+    def test_wrong_last_axis_rejected(self, systems, N, method, length):
+        # 512 is a valid Haar length and a whole number of interval blocks:
+        # only the system's own n may pass
+        with pytest.raises(ValueError, match="last axis"):
+            getattr(systems[(N, 256)], method)(np.ones((2, length)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_dwt_rejects_non_finite(self, systems, bad):

@@ -16,7 +16,6 @@ from waveshrink.interval import (
     _sample_bases,
     build_interval_system,
     daubechies_filter,
-    extract_weights,
     interval_dwt,
     interval_idwt,
     min_coarse_level,
@@ -35,16 +34,6 @@ def _as_dense(row, n):
     full = np.zeros(n)
     full[row.offset : row.offset + len(row.values)] = row.values
     return full
-
-
-def _dense_weights(dense, j, k):
-    """extract_weights on the dense rows, as the dense system computed it."""
-    factor = 2.0 ** ((dense.finest_level - j) / 2.0)
-    a_row = dense.scaling_rows[j][k] * factor
-    b_row = dense.detail_rows[j][k] * factor
-    support = np.nonzero((np.abs(a_row) > 1e-14) | (np.abs(b_row) > 1e-14))[0]
-    lo, hi = support[0], support[-1] + 1
-    return a_row[lo:hi], b_row[lo:hi], int(lo)
 
 
 def _dense_event_A(e, b, dense):
@@ -94,12 +83,6 @@ def test_matches_dense_oracle(N, n):
             for k in range(2 ** j):
                 got = _as_dense(system.row(j, k, kind), n)
                 assert np.max(np.abs(got - _dense_row(dense, j, k, kind))) < 1e-12
-        for k in {0, 2 ** j // 2, 2 ** j - 1}:
-            w = extract_weights(system, j, k)
-            alphas, betas, offset = _dense_weights(dense, j, k)
-            assert w.offset == offset
-            assert np.max(np.abs(w.alphas - alphas), initial=0.0) < 1e-12
-            assert np.max(np.abs(w.betas - betas), initial=0.0) < 1e-12
 
     assert system.c_phi_estimate == pytest.approx(dense.c_phi_estimate, rel=1e-12)
 

@@ -197,10 +197,12 @@ class TestCoefficientBound:
 
     def test_haar_name_is_the_haar_system(self):
         e = sample_noise(NoiseSpec("uniform", 1.0, 3), 256)
-        for coarse in (0, 4):
-            for b in (0.05, 0.1, 0.2, 1.0):
-                assert noise_coeff_bound_check(e, b, "haar", coarse) == \
-                    noise_coeff_bound_check(e, b, HaarSystem(256, coarse))
+        coarse4 = np.abs(HaarSystem(256, 4).analyze(e)) / np.sqrt(256)
+        for b in (0.05, 0.1, 0.2, 1.0):
+            assert noise_coeff_bound_check(e, b, "haar") == \
+                noise_coeff_bound_check(e, b, HaarSystem(256, 0))
+            assert noise_coeff_bound_check(e, b, HaarSystem(256, 4)) == \
+                bool(np.max(coarse4) <= b * math.sqrt(8 / 256))
         with pytest.raises(ValueError, match="unknown wavelet system"):
             noise_coeff_bound_check(e, 1.0, "daubechies")
 

@@ -15,6 +15,7 @@ from waveshrink.interval import (
 from waveshrink.shrinkage import (
     ShrinkageConfig,
     apply_threshold,
+    coarse_level_for,
     compute_levels,
     compute_threshold,
     hard_threshold,
@@ -148,7 +149,8 @@ class TestConfigAndPipeline:
 
     def test_threshold_and_boundary_level_are_derived(self):
         cfg = ShrinkageConfig.build(1024, 1.0, 1.0, 1.0, 1.0)
-        assert len(dataclasses.fields(cfg)) == 10
+        assert len(dataclasses.fields(cfg)) == 9
+        assert cfg.coarse_level == coarse_level_for(1024, 1.0, 1)
         wider = dataclasses.replace(cfg, delta=2.0, noise_bound=3.0)
         assert wider.threshold == compute_threshold(1024, 2.0, 3.0)
         assert cfg.boundary_level == compute_levels(1024, 1.0).boundary
@@ -157,9 +159,13 @@ class TestConfigAndPipeline:
         assert pushed.coarse_level == min_coarse_level(3)
         assert pushed.boundary_level == pushed.coarse_level  # J1 = 2 < J0 = 4
 
-    def test_interval_build_needs_system_const(self):
-        with pytest.raises(ValueError):
-            ShrinkageConfig.build(1024, 1.0, 1.0, 1.0, 1.0, system="interval")
+    @pytest.mark.parametrize("kind, moments", [("haar", None), ("interval", 2)])
+    def test_default_system_const_is_the_resolvers(self, kind, moments):
+        c_phi = wavelet_system(kind, 1024, 1.0, moments).c_phi_estimate
+        assert ShrinkageConfig.build(1024, 1.0, 1.0, 1.0, 1.0, system=kind,
+                                     moments=moments) == \
+            ShrinkageConfig.build(1024, 1.0, 1.0, 1.0, 1.0, system=kind,
+                                  moments=moments, system_const=c_phi)
 
     def test_noise_free_shrink_preserves_constant(self):
         cfg = ShrinkageConfig.build(256, 1.0, 1.0, 1.0, 0.0)

@@ -16,11 +16,10 @@ from waveshrink.experiments import (
     ExperimentPlan,
     TrialReport,
     _trial_seed,
-    interval_system_for,
 )
 from waveshrink.interval import interval_dwt, interval_idwt
 from waveshrink.noise import NoiseSpec, in_event_A, sample_noise
-from waveshrink.shrinkage import ShrinkageConfig, apply_threshold
+from waveshrink.shrinkage import ShrinkageConfig, apply_threshold, wavelet_system
 from waveshrink.signals import make_signal
 from waveshrink.transform import haar_dwt, haar_idwt
 
@@ -42,7 +41,7 @@ def run_trial(plan: ExperimentPlan, cell: int, n: int, delta: float,
     system = None
     if plan.system == "interval":
         moments = plan.moments or max(1, math.ceil(plan.alpha))
-        system = interval_system_for(n, plan.alpha, moments)
+        system = wavelet_system("interval", n, plan.alpha, moments)
         cfg = ShrinkageConfig.build(
             n, plan.alpha, plan.holder_const, b_threshold, delta, plan.mode,
             system="interval", moments=moments,
