@@ -8,11 +8,12 @@ import math
 import sys
 
 from waveshrink.experiments import estimate_event_probability
+from waveshrink.noise import EVENT_A_SIZES, NOISE_FAMILIES
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n", type=int, default=256, choices=(16, 256, 65536))
+    ap.add_argument("--n", type=int, default=256, choices=EVENT_A_SIZES)
     ap.add_argument("--trials", type=int, default=10_000)
     ap.add_argument("--b", type=float, default=1.0)
     ap.add_argument("--seed", type=int, default=0)
@@ -21,7 +22,7 @@ def main() -> int:
     floor = 1.0 - 4.0 / math.log2(args.n) + 1.0 / args.n
     print(f"n={args.n} b={args.b} trials={args.trials} "
           f"analytic floor={floor:.6f}")
-    for family in ("uniform", "rademacher", "truncated", "mixture"):
+    for family in NOISE_FAMILIES:
         p_hat, (lo, hi) = estimate_event_probability(
             family, args.b, args.n, args.trials, master_seed=args.seed)
         ok = "OK " if lo >= floor else "LOW"

@@ -2,12 +2,11 @@
 
 from .transform import (
     CoefficientPyramid,
+    GeometryError,
     HaarSystem,
-    haar_analyze,
     haar_coeff_closed_form,
     haar_dwt,
     haar_idwt,
-    haar_synthesize,
     is_power_of_two,
 )
 from .shrinkage import (
@@ -24,7 +23,6 @@ from .shrinkage import (
     wavelet_system,
 )
 from .interval import (
-    GeometryError,
     IntervalSystem,
     build_interval_system,
     daubechies_filter,
@@ -67,8 +65,8 @@ from .experiments import (
 )
 
 __all__ = [
-    "CoefficientPyramid", "HaarSystem", "haar_analyze", "haar_synthesize",
-    "haar_dwt", "haar_idwt", "haar_coeff_closed_form", "is_power_of_two",
+    "CoefficientPyramid", "HaarSystem", "haar_dwt", "haar_idwt",
+    "haar_coeff_closed_form", "is_power_of_two",
     "soft_threshold", "hard_threshold", "apply_threshold", "compute_threshold",
     "compute_levels", "min_samples", "shrink", "ShrinkageConfig", "Levels",
     "MinSamples", "wavelet_system",

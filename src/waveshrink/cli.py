@@ -64,7 +64,7 @@ def _write_column(path: str, values: np.ndarray) -> None:
 def cmd_denoise(args: argparse.Namespace) -> int:
     y = _read_column(args.input)
     n_orig = len(y)
-    if not is_power_of_two(n_orig) or n_orig < 2:
+    if n_orig < 2 or not is_power_of_two(n_orig):
         if not args.n_pad:
             return _fail_usage(
                 f"input length {n_orig} is not a power of two; pass --n-pad to "

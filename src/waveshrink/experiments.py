@@ -39,7 +39,8 @@ from .interval import (
     interval_dwt,
     interval_idwt,
 )
-from .noise import NoiseSpec, in_event_A, sample_noise
+from .noise import EVENT_A_SIZES as _EVENT_A_SIZES
+from .noise import NoiseSpec, _system_at, check_family, in_event_A, sample_noise
 from .shrinkage import (
     ShrinkageConfig,
     apply_threshold,
@@ -58,7 +59,6 @@ from .transform import haar_dwt, haar_idwt
 # build_interval_system are not called here; they stay bound in this
 # namespace because perfbench/tracer.py wraps them by name.
 
-_EVENT_A_SIZES = (16, 256, 65536)
 # Most float64 values in one batched (trials, n) array: 2^15 values, 256 KiB.
 # Batching amortizes per-call overhead; the cap keeps peak memory near that of
 # one trial at a time.
@@ -88,6 +88,14 @@ class ExperimentPlan:
             raise ValueError(f"trials must be an integer >= 0, got {self.trials!r}")
         moments = system_moments(self.system, self.alpha, self.moments)
         threshold_rule(self.mode)
+        check_family(self.noise_family)
+        try:  # the run's own seed rule; None would draw fresh entropy
+            if self.master_seed is None:
+                raise TypeError
+            _trial_seed(self.master_seed, 0, 0)
+        except (TypeError, ValueError):
+            raise ValueError(f"master_seed must be a non-negative integer, "
+                             f"got {self.master_seed!r}") from None
         if not (math.isfinite(self.noise_bound) and self.noise_bound >= 0):
             raise ValueError(
                 f"noise bound must be finite and >= 0, got {self.noise_bound}")
@@ -217,7 +225,7 @@ def run_cell(plan: ExperimentPlan, cell: int, n: int, delta: float,
     over = system.analyze(noise)
     over *= to_integral
     over = np.abs(over, out=over) > lam
-    levels = range(cfg.coarse_level, n.bit_length() - 1)
+    levels = range(cfg.coarse_level, system.finest_level)
     by_level = np.empty((len(seeds), len(levels)), dtype=int)
     for i, j in enumerate(levels):
         by_level[:, i] = np.count_nonzero(over[:, 2 ** j : 2 ** (j + 1)], axis=-1)
@@ -336,8 +344,10 @@ def wilson_interval(successes: int, trials: int,
     The bounds always contain the point estimate: rounding alone would put
     the upper bound one step below it at successes == trials.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    if not (all(isinstance(v, (int, np.integer)) for v in (successes, trials))
+            and 0 <= successes <= trials and trials >= 1):
+        raise ValueError(f"need integers 0 <= successes <= trials with trials >= 1, "
+                         f"got successes={successes!r}, trials={trials!r}")
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -353,13 +363,13 @@ def estimate_event_probability(noise_family: str, b: float, n: int, trials: int,
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     if n not in _EVENT_A_SIZES:
         raise ValueError(f"event-A geometry supports n in {_EVENT_A_SIZES}")
+    check_family(noise_family)
+    _system_at(system, n)
+    if b == 0:
+        return 1.0, wilson_interval(trials, trials)  # zero noise is inside A
     hits = 0
     for t in range(trials):
-        if b == 0:
-            hits += 1
-            continue
-        seed = np.random.SeedSequence(master_seed, spawn_key=(0, t))
-        e = sample_noise(NoiseSpec(noise_family, b, seed), n)
+        e = sample_noise(NoiseSpec(noise_family, b, _trial_seed(master_seed, 0, t)), n)
         hits += in_event_A(e, b, system).member
     return hits / trials, wilson_interval(hits, trials)
 

@@ -34,7 +34,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .transform import CoefficientPyramid, _as_samples, _last_axis, is_power_of_two
+from .transform import (
+    CoefficientPyramid,
+    GeometryError,
+    _as_samples,
+    _last_axis,
+    finest_level,
+)
 
 _ORTHO_TOL = 1e-9
 _NULL_TOL = 1e-9
@@ -42,19 +48,18 @@ _NULL_TOL = 1e-9
 _FRAME = 16
 
 KINDS = ("scaling", "detail")
-
-
-class GeometryError(ValueError):
-    """Raised when (N, J0, n) cannot support the boundary construction."""
+# the vanishing moments N that daubechies_filter supports: 1..MAX_MOMENTS
+MAX_MOMENTS = 5
 
 
 def daubechies_filter(moments: int) -> np.ndarray:
     """Orthonormal Daubechies lowpass filter with the given vanishing moments.
 
     Computed by spectral factorization of the binomial half-band polynomial;
-    supported for 1 <= moments <= 5 (larger values work but lose accuracy).
+    supported for 1 <= moments <= MAX_MOMENTS (larger values work but lose
+    accuracy).
     """
-    if not 1 <= moments <= 5:
+    if not 1 <= moments <= MAX_MOMENTS:
         raise ValueError(f"unsupported number of vanishing moments: {moments}")
     if moments == 1:
         return np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -606,7 +611,7 @@ class IntervalSystem:
 
     @property
     def finest_level(self) -> int:
-        return int(math.log2(self.n))
+        return finest_level(self.n)
 
     @property
     def nbytes(self) -> int:
@@ -674,9 +679,7 @@ def min_coarse_level(moments: int) -> int:
 
 def build_interval_system(moments: int, n: int, coarse_level: int) -> IntervalSystem:
     """Assemble the banded level maps of the interval wavelet transform."""
-    if not is_power_of_two(n) or n < 2:
-        raise GeometryError(f"n must be a power of two >= 2, got {n}")
-    J = int(math.log2(n))
+    J = finest_level(n)
     if not min_coarse_level(moments) <= coarse_level <= J:
         raise GeometryError(
             f"coarse level {coarse_level} out of range "

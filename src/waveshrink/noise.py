@@ -15,10 +15,13 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .interval import KINDS, GeometryError, IntervalSystem
-from .transform import HaarSystem, _as_samples, is_power_of_two
+from .interval import KINDS, IntervalSystem
+from .transform import GeometryError, HaarSystem, _as_samples, finest_level
 
 NOISE_FAMILIES = ("uniform", "rademacher", "truncated", "mixture")
+# the sample counts the block geometry of the good event A supports
+# (J = log2 n in {4, 8, 16})
+EVENT_A_SIZES = (16, 256, 65536)
 
 Seed = Union[int, np.random.SeedSequence]
 System = Union[str, HaarSystem, IntervalSystem]
@@ -33,12 +36,20 @@ class NoiseSpec:
     seed: Seed = 0
 
     def __post_init__(self):
-        if self.family not in NOISE_FAMILIES:
-            raise ValueError(
-                f"unknown noise family {self.family!r}; choose from {NOISE_FAMILIES}"
-            )
-        if self.b <= 0:
-            raise ValueError("noise range b must be > 0")
+        check_family(self.family)
+        check_noise_range(self.b)
+
+
+def check_family(family: str) -> None:
+    """The one check of a noise family name."""
+    if family not in NOISE_FAMILIES:
+        raise ValueError(f"unknown noise family {family!r}; choose from {NOISE_FAMILIES}")
+
+
+def check_noise_range(b: float) -> None:
+    """The one check of a total noise range b."""
+    if not (math.isfinite(b) and b > 0):
+        raise ValueError(f"noise range b must be finite and > 0, got {b}")
 
 
 def _truncated_gaussian(rng: np.random.Generator, half: float, n: int) -> np.ndarray:
@@ -142,7 +153,7 @@ def in_event_A(noise, b: float, system: System = "haar") -> EventAReport:
     """Membership in the good event A.
 
     The block geometry needs 2^J / J to be an integer, so J = log2(n) must
-    itself be a power of two; only n in {16, 256, 65536} are supported.
+    itself be a power of two; only n in ``EVENT_A_SIZES`` are supported.
 
     ``system`` is "haar" or a :class:`HaarSystem`, whose block sums do not
     depend on the coarse level, or an :class:`IntervalSystem`.  On the
@@ -153,31 +164,25 @@ def in_event_A(noise, b: float, system: System = "haar") -> EventAReport:
     supported on samples 0-11), so such a row can miss its own block almost
     entirely.
     """
-    e = np.asarray(noise, dtype=float)
+    e = _as_samples(noise)
     n = len(e)
-    if not is_power_of_two(n):
-        raise GeometryError(f"sample count must be a power of two, got {n}")
-    J = int(math.log2(n))
-    if J not in (4, 8, 16):
-        raise GeometryError(
-            f"event-A geometry needs log2(n) in {{4, 8, 16}}, got J={J}"
-        )
-    if b <= 0:
-        raise ValueError("noise range b must be > 0")
-    e = _as_samples(e)
+    if n not in EVENT_A_SIZES:
+        raise GeometryError(f"event-A geometry needs n in {EVENT_A_SIZES}, got {n}")
+    check_noise_range(b)
     system = _system_at(system, n)
 
-    log_j = int(math.log2(J))
+    J = finest_level(n)
+    log_j = finest_level(J)
     margin, worst = 0.0, (-1, 0)
     for level_offset in range(-1, J - log_j + 1):
         bound = b * J * 2.0 ** (level_offset / 2.0) * math.sqrt(0.5 * math.log(2.0))
         n_blocks = 2 ** (J - log_j - level_offset)
+        blocks = e.reshape(n_blocks, -1)
         if isinstance(system, IntervalSystem):
             j = J - log_j - level_offset
             if not system.coarse_level <= j < J:
                 continue  # no basis functions at this level
             factor = 2.0 ** ((J - j) / 2.0)
-            blocks = e.reshape(n_blocks, -1)
             sums = np.empty(n_blocks)
             for kind in KINDS:
                 bw = _block_weights(system, j, kind)
@@ -189,13 +194,8 @@ def in_event_A(noise, b: float, system: System = "haar") -> EventAReport:
                 if abs(sums[k]) / bound > margin:
                     margin, worst = abs(sums[k]) / bound, (level_offset, k)
         else:
-            # the Haar block sums run over J 2^(l-1) samples, half the stride
-            if level_offset == -1:
-                stride, terms = J // 2, J // 4
-            else:
-                stride = J * 2 ** level_offset
-                terms = stride // 2
-            sums = e[: n_blocks * stride].reshape(n_blocks, stride)[:, :terms].sum(axis=1)
+            # the Haar block sums run over the first half of each block
+            sums = blocks[:, : blocks.shape[1] // 2].sum(axis=1)
             k = int(np.argmax(np.abs(sums)))
             if abs(sums[k]) / bound > margin:
                 margin, worst = abs(sums[k]) / bound, (level_offset, k)
@@ -227,6 +227,7 @@ def noise_coeff_bound_check(noise, b: float, system: System = "haar") -> bool:
     families stayed under it in A.
     """
     e = _as_samples(noise)
+    check_noise_range(b)
     n = len(e)
     system = _system_at(system, n)
     coeffs = system.analyze(e)

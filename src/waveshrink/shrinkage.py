@@ -9,13 +9,14 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import interval
-from .interval import IntervalSystem, min_coarse_level
+from .interval import MAX_MOMENTS, IntervalSystem, min_coarse_level
+from .noise import check_noise_range
 from .transform import (
     CoefficientPyramid,
     HaarSystem,
+    finest_level,
     haar_dwt,
     haar_idwt,
-    is_power_of_two,
 )
 
 # shrink calls the systems directly; haar_dwt and haar_idwt stay bound here
@@ -63,12 +64,10 @@ def apply_threshold(pyramid: CoefficientPyramid, lam: float, mode: str = "soft")
 
 def compute_threshold(n: int, delta: float, b: float, c_phi: float = 1.0) -> float:
     """Shrinkage threshold c_phi * b * (1 + 2*sqrt((1+delta)*ln 2)) * sqrt(log2(n)/n)."""
-    if not is_power_of_two(n) or n < 2:
-        raise ValueError(f"n must be a power of two >= 2, got {n}")
+    finest_level(n)
     if not (math.isfinite(delta) and delta >= 0):
         raise ValueError(f"delta must be finite and >= 0, got {delta}")
-    if not (math.isfinite(b) and b > 0):
-        raise ValueError(f"noise range b must be finite and > 0, got {b}")
+    check_noise_range(b)
     if not (math.isfinite(c_phi) and c_phi >= 1):
         raise ValueError(f"wavelet-system constant must be finite and >= 1, got {c_phi}")
     return c_phi * b * (1.0 + 2.0 * math.sqrt((1.0 + delta) * math.log(2.0))) \
@@ -102,10 +101,8 @@ class Levels(NamedTuple):
 
 def compute_levels(n: int, alpha: float) -> Levels:
     """Coarse and boundary decomposition levels for a given sample count."""
-    if not is_power_of_two(n) or n < 2:
-        raise ValueError(f"n must be a power of two >= 2, got {n}")
+    J = finest_level(n)
     _check_alpha(alpha)
-    J = int(math.log2(n))
     J1 = math.ceil((J - math.log2(J)) / (1.0 + 2.0 * alpha))
     if alpha <= 1:
         J0 = 0
@@ -123,7 +120,8 @@ def system_moments(kind: str, alpha: float, moments: Optional[int] = None) -> in
     """Vanishing moments N of the wavelet system ``kind`` at smoothness alpha.
 
     Haar has N = 1 and takes no other value.  The interval system takes the
-    given N, an integer >= max(1, alpha), by default max(1, ceil(alpha)).
+    given N, by default max(1, ceil(alpha)): an integer >= alpha, at most the
+    MAX_MOMENTS that :func:`~waveshrink.interval.daubechies_filter` supports.
     """
     _check_alpha(alpha)
     if kind not in SYSTEM_KINDS:
@@ -134,10 +132,10 @@ def system_moments(kind: str, alpha: float, moments: Optional[int] = None) -> in
                 f"the Haar system has 1 vanishing moment, got moments={moments!r}")
         return 1
     if moments is None:
-        return max(1, math.ceil(alpha))
-    if not isinstance(moments, (int, np.integer)) or moments < 1:
-        raise ValueError(
-            f"interval system needs an integer moments >= 1, got {moments!r}")
+        moments = max(1, math.ceil(alpha))
+    if not (isinstance(moments, (int, np.integer)) and 1 <= moments <= MAX_MOMENTS):
+        raise ValueError(f"interval system needs an integer moments in "
+                         f"[1, {MAX_MOMENTS}], got {moments!r}")
     if moments < alpha:
         raise ValueError("need moments >= alpha for the interval system")
     return int(moments)
@@ -150,7 +148,7 @@ def coarse_level_for(n: int, alpha: float, moments: int) -> int:
     pushed above J1 leaves the estimator well defined but outside the
     deviation-bound range."""
     coarse = max(compute_levels(n, alpha).coarse, min_coarse_level(moments))
-    if coarse >= int(math.log2(n)):
+    if coarse >= finest_level(n):
         raise ValueError(
             f"n={n} too small for a system with {moments} vanishing moments")
     return coarse

@@ -13,8 +13,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-SIGNAL_KINDS = ("constant", "linear", "cusp", "oddcusp", "sine", "ripple",
-                "weierstrass")
+# each signal kind and the largest alpha its certificate covers
+_CERTIFIED_ALPHA = {"constant": math.inf, "linear": 2, "cusp": 1, "oddcusp": 1,
+                    "sine": 2, "ripple": 2, "weierstrass": 1}
+SIGNAL_KINDS = tuple(_CERTIFIED_ALPHA)
 
 _RIPPLE_CYCLES = 64
 
@@ -64,23 +66,27 @@ def _weierstrass_evaluator(alpha: float, M: float):
     return evaluate
 
 
-def make_signal(kind: str, alpha: float, M: float) -> HolderSignal:
-    """Build a certified Hölder-class signal of the given kind."""
+def _check_class(alpha: float, M: float) -> None:
+    """The one check of a Hölder class (alpha, M)."""
     if not (math.isfinite(alpha) and alpha > 0 and math.isfinite(M) and M > 0):
         raise ValueError(f"need finite alpha > 0 and M > 0, got alpha={alpha}, M={M}")
+
+
+def make_signal(kind: str, alpha: float, M: float) -> HolderSignal:
+    """Build a certified Hölder-class signal of the given kind."""
+    _check_class(alpha, M)
+    if kind not in SIGNAL_KINDS:
+        raise ValueError(f"unknown signal kind {kind!r}; choose from {SIGNAL_KINDS}")
+    if alpha > _CERTIFIED_ALPHA[kind]:
+        raise ValueError(f"{kind} signal is certified only for "
+                         f"alpha <= {_CERTIFIED_ALPHA[kind]}")
     if kind == "constant":
         evaluate = lambda t: np.full_like(np.asarray(t, dtype=float), M)
     elif kind == "linear":
-        if alpha > 2:
-            raise ValueError("linear signal is certified only for alpha <= 2")
         evaluate = lambda t: M * np.asarray(t, dtype=float)
     elif kind == "cusp":
-        if alpha > 1:
-            raise ValueError("cusp signal is certified only for alpha <= 1")
         evaluate = lambda t: M * np.abs(np.asarray(t, dtype=float) - 0.5) ** alpha
     elif kind == "oddcusp":
-        if alpha > 1:
-            raise ValueError("oddcusp signal is certified only for alpha <= 1")
         # antisymmetric cusp M * 2^(alpha-1) * sign(t-1/2) |t-1/2|^alpha.
         # Same-side pairs: |f(u)-f(v)| <= M 2^(alpha-1) |u-v|^alpha <= M|u-v|^alpha.
         # Opposite-side pairs with a = |u-1/2|, b = |v-1/2|, a + b = |u-v|:
@@ -93,8 +99,6 @@ def make_signal(kind: str, alpha: float, M: float) -> HolderSignal:
             u = np.asarray(t, dtype=float) - 0.5
             return amp * np.sign(u) * np.abs(u) ** alpha
     elif kind == "ripple":
-        if alpha > 2:
-            raise ValueError("ripple signal is certified only for alpha <= 2")
         # high-frequency low-amplitude sinusoid A sin(2 pi q t).  With
         # A = M/(2 pi q) the Lipschitz constant is M, so for alpha <= 1 the
         # increments obey M|dt| <= M|dt|^alpha on [0,1]; one more derivative
@@ -103,18 +107,12 @@ def make_signal(kind: str, alpha: float, M: float) -> HolderSignal:
         amp = M / (2 * math.pi * q) if alpha <= 1 else M / (2 * math.pi * q) ** 2
         evaluate = lambda t: amp * np.sin(2 * math.pi * q * np.asarray(t, dtype=float))
     elif kind == "sine":
-        if alpha > 2:
-            raise ValueError("sine signal is certified only for alpha <= 2")
         # |sin'| <= 1 gives increments 2*pi*A*|dt|; one more derivative for
         # the alpha > 1 certificate
         amp = M / (2 * math.pi) if alpha <= 1 else M / (2 * math.pi) ** 2
         evaluate = lambda t: amp * np.sin(2 * math.pi * np.asarray(t, dtype=float))
-    elif kind == "weierstrass":
-        if alpha > 1:
-            raise ValueError("weierstrass signal is certified only for alpha <= 1")
+    else:  # weierstrass
         evaluate = _weierstrass_evaluator(alpha, M)
-    else:
-        raise ValueError(f"unknown signal kind {kind!r}; choose from {SIGNAL_KINDS}")
     return HolderSignal(kind=kind, alpha=alpha, holder_const=M, evaluate=evaluate)
 
 
@@ -135,8 +133,7 @@ def check_holder(samples, alpha: float, M: float) -> HolderCheck:
     n = len(y)
     if n < 2:
         raise ValueError("need at least two samples")
-    if not (math.isfinite(alpha) and alpha > 0 and math.isfinite(M) and M > 0):
-        raise ValueError(f"need finite alpha > 0 and M > 0, got alpha={alpha}, M={M}")
+    _check_class(alpha, M)
 
     if alpha > 1:
         quot = (y[1:] - y[:-1]) * n

@@ -5,11 +5,11 @@ piecewise-constant sample extension with the basis functions).  The discrete
 orthonormal transform differs by a factor of sqrt(n); the ``scaled`` flag on
 the pyramid records which convention the stored entries use.
 
-:func:`haar_analyze` and :func:`haar_synthesize` apply the orthonormal
-transform along the last axis of a batch, in the flat layout the interval
-system uses; :class:`HaarSystem` holds them behind the interface of
-:class:`~waveshrink.interval.IntervalSystem`, and :func:`haar_dwt` and
-:func:`haar_idwt` wrap them for one vector and the pyramid.
+:class:`HaarSystem` applies the orthonormal transform along the last axis of
+a batch, in the flat layout and behind the interface of
+:class:`~waveshrink.interval.IntervalSystem`; :func:`haar_dwt` and
+:func:`haar_idwt` wrap it for one vector and the pyramid.  Every sample count
+is checked by :func:`finest_level`.
 """
 from __future__ import annotations
 
@@ -21,16 +21,27 @@ import numpy as np
 _SQRT2 = np.sqrt(2.0)
 
 
+class GeometryError(ValueError):
+    """Raised when a sample count or a level geometry cannot be supported."""
+
+
 def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def finest_level(n: int) -> int:
+    """J with n = 2**J: the one check of a sample count, an integer power of
+    two >= 2."""
+    if not (isinstance(n, (int, np.integer)) and n >= 2 and is_power_of_two(n)):
+        raise GeometryError(f"sample count must be a power of two >= 2, got {n!r}")
+    return int(n).bit_length() - 1
 
 
 def _as_samples(values) -> np.ndarray:
     y = np.asarray(values, dtype=float)
     if y.ndim != 1:
         raise ValueError(f"expected a 1-d sample vector, got shape {y.shape}")
-    if len(y) < 2 or not is_power_of_two(len(y)):
-        raise ValueError(f"sample count must be a power of two >= 2, got {len(y)}")
+    finest_level(len(y))
     if not np.all(np.isfinite(y)):
         raise ValueError("samples must be finite")
     return y
@@ -109,9 +120,8 @@ class CoefficientPyramid:
         ``coeffs``; the small approximation block is copied, so a pyramid
         whose details were replaced (:meth:`map_details`) no longer holds the
         whole vector."""
-        levels = len(coeffs).bit_length() - 1
         details = tuple(coeffs[2 ** j : 2 ** (j + 1)]
-                        for j in range(coarse_level, levels))
+                        for j in range(coarse_level, finest_level(len(coeffs))))
         return cls(coarse_level, coeffs[: 2 ** coarse_level].copy(), details)
 
     def map_details(self, fn) -> "CoefficientPyramid":
@@ -124,53 +134,6 @@ def _last_axis(values, n: int) -> np.ndarray:
     if x.shape[-1:] != (n,):
         raise ValueError(f"expected length {n} along the last axis, got shape {x.shape}")
     return x
-
-
-def _check_levels(n: int, coarse_level: int) -> int:
-    if n < 2 or not is_power_of_two(n):
-        raise ValueError(f"sample count must be a power of two >= 2, got {n}")
-    levels = n.bit_length() - 1
-    if not 0 <= coarse_level <= levels:
-        raise ValueError(f"coarse_level must be in [0, {levels}], got {coarse_level}")
-    return levels
-
-
-def haar_analyze(samples: np.ndarray, coarse_level: int) -> np.ndarray:
-    """Orthonormal Haar transform along the last axis: (..., n) -> (..., n).
-
-    The output holds the sqrt(n)-scaled coefficients in the flat layout of
-    :meth:`IntervalSystem.analyze`: the 2**coarse_level approximation
-    coefficients, then detail levels coarse to fine (level j at [2**j, 2**(j+1))).
-    Every row is computed by the same elementwise operations as a 1-d call,
-    so a batched row is bit-equal to that row transformed alone.
-    """
-    samples = np.asarray(samples, dtype=float)
-    levels = _check_levels(samples.shape[-1], coarse_level)
-    out = np.empty(samples.shape)
-    s = samples
-    for j in range(levels - 1, coarse_level - 1, -1):
-        even, odd = s[..., 0::2], s[..., 1::2]
-        detail = out[..., 2 ** j : 2 ** (j + 1)]
-        np.subtract(even, odd, out=detail)
-        detail /= _SQRT2
-        s = even + odd
-        s /= _SQRT2
-    out[..., : 2 ** coarse_level] = s
-    return out
-
-
-def haar_synthesize(coeffs: np.ndarray, coarse_level: int) -> np.ndarray:
-    """Inverse of :func:`haar_analyze` along the last axis."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    levels = _check_levels(coeffs.shape[-1], coarse_level)
-    s = coeffs[..., : 2 ** coarse_level].copy()
-    for j in range(coarse_level, levels):
-        d = coeffs[..., 2 ** j : 2 ** (j + 1)]
-        out = np.empty(coeffs.shape[:-1] + (2 ** (j + 1),))
-        out[..., 0::2] = (s + d) / _SQRT2
-        out[..., 1::2] = (s - d) / _SQRT2
-        s = out
-    return s
 
 
 @dataclass(frozen=True)
@@ -187,31 +150,57 @@ class HaarSystem:
     c_phi_estimate: ClassVar[float] = 1.0
 
     def __post_init__(self):
-        _check_levels(self.n, self.coarse_level)
+        J = finest_level(self.n)
+        if not 0 <= self.coarse_level <= J:
+            raise ValueError(f"coarse_level must be in [0, {J}], got {self.coarse_level}")
 
     @property
     def finest_level(self) -> int:
-        return self.n.bit_length() - 1
+        return finest_level(self.n)
 
     def analyze(self, samples) -> np.ndarray:
-        return haar_analyze(_last_axis(samples, self.n), self.coarse_level)
+        """The orthonormal transform along the last axis, (..., n) -> (..., n):
+        sqrt(n)-scaled coefficients, the approximation block first, then the
+        detail levels coarse to fine (level j at [2**j, 2**(j+1))).  A batched
+        row is bit-equal to that row transformed alone."""
+        s = _last_axis(samples, self.n)
+        out = np.empty(s.shape)
+        for j in range(self.finest_level - 1, self.coarse_level - 1, -1):
+            even, odd = s[..., 0::2], s[..., 1::2]
+            detail = out[..., 2 ** j : 2 ** (j + 1)]
+            np.subtract(even, odd, out=detail)
+            detail /= _SQRT2
+            s = even + odd
+            s /= _SQRT2
+        out[..., : 2 ** self.coarse_level] = s
+        return out
 
     def synthesize(self, coeffs) -> np.ndarray:
-        return haar_synthesize(_last_axis(coeffs, self.n), self.coarse_level)
+        """Inverse of :meth:`analyze` along the last axis."""
+        c = _last_axis(coeffs, self.n)
+        s = c[..., : 2 ** self.coarse_level].copy()
+        for j in range(self.coarse_level, self.finest_level):
+            d = c[..., 2 ** j : 2 ** (j + 1)]
+            out = np.empty(c.shape[:-1] + (2 ** (j + 1),))
+            out[..., 0::2] = (s + d) / _SQRT2
+            out[..., 1::2] = (s - d) / _SQRT2
+            s = out
+        return s
 
 
 def haar_dwt(values, coarse_level: int) -> CoefficientPyramid:
     """Haar wavelet coefficients of the piecewise-constant sample extension,
-    in the integral convention: :func:`haar_analyze` divided by sqrt(n)."""
+    in the integral convention: :meth:`HaarSystem.analyze` over sqrt(n)."""
     y = _as_samples(values)
-    coeffs = haar_analyze(y, coarse_level)
+    coeffs = HaarSystem(len(y), coarse_level).analyze(y)
     coeffs *= 1.0 / np.sqrt(len(y))
     return CoefficientPyramid.from_flat(coeffs, coarse_level)
 
 
 def haar_idwt(pyramid: CoefficientPyramid) -> np.ndarray:
     """Exact inverse of :func:`haar_dwt`."""
-    return haar_synthesize(pyramid.scaled_flat(), pyramid.coarse_level)
+    system = HaarSystem(pyramid.n, pyramid.coarse_level)
+    return system.synthesize(pyramid.scaled_flat())
 
 
 def haar_coeff_closed_form(values, j: int, k: int, kind: str = "detail") -> float:
@@ -221,7 +210,7 @@ def haar_coeff_closed_form(values, j: int, k: int, kind: str = "detail") -> floa
     :func:`haar_dwt`.
     """
     y = _as_samples(values)
-    levels = int(np.log2(len(y)))
+    levels = finest_level(len(y))
     if not 0 <= j <= levels:
         raise IndexError(f"level {j} out of range [0, {levels}]")
     if not 0 <= k < 2 ** j:

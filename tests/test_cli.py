@@ -205,6 +205,22 @@ class TestSimulate:
         assert message in capsys.readouterr().err
         assert not rep.exists() and not summ.exists()
 
+    @pytest.mark.parametrize("override, message", [
+        ({"master_seed": 1.5}, "master_seed must be a non-negative integer"),
+        ({"master_seed": -3}, "master_seed must be a non-negative integer"),
+        ({"noise_family": "gaussian"}, "unknown noise family"),
+        ({"system": "interval", "moments": 6},
+         "interval system needs an integer moments in [1, 5]"),
+    ], ids=["seed-not-integer", "seed-negative", "family", "moments-too-many"])
+    def test_run_time_rules_checked_at_load(self, tmp_path, capsys, override,
+                                            message):
+        plan = self.plan(tmp_path, **override)
+        rep, summ = tmp_path / "r.jsonl", tmp_path / "s.csv"
+        assert main(["simulate", str(plan), str(rep), str(summ)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad plan:") and message in err
+        assert not rep.exists() and not summ.exists()
+
     def test_malformed_plan(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

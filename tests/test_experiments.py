@@ -20,6 +20,8 @@ from waveshrink.experiments import (
     write_reports,
     write_summaries,
 )
+from waveshrink.noise import NoiseSpec, in_event_A, sample_noise
+from waveshrink.transform import HaarSystem
 
 
 def tiny_plan(**overrides):
@@ -152,6 +154,30 @@ class TestStatistics:
     def test_event_probability_rejects_bad_trials(self, trials):
         with pytest.raises(ValueError, match="trials must be an integer >= 1"):
             estimate_event_probability("uniform", 1.0, 256, trials)
+
+    @pytest.mark.parametrize("successes, trials", [(-1, 3), (5, 3), (1.5, 3),
+                                                   (1, 3.0), (0, 0)])
+    def test_wilson_needs_integer_counts_in_range(self, successes, trials):
+        with pytest.raises(ValueError):
+            wilson_interval(successes, trials)
+
+    @pytest.mark.parametrize("b", [0.0, 1.0])
+    def test_event_probability_checks_family_and_system_first(self, b):
+        with pytest.raises(ValueError, match="unknown noise family"):
+            estimate_event_probability("gauss", b, 256, 3)
+        with pytest.raises(ValueError, match="unknown wavelet system"):
+            estimate_event_probability("uniform", b, 256, 3, system="daub")
+        with pytest.raises(ValueError, match="does not match"):
+            estimate_event_probability("uniform", b, 256, 3,
+                                       system=HaarSystem(16, 0))
+
+    def test_event_probability_seeds(self):
+        # trial t draws from SeedSequence(master_seed, spawn_key=(0, t))
+        hits = sum(in_event_A(sample_noise(NoiseSpec(
+            "mixture", 1.0, np.random.SeedSequence(4, spawn_key=(0, t))), 16),
+            1.0).member for t in range(30))
+        p, ci = estimate_event_probability("mixture", 1.0, 16, 30, master_seed=4)
+        assert p == hits / 30 and ci == wilson_interval(hits, 30)
 
 
 class TestSummaries:
