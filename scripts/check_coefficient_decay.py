@@ -14,11 +14,11 @@ from waveshrink.signals import make_signal, sample_grid
 
 
 def detail_maxima(system, f) -> dict:
-    """max |d_{j,k}| of each detail level j of f, in the integral convention
-    (analyze(f) / sqrt(n); level j at [2^j, 2^(j+1)))."""
+    """max |d_{j,k}| of each detail level j of f, in the integral convention:
+    the orthonormal maximum (level j at [2^j, 2^(j+1)) of analyze(f)) over
+    sqrt(n)."""
     coeffs = system.analyze(f)
-    coeffs *= 1.0 / np.sqrt(system.n)
-    return {j: float(np.max(np.abs(coeffs[2 ** j : 2 ** (j + 1)])))
+    return {j: float(np.max(np.abs(coeffs[2 ** j : 2 ** (j + 1)]))) / math.sqrt(system.n)
             for j in range(system.coarse_level, system.finest_level)}
 
 

@@ -133,14 +133,13 @@ def cmd_rates(args: argparse.Namespace) -> int:
         rows = np.atleast_1d(rows)
         for delta in sorted(set(rows["delta"])):
             sel = rows[rows["delta"] == delta]
-            ns = [int(v) for v in sel["n"]]
-            meds = list(sel["q50_max"])
-            if len(ns) < 4:
-                print(f"warning: {path}: need >= 4 sample counts per delta, "
-                      f"got {len(ns)}", file=sys.stderr)
+            try:
+                fit = fit_rate([int(v) for v in sel["n"]], list(sel["q50_max"]),
+                               args.alpha)
+            except ValueError as exc:
+                print(f"warning: {path}: delta {delta:g}: {exc}", file=sys.stderr)
                 status = 1
                 continue
-            fit = fit_rate(ns, meds, args.alpha)
             print(f"{os.path.basename(path):<32} {delta:>8.3g} "
                   f"{fit.exponent:>10.4f} {fit.target:>8.4f} "
                   f"{fit.residual:>10.4f}")
@@ -164,8 +163,7 @@ def _verify_systems(rng: np.random.Generator) -> list[str]:
         if np.max(np.abs(system.synthesize(coeffs) - y)) > _ROUNDTRIP_TOL[kind]:
             problems.append(f"roundtrip failed ({where})")
         if kind == "haar":
-            # in the integral convention, analyze(y) / sqrt(n)
-            if abs(np.sum((coeffs / np.sqrt(n)) ** 2) - np.mean(y ** 2)) > 1e-10:
+            if abs(np.sum(coeffs ** 2) - np.sum(y ** 2)) > 1e-10 * n:
                 problems.append(f"Parseval failed ({where})")
         else:
             # row i is W e_i, so this is the transpose of W
@@ -174,11 +172,11 @@ def _verify_systems(rng: np.random.Generator) -> list[str]:
                 problems.append(f"orthogonality failed ({where})")
     y = rng.standard_normal(256)
     system = wavelet_system("haar", 256, 1.0)
-    coeffs = system.analyze(y) / np.sqrt(256)
+    coeffs = system.analyze(y)
     for j in range(system.coarse_level, system.finest_level):
         for k in range(2 ** j):
-            if abs(coeffs[2 ** j + k] - haar_coeff_closed_form(y, j, k, "detail")) \
-                    > 1e-10:
+            oracle = haar_coeff_closed_form(y, j, k, "detail")  # integral convention
+            if abs(coeffs[2 ** j + k] / 16 - oracle) > 1e-10:  # 16 = sqrt(n)
                 problems.append(f"haar oracle mismatch at (j={j}, k={k})")
     return problems
 

@@ -5,8 +5,8 @@ Every trial is a pure function of (plan, cell index, trial index); seeds are
 derived with a splittable scheme so results are bit-for-bit reproducible
 regardless of execution order or worker count.
 
-Trials run a cell at a time (:func:`run_cell`): the signal, the config, the
-wavelet system and the signal's coefficients are made once per chunk, and the
+Trials run a chunk of a cell at a time (:func:`run_cell`): the signal, the
+config and the signal's coefficients are made once per chunk, and the
 chunk's trials go through the transform, thresholding, error and exceedance
 computations as one (trials, n) batch.  A chunk holds at most
 ``_CHUNK_ELEMENTS`` values per batched array, a fixed constant, so the split
@@ -29,7 +29,7 @@ import json
 import math
 import os
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -52,7 +52,7 @@ from .shrinkage import (
     wavelet_systems,
 )
 from .signals import make_signal
-from .transform import haar_dwt, haar_idwt
+from .transform import haar_dwt, haar_idwt, is_integer
 
 # Trials run batched through the system objects, so the pyramid functions
 # haar_dwt, haar_idwt, interval_dwt, interval_idwt, apply_threshold and
@@ -63,6 +63,8 @@ from .transform import haar_dwt, haar_idwt
 # Batching amortizes per-call overhead; the cap keeps peak memory near that of
 # one trial at a time.
 _CHUNK_ELEMENTS = 2 ** 15
+# Percentile of max_sq_err / rate at the smallest n that sets the envelope.
+_ENVELOPE_QUANTILE = 99.9
 
 
 @dataclass(frozen=True)
@@ -84,18 +86,22 @@ class ExperimentPlan:
     threshold_bound: Optional[float] = None  # b used for lambda when noise_bound=0
 
     def __post_init__(self):
-        if not isinstance(self.trials, (int, np.integer)) or self.trials < 0:
+        ns, deltas = tuple(self.ns), tuple(self.deltas)
+        # JSON true and false load as bools, which pass as the numbers 1 and 0
+        for f in fields(self):
+            value = getattr(self, f.name)
+            items = {"ns": ns, "deltas": deltas}.get(f.name, (value,))
+            if any(isinstance(v, (bool, np.bool_)) for v in items):
+                raise ValueError(f"{f.name}: a boolean is not a number, got {value!r}")
+        if not is_integer(self.trials) or self.trials < 0:
             raise ValueError(f"trials must be an integer >= 0, got {self.trials!r}")
         moments = system_moments(self.system, self.alpha, self.moments)
         threshold_rule(self.mode)
         check_family(self.noise_family)
-        try:  # the run's own seed rule; None would draw fresh entropy
-            if self.master_seed is None:
-                raise TypeError
-            _trial_seed(self.master_seed, 0, 0)
-        except (TypeError, ValueError):
+        # the seed rule of SeedSequence; None would draw fresh entropy
+        if not (is_integer(self.master_seed) and self.master_seed >= 0):
             raise ValueError(f"master_seed must be a non-negative integer, "
-                             f"got {self.master_seed!r}") from None
+                             f"got {self.master_seed!r}")
         if not (math.isfinite(self.noise_bound) and self.noise_bound >= 0):
             raise ValueError(
                 f"noise bound must be finite and >= 0, got {self.noise_bound}")
@@ -105,7 +111,6 @@ class ExperimentPlan:
                 math.isfinite(self.threshold_bound) and self.threshold_bound > 0):
             raise ValueError(
                 f"threshold_bound must be finite and > 0, got {self.threshold_bound}")
-        ns, deltas = tuple(self.ns), tuple(self.deltas)
         if not ns:
             raise ValueError("ns must name at least one sample count")
         for n in ns:
@@ -119,8 +124,12 @@ class ExperimentPlan:
         if not all(math.isfinite(d) and d >= 0 for d in deltas):
             raise ValueError(f"deltas must be finite and >= 0, got {list(deltas)}")
         make_signal(self.signal_kind, self.alpha, self.holder_const)
-        object.__setattr__(self, "ns", tuple(int(n) for n in ns))
-        object.__setattr__(self, "deltas", tuple(float(d) for d in deltas))
+        ns, deltas = tuple(int(n) for n in ns), tuple(float(d) for d in deltas)
+        for name, values in (("ns", ns), ("deltas", deltas)):
+            if len(set(values)) < len(values):  # each cell would run twice
+                raise ValueError(f"{name} must not repeat a value, got {list(values)}")
+        object.__setattr__(self, "ns", ns)
+        object.__setattr__(self, "deltas", deltas)
 
     def below_range(self, n: int) -> bool:
         """True when n is below the deviation bounds' minimal sample count.
@@ -203,7 +212,7 @@ def run_cell(plan: ExperimentPlan, cell: int, n: int, delta: float,
         system=plan.system, moments=system.moments,
         system_const=system.c_phi_estimate,
     )
-    lam, lo = cfg.threshold, 2 ** cfg.coarse_level
+    lam, lo = cfg.orthonormal_threshold, 2 ** cfg.coarse_level
 
     seeds = [_trial_seed(plan.master_seed, cell, t) for t in trials]
     noise = np.zeros((len(seeds), n))
@@ -218,12 +227,9 @@ def run_cell(plan: ExperimentPlan, cell: int, n: int, delta: float,
     else:
         members = [True] * len(seeds)  # zero noise is trivially inside A
 
-    # Coefficients in the integral convention, as the pyramid functions return
-    # them.  Arrays are reused in place where the values are no longer needed,
-    # which keeps the number of live (trials, n) arrays small.
-    to_integral = 1.0 / np.sqrt(n)
+    # Arrays are reused in place where the values are no longer needed, which
+    # keeps the number of live (trials, n) arrays small.
     over = system.analyze(noise)
-    over *= to_integral
     over = np.abs(over, out=over) > lam
     levels = range(cfg.coarse_level, system.finest_level)
     by_level = np.empty((len(seeds), len(levels)), dtype=int)
@@ -232,15 +238,13 @@ def run_cell(plan: ExperimentPlan, cell: int, n: int, delta: float,
     by_level[:, 0] += np.count_nonzero(over[:, :lo], axis=-1)
     exceed = by_level.sum(axis=-1)
 
-    signal_c = system.analyze(f) * to_integral
+    signal_c = system.analyze(f)
     # noise is not needed again
     shrunk = system.analyze(np.add(noise, f, out=noise))
-    shrunk *= to_integral
     shrunk[:, lo:] = threshold_rule(cfg.mode)(shrunk[:, lo:], lam)
     _assert_detail_contraction(shrunk, signal_c, lam, cfg.coarse_level,
                                exceed, cfg.mode)
 
-    shrunk *= np.sqrt(n)
     sq = system.synthesize(shrunk)
     sq -= f
     np.square(sq, out=sq)
@@ -268,17 +272,19 @@ def _assert_detail_contraction(shrunk: np.ndarray, signal: np.ndarray, lam: floa
     min(|d_f|, 2 lambda).
 
     ``shrunk`` holds the thresholded coefficients of a batch (trials, n) and
-    ``signal`` those of the noise-free signal (n,), both flat and in the
-    integral convention.  Trials with ``exceed`` > 0 and hard thresholding are
-    not checked.
+    ``signal`` those of the noise-free signal (n,), both flat and orthonormal,
+    and ``lam`` is their threshold, lambda * sqrt(n).  The slack is 1e-12 in
+    the integral convention, so 1e-12 * sqrt(n) here.  Trials with
+    ``exceed`` > 0 and hard thresholding are not checked.
     """
     if mode != "soft":
         return
     lo = 2 ** coarse_level
+    tol = 1e-12 * math.sqrt(shrunk.shape[-1])
     d_f = np.abs(signal[lo:])
     diff = np.subtract(shrunk[:, lo:], signal[lo:])
     np.abs(diff, out=diff)
-    bad = (diff > d_f + 1e-12) | (diff > 2 * lam + 1e-12)
+    bad = (diff > d_f + tol) | (diff > 2 * lam + tol)
     bad &= (np.asarray(exceed) == 0)[:, None]
     if np.any(bad):
         row, i = np.argwhere(bad)[0]
@@ -344,7 +350,7 @@ def wilson_interval(successes: int, trials: int,
     The bounds always contain the point estimate: rounding alone would put
     the upper bound one step below it at successes == trials.
     """
-    if not (all(isinstance(v, (int, np.integer)) for v in (successes, trials))
+    if not (is_integer(successes) and is_integer(trials)
             and 0 <= successes <= trials and trials >= 1):
         raise ValueError(f"need integers 0 <= successes <= trials with trials >= 1, "
                          f"got successes={successes!r}, trials={trials!r}")
@@ -359,7 +365,7 @@ def estimate_event_probability(noise_family: str, b: float, n: int, trials: int,
                                master_seed: int = 0,
                                system="haar") -> tuple[float, tuple[float, float]]:
     """Empirical P(A) with a Wilson 99% confidence interval."""
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
+    if not is_integer(trials) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     if n not in _EVENT_A_SIZES:
         raise ValueError(f"event-A geometry supports n in {_EVENT_A_SIZES}")
@@ -376,10 +382,11 @@ def estimate_event_probability(noise_family: str, b: float, n: int, trials: int,
 
 def fit_rate(ns: Sequence[int], medians: Sequence[float], alpha: float) -> RateFit:
     """Least-squares slope of log(median error) vs log(log2(n)/n)."""
-    if len(ns) < 4 or len(ns) != len(medians):
-        raise ValueError("need matching values for at least 4 distinct n")
-    x = np.log([math.log2(n) / n for n in ns])
-    y = np.log(np.asarray(medians, dtype=float))
+    y = np.asarray(medians, dtype=float)
+    if len(set(ns)) < 4 or len(ns) != len(y) or not np.all(np.isfinite(y) & (y > 0)):
+        raise ValueError(f"need finite medians > 0 at 4 or more distinct n, "
+                         f"got n={list(ns)} and medians={y.tolist()}")
+    x, y = np.log([math.log2(n) / n for n in ns]), np.log(y)
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
     return RateFit(exponent=float(slope), intercept=float(intercept),
@@ -402,8 +409,7 @@ def threshold_exceedance_census(reports: Iterable[TrialReport]) -> dict:
             "trials_with_any": trials_with_any, "by_level": by_level}
 
 
-def summarize(plan: ExperimentPlan, reports: Sequence[TrialReport],
-              envelope_quantile: float = 99.9) -> list[CellSummary]:
+def summarize(plan: ExperimentPlan, reports: Sequence[TrialReport]) -> list[CellSummary]:
     """Per-cell summaries; the error envelope constant is calibrated at the
     smallest n (per delta) and applied as c * (log2 n / n)^(2a/(1+2a))."""
     target = 2 * plan.alpha / (1 + 2 * plan.alpha)
@@ -415,7 +421,7 @@ def summarize(plan: ExperimentPlan, reports: Sequence[TrialReport],
         n0 = min(plan.ns)
         base = cells[n0]
         envelope = float(np.percentile(
-            [r.max_sq_err / rate(n0) for r in base], envelope_quantile)) \
+            [r.max_sq_err / rate(n0) for r in base], _ENVELOPE_QUANTILE)) \
             if base else math.inf
         for n in plan.ns:
             rs = cells[n]

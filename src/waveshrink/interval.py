@@ -726,4 +726,4 @@ def interval_dwt(samples, system: IntervalSystem) -> CoefficientPyramid:
 def interval_idwt(pyramid: CoefficientPyramid, system: IntervalSystem) -> np.ndarray:
     if pyramid.n != system.n or pyramid.coarse_level != system.coarse_level:
         raise ValueError("pyramid geometry does not match the system")
-    return system.synthesize(pyramid.scaled_flat())
+    return system.synthesize(pyramid.with_scaling(True).flat())

@@ -215,7 +215,8 @@ def hoeffding_bound(m: int, t: float, lo: float, hi: float) -> float:
 
 
 def noise_coeff_bound_check(noise, b: float, system: System = "haar") -> bool:
-    """All noise wavelet coefficients within b * C_phi * sqrt(log2(n)/n).
+    """All noise wavelet coefficients within b * C_phi * sqrt(J), n = 2**J
+    (b * C_phi * sqrt(log2(n)/n) in the integral convention).
 
     ``system`` is a wavelet system, or "haar" for the Haar system at coarse
     level 0 (pass ``HaarSystem(n, j0)`` for another).  Membership in the
@@ -228,9 +229,6 @@ def noise_coeff_bound_check(noise, b: float, system: System = "haar") -> bool:
     """
     e = _as_samples(noise)
     check_noise_range(b)
-    n = len(e)
-    system = _system_at(system, n)
-    coeffs = system.analyze(e)
-    coeffs *= 1.0 / np.sqrt(n)  # the integral convention
-    bound = b * system.c_phi_estimate * math.sqrt(math.log2(n) / n)
-    return bool(np.max(np.abs(coeffs)) <= bound)
+    system = _system_at(system, len(e))
+    bound = b * system.c_phi_estimate * math.sqrt(system.finest_level)
+    return bool(np.max(np.abs(system.analyze(e))) <= bound)

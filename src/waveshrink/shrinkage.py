@@ -17,6 +17,7 @@ from .transform import (
     finest_level,
     haar_dwt,
     haar_idwt,
+    is_integer,
 )
 
 # shrink calls the systems directly; haar_dwt and haar_idwt stay bound here
@@ -104,10 +105,7 @@ def compute_levels(n: int, alpha: float) -> Levels:
     J = finest_level(n)
     _check_alpha(alpha)
     J1 = math.ceil((J - math.log2(J)) / (1.0 + 2.0 * alpha))
-    if alpha <= 1:
-        J0 = 0
-    else:
-        J0 = 1 + math.ceil(math.log2(2 * math.ceil(alpha) - 1))
+    J0 = min_coarse_level(math.ceil(alpha))
     if J0 > J1:
         raise ValueError(
             f"n={n} is too small for alpha={alpha}: coarse level {J0} exceeds "
@@ -127,13 +125,13 @@ def system_moments(kind: str, alpha: float, moments: Optional[int] = None) -> in
     if kind not in SYSTEM_KINDS:
         raise ValueError(f"unknown wavelet system {kind!r}; choose from {SYSTEM_KINDS}")
     if kind == "haar":
-        if moments not in (None, 1):
+        if not (moments is None or is_integer(moments) and moments == 1):
             raise ValueError(
                 f"the Haar system has 1 vanishing moment, got moments={moments!r}")
         return 1
     if moments is None:
         moments = max(1, math.ceil(alpha))
-    if not (isinstance(moments, (int, np.integer)) and 1 <= moments <= MAX_MOMENTS):
+    if not (is_integer(moments) and 1 <= moments <= MAX_MOMENTS):
         raise ValueError(f"interval system needs an integer moments in "
                          f"[1, {MAX_MOMENTS}], got {moments!r}")
     if moments < alpha:
@@ -253,6 +251,11 @@ class ShrinkageConfig:
         return compute_threshold(self.n, self.delta, self.noise_bound,
                                  self.system_const)
 
+    @property
+    def orthonormal_threshold(self) -> float:
+        """lambda * sqrt(n), the threshold of the systems' orthonormal coefficients."""
+        return self.threshold * math.sqrt(self.n)
+
     @classmethod
     def build(cls, n: int, alpha: float, holder_const: float, noise_bound: float,
               delta: float, mode: str = "soft", system: str = "haar",
@@ -273,7 +276,7 @@ class ShrinkageConfig:
 
 def shrink(y, config: ShrinkageConfig, system=None) -> np.ndarray:
     """Denoise samples along the last axis: analyze, threshold the detail
-    coefficients at ``config.threshold``, synthesize.
+    coefficients at ``config.orthonormal_threshold``, synthesize.
 
     ``y`` is one sample vector or a batch (..., n), and each row of a batch
     comes out bit-equal to that row denoised alone.  ``system`` defaults to
@@ -291,10 +294,7 @@ def shrink(y, config: ShrinkageConfig, system=None) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
         raise ValueError("samples must be finite")
-    # the threshold applies to coefficients in the integral convention
     coeffs = system.analyze(y)
-    coeffs *= 1.0 / np.sqrt(config.n)
     details = coeffs[..., 2 ** config.coarse_level :]
-    details[...] = threshold_rule(config.mode)(details, config.threshold)
-    coeffs *= np.sqrt(config.n)
+    details[...] = threshold_rule(config.mode)(details, config.orthonormal_threshold)
     return system.synthesize(coeffs)

@@ -1,15 +1,14 @@
 """Fast Haar analysis/synthesis on [0,1] and the coefficient pyramid.
 
-Coefficients are stored in the integral convention (inner products of the
-piecewise-constant sample extension with the basis functions).  The discrete
-orthonormal transform differs by a factor of sqrt(n); the ``scaled`` flag on
-the pyramid records which convention the stored entries use.
-
-:class:`HaarSystem` applies the orthonormal transform along the last axis of
-a batch, in the flat layout and behind the interface of
-:class:`~waveshrink.interval.IntervalSystem`; :func:`haar_dwt` and
-:func:`haar_idwt` wrap it for one vector and the pyramid.  Every sample count
-is checked by :func:`finest_level`.
+The pipeline's one coefficient convention is the orthonormal transform that
+:meth:`HaarSystem.analyze` and ``IntervalSystem.analyze`` return: the
+approximation block first, then level j at [2**j, 2**(j+1)).  The paper's
+lambda is stated for the integral convention (inner products of the
+piecewise-constant sample extension with the basis functions), which is the
+orthonormal one over sqrt(n), so the pipeline thresholds at lambda * sqrt(n)
+and scales no coefficient array.  Only :class:`CoefficientPyramid` (whose
+``scaled`` flag records the convention), :func:`haar_dwt`/:func:`haar_idwt`
+and :func:`haar_coeff_closed_form` keep the integral convention.
 """
 from __future__ import annotations
 
@@ -29,10 +28,15 @@ def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def is_integer(value) -> bool:
+    """A Python or numpy integer; a bool (JSON true/false) is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def finest_level(n: int) -> int:
     """J with n = 2**J: the one check of a sample count, an integer power of
     two >= 2."""
-    if not (isinstance(n, (int, np.integer)) and n >= 2 and is_power_of_two(n)):
+    if not (is_integer(n) and n >= 2 and is_power_of_two(n)):
         raise GeometryError(f"sample count must be a power of two >= 2, got {n!r}")
     return int(n).bit_length() - 1
 
@@ -104,14 +108,6 @@ class CoefficientPyramid:
         """All coefficients, approx first, details coarse to fine."""
         return np.concatenate([self.approx, *self.details]) if self.details \
             else np.array(self.approx)
-
-    def scaled_flat(self) -> np.ndarray:
-        """A fresh flat copy of the coefficients in the sqrt(n)-scaled
-        convention."""
-        out = np.asarray(self.flat(), dtype=float)
-        if not self.scaled:
-            out *= np.sqrt(self.n)
-        return out
 
     @classmethod
     def from_flat(cls, coeffs: np.ndarray, coarse_level: int) -> "CoefficientPyramid":
@@ -200,7 +196,7 @@ def haar_dwt(values, coarse_level: int) -> CoefficientPyramid:
 def haar_idwt(pyramid: CoefficientPyramid) -> np.ndarray:
     """Exact inverse of :func:`haar_dwt`."""
     system = HaarSystem(pyramid.n, pyramid.coarse_level)
-    return system.synthesize(pyramid.scaled_flat())
+    return system.synthesize(pyramid.with_scaling(True).flat())
 
 
 def haar_coeff_closed_form(values, j: int, k: int, kind: str = "detail") -> float:

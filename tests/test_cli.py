@@ -178,9 +178,22 @@ class TestSimulate:
          "too small for a system with 3 vanishing moments"),
         ({"deltas": []}, "deltas must name"),
         ({"deltas": [1.0, -0.5]}, "deltas must be finite and >= 0"),
+        # JSON true loads as a bool, which Python counts as the integer 1
+        ({"trials": True}, "trials: a boolean is not a number"),
+        ({"master_seed": True}, "master_seed: a boolean is not a number"),
+        ({"system": "interval", "moments": True}, "moments: a boolean is not a number"),
+        ({"noise_bound": True}, "noise_bound: a boolean is not a number"),
+        ({"deltas": [1.0, False]}, "deltas: a boolean is not a number"),
+        # a repeated n or delta would run each of its cells again and pool them
+        ({"ns": [256, 256, 512]}, "ns must not repeat a value, got [256, 256, 512]"),
+        ({"ns": [256, 256.0]}, "ns must not repeat a value"),
+        ({"deltas": [1, 1.0]}, "deltas must not repeat a value, got [1.0, 1.0]"),
     ], ids=["system", "trials", "haar-moments", "mode", "empty-ns",
             "ns-not-power-of-two", "ns-not-whole", "ns-too-small-for-alpha",
-            "ns-too-small-for-moments", "empty-deltas", "negative-delta"])
+            "ns-too-small-for-moments", "empty-deltas", "negative-delta",
+            "trials-bool", "seed-bool", "moments-bool", "noise-bound-bool",
+            "delta-bool", "ns-repeated", "ns-repeated-as-float",
+            "deltas-repeated"])
     def test_bad_plan_values_rejected(self, tmp_path, capsys, override, message):
         plan = self.plan(tmp_path, **override)
         rep, summ = tmp_path / "r.jsonl", tmp_path / "s.csv"
@@ -256,6 +269,21 @@ class TestRatesAndVerify:
                         "p_A_hat,ci_lo,ci_hi\n"
                         "256,1,0.1,0.05,1,nan,nan,nan\n")
         assert main(["rates", str(summ), "--alpha", "1.0"]) == 1
+
+    @pytest.mark.parametrize("rows, message", [
+        (["256,1,0.1", "256,1,0.1", "256,1,0.1", "256,1,0.1"],
+         "4 or more distinct n, got n=[256, 256, 256, 256]"),
+        (["256,1,0.1", "1024,1,0.05", "4096,1,0", "16384,1,0.01"],
+         "need finite medians > 0"),
+        (["256,1,0.1", "1024,1,nan", "4096,1,0.02", "16384,1,0.01"],
+         "need finite medians > 0"),
+    ], ids=["one-n-repeated", "zero-median", "nan-median"])
+    def test_rates_unfittable_file(self, tmp_path, capsys, rows, message):
+        summ = tmp_path / "s.csv"
+        summ.write_text("n,delta,q50_max\n" + "\n".join(rows) + "\n")
+        assert main(["rates", str(summ), "--alpha", "1.0"]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and "s.csv" not in captured.out
 
     def test_verify_passes(self, capsys):
         assert main(["verify"]) == 0

@@ -143,6 +143,17 @@ class TestStatistics:
         with pytest.raises(ValueError):
             fit_rate([256, 512, 1024], [1, 1, 1], 1.0)
 
+    def test_fit_rate_needs_four_distinct_n(self):
+        with pytest.raises(ValueError, match="4 or more distinct n"):
+            fit_rate([256] * 4, [0.1, 0.2, 0.3, 0.4], 1.0)
+        with pytest.raises(ValueError, match="4 or more distinct n"):
+            fit_rate([256, 256, 1024, 4096], [0.1, 0.2, 0.3, 0.4], 1.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf])
+    def test_fit_rate_needs_finite_positive_medians(self, bad):
+        with pytest.raises(ValueError, match="need finite medians > 0"):
+            fit_rate([256, 1024, 4096, 16384], [0.1, bad, 0.02, 0.01], 1.0)
+
     def test_event_probability_wilson(self):
         p, (lo, hi) = estimate_event_probability("uniform", 1.0, 256, 50,
                                                  master_seed=1)
@@ -150,13 +161,14 @@ class TestStatistics:
         with pytest.raises(ValueError):
             estimate_event_probability("uniform", 1.0, 512, 10)
 
-    @pytest.mark.parametrize("trials", [0, -3, 2.0, 2.5, "10"])
+    @pytest.mark.parametrize("trials", [0, -3, 2.0, 2.5, "10", True])
     def test_event_probability_rejects_bad_trials(self, trials):
         with pytest.raises(ValueError, match="trials must be an integer >= 1"):
             estimate_event_probability("uniform", 1.0, 256, trials)
 
     @pytest.mark.parametrize("successes, trials", [(-1, 3), (5, 3), (1.5, 3),
-                                                   (1, 3.0), (0, 0)])
+                                                   (1, 3.0), (0, 0), (True, 3),
+                                                   (1, True)])
     def test_wilson_needs_integer_counts_in_range(self, successes, trials):
         with pytest.raises(ValueError):
             wilson_interval(successes, trials)

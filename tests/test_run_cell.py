@@ -91,6 +91,22 @@ def test_interval_matches_per_trial_oracle(name):
         assert g.mse == pytest.approx(w.mse, rel=1e-12, abs=0)
 
 
+def test_haar_odd_levels_match_per_trial_oracle():
+    """At odd J, sqrt(n) is not a power of two, so thresholding at
+    lambda * sqrt(n) rounds differently from the oracle's pyramid passes by
+    1/sqrt(n) and back.  The errors agree to rounding, everything else
+    exactly."""
+    plan = plan_of(mode="hard", noise_family="mixture", ns=(512, 2048), trials=8)
+    got, want = run_plan(plan, workers=1), oracle_reports(plan)
+    assert len(got) == len(want) == plan.trials * len(plan.cells())
+    for g, w in zip(got, want):
+        assert (g.trial, g.n, g.delta, g.seed, g.in_A, g.exceed_count,
+                g.exceed_by_level) == (w.trial, w.n, w.delta, w.seed, w.in_A,
+                                       w.exceed_count, w.exceed_by_level)
+        assert g.max_sq_err == pytest.approx(w.max_sq_err, rel=1e-12, abs=0)
+        assert g.mse == pytest.approx(w.mse, rel=1e-12, abs=0)
+
+
 @pytest.mark.parametrize("plan", [HAAR_PLANS["partial-chunk"],
                                   HAAR_PLANS["hard"],
                                   INTERVAL_PLANS["partial-chunk"]])
@@ -162,6 +178,19 @@ class TestContractionCheck:
         _assert_detail_contraction(shrunk, signal, lam, coarse, exceed, "soft")
         _assert_detail_contraction(shrunk, signal, lam, coarse,
                                    np.zeros(5, dtype=int), "hard")
+
+    def test_slack_is_1e_12_on_the_integral_scale(self):
+        # orthonormal coefficients at n = 64 are 8 times the integral ones,
+        # so the slack here is 8e-12
+        shrunk, signal, coarse, lam = self.batch()
+        k = 2 ** coarse + int(np.argmax(np.abs(signal[2 ** coarse :])))
+        assert abs(signal[k]) > 2 * lam + 1e-9
+        exceed = np.zeros(len(shrunk), dtype=int)
+        shrunk[0, k] = signal[k] + 2 * lam + 4e-12
+        _assert_detail_contraction(shrunk, signal, lam, coarse, exceed, "soft")
+        shrunk[0, k] = signal[k] + 2 * lam + 16e-12
+        with pytest.raises(RuntimeError):
+            _assert_detail_contraction(shrunk, signal, lam, coarse, exceed, "soft")
 
     def test_approximation_block_is_not_checked(self):
         shrunk, signal, coarse, lam = self.batch()

@@ -123,6 +123,13 @@ class TestLevelsAndMinSamples:
         n = 2 ** 25
         assert compute_levels(n, 2.0).coarse == 1 + math.ceil(math.log2(3))
 
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.01, 2.0, 2.5, 3.0, 4.7])
+    def test_coarse_level_is_the_boundary_construction_rule(self, alpha):
+        written_out = 0 if alpha <= 1 else \
+            1 + math.ceil(math.log2(2 * math.ceil(alpha) - 1))
+        assert compute_levels(2 ** 60, alpha).coarse == written_out \
+            == min_coarse_level(math.ceil(alpha))
+
     def test_too_small_n_raises(self):
         with pytest.raises(ValueError):
             compute_levels(1024, 2.0)
@@ -158,6 +165,17 @@ class TestConfigAndPipeline:
                                        moments=3, system_const=2.0)
         assert pushed.coarse_level == min_coarse_level(3)
         assert pushed.boundary_level == pushed.coarse_level  # J1 = 2 < J0 = 4
+
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_orthonormal_threshold_is_derived(self, n):
+        cfg = ShrinkageConfig.build(n, 1.0, 1.0, 1.0, 1.0)
+        assert cfg.orthonormal_threshold == cfg.threshold * math.sqrt(n)
+        wider = dataclasses.replace(cfg, noise_bound=3.0)
+        assert wider.orthonormal_threshold == wider.threshold * math.sqrt(n)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.orthonormal_threshold = 1.0
+        with pytest.raises(TypeError):
+            dataclasses.replace(cfg, orthonormal_threshold=1.0)
 
     @pytest.mark.parametrize("kind, moments", [("haar", None), ("interval", 2)])
     def test_default_system_const_is_the_resolvers(self, kind, moments):
@@ -197,7 +215,8 @@ def _pipeline(kind, n, moments, mode):
 
 
 class TestShrinkDifferential:
-    """shrink against the pyramid compositions it replaced, bit for bit."""
+    """shrink against the pyramid compositions it replaced: bit for bit at
+    even J, where sqrt(n) is a power of two, and to rounding at odd J."""
 
     @pytest.mark.parametrize("mode", ["soft", "hard"])
     @pytest.mark.parametrize("n", [256, 4096])
@@ -217,6 +236,30 @@ class TestShrinkDifferential:
                 want = interval_idwt(apply_threshold(pyr, cfg.threshold, mode), system)
             assert np.array_equal(got, want)
             assert np.array_equal(shrink(row, cfg, system), want)
+        assert np.array_equal(shrink(y, cfg), batch)  # the resolver's system
+
+    @pytest.mark.parametrize("mode", ["soft", "hard"])
+    @pytest.mark.parametrize("n", [512, 2048])
+    @pytest.mark.parametrize("kind, moments", [("haar", None), ("interval", 1),
+                                               ("interval", 2), ("interval", 3)])
+    def test_odd_levels_match_pyramid_pipeline_closely(self, kind, moments, n, mode):
+        """At odd J, sqrt(n) is not a power of two: thresholding at
+        lambda * sqrt(n) rounds differently from the pyramid's passes by
+        1/sqrt(n) and back, so the outputs agree to rounding, not in bits.
+        Batched rows still equal single rows bit for bit."""
+        system, cfg = _pipeline(kind, n, moments, mode)
+        y = np.random.default_rng(n + (moments or 0)).uniform(-1, 1, (3, n))
+        y += np.sin(7 * np.arange(n) / n)
+        batch = shrink(y, cfg, system)
+        for row, got in zip(y, batch):
+            if kind == "haar":
+                pyr = haar_dwt(row, cfg.coarse_level)
+                want = haar_idwt(apply_threshold(pyr, cfg.threshold, mode))
+            else:
+                pyr = interval_dwt(row, system)
+                want = interval_idwt(apply_threshold(pyr, cfg.threshold, mode), system)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert np.array_equal(shrink(row, cfg, system), got)
         assert np.array_equal(shrink(y, cfg), batch)  # the resolver's system
 
     def test_rejects_non_finite_samples(self):
@@ -271,6 +314,8 @@ class TestWaveletSystem:
         ("interval", 256, 2.5, 2),       # fewer moments than alpha
         ("interval", 256, 1.0, 0),
         ("interval", 16, 1.0, 3),        # no room above the coarse level
+        ("interval", 256, 1.0, True),    # a bool is not a count
+        ("haar", 256, 1.0, True),
     ])
     def test_rejects(self, kind, n, alpha, moments):
         with pytest.raises(ValueError):

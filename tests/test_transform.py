@@ -161,7 +161,7 @@ class TestFlatKernel:
     def test_flat_layout_is_the_scaled_pyramid(self):
         y = np.random.default_rng(1).standard_normal(64)
         flat = HaarSystem(64, 2).analyze(y)
-        assert np.array_equal(flat, haar_dwt(y, 2).scaled_flat())
+        assert np.array_equal(flat, haar_dwt(y, 2).with_scaling(True).flat())
         assert np.allclose(HaarSystem(64, 2).synthesize(flat), y, atol=1e-13)
 
     @pytest.mark.parametrize("lead", [(), (1,), (3,), (40,), (2, 5)])
