@@ -28,6 +28,7 @@ from .experiments import (
 from .shrinkage import (
     SYSTEM_KINDS,
     ShrinkageConfig,
+    _check_alpha,
     hard_threshold,
     min_samples,
     shrink,
@@ -122,6 +123,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_rates(args: argparse.Namespace) -> int:
+    _check_alpha(args.alpha)  # a usage error before any file is read
     print(f"{'file':<32} {'delta':>8} {'exponent':>10} {'target':>8} "
           f"{'residual':>10}")
     status = 0

@@ -5,21 +5,23 @@ Every trial is a pure function of (plan, cell index, trial index); seeds are
 derived with a splittable scheme so results are bit-for-bit reproducible
 regardless of execution order or worker count.
 
-Trials run a chunk of a cell at a time (:func:`run_cell`): the signal, the
-config and the signal's coefficients are made once per chunk, and the
-chunk's trials go through the transform, thresholding, error and exceedance
-computations as one (trials, n) batch.  A chunk holds at most
-``_CHUNK_ELEMENTS`` values per batched array, a fixed constant, so the split
-depends on n alone.  Each row of a batch goes through the same floating-point
-operations as the trial would alone, so the output bytes depend neither on
-the chunking nor on the worker count.
+:func:`run_plan` runs each cell as tasks, each a share of the cell's trials:
+one task per cell with one worker, and with a pool about one share per worker,
+never smaller than one batch.  A task is one :func:`run_cell` call, which
+makes the signal, the config and the signal's coefficients once and runs its
+trials through the transform, thresholding, error and exceedance computations
+in (trials, n) batches.  A batch holds at most ``_CHUNK_ELEMENTS`` values per
+array, a fixed constant, so its row count depends on n alone.  Each row of a
+batch goes through the same floating-point operations as the trial would
+alone, so the output bytes depend neither on the batches nor on the tasks or
+the worker count.
 
 Interval systems come from one bounded store per process
 (:func:`~waveshrink.shrinkage.wavelet_systems`).  :func:`run_plan` resolves
-the system of each n before any chunk runs: systems missing from the
+the system of each n before any task runs: systems missing from the
 caller's store are built once each, in the pool's workers if there is a pool,
-and kept in the caller.  Every chunk task then carries its system, so workers
-never build one for a chunk, whatever the start method, and a process that
+and kept in the caller.  Every task then carries its system, so workers
+never build one for a task, whatever the start method, and a process that
 runs several plans on the same systems builds each once.
 """
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
@@ -43,6 +46,7 @@ from .noise import EVENT_A_SIZES as _EVENT_A_SIZES
 from .noise import NoiseSpec, _system_at, check_family, in_event_A, sample_noise
 from .shrinkage import (
     ShrinkageConfig,
+    _check_alpha,
     apply_threshold,
     coarse_level_for,
     min_samples,
@@ -65,6 +69,8 @@ from .transform import haar_dwt, haar_idwt, is_integer
 _CHUNK_ELEMENTS = 2 ** 15
 # Percentile of max_sq_err / rate at the smallest n that sets the envelope.
 _ENVELOPE_QUANTILE = 99.9
+# The plan's fields that are not numbers.
+_TEXT_FIELDS = ("signal_kind", "noise_family", "mode", "system")
 
 
 @dataclass(frozen=True)
@@ -87,12 +93,18 @@ class ExperimentPlan:
 
     def __post_init__(self):
         ns, deltas = tuple(self.ns), tuple(self.deltas)
-        # JSON true and false load as bools, which pass as the numbers 1 and 0
+        # JSON true and false load as bools, which pass as the numbers 1 and 0,
+        # and a JSON string would fail in a check that names no field
         for f in fields(self):
             value = getattr(self, f.name)
-            items = {"ns": ns, "deltas": deltas}.get(f.name, (value,))
-            if any(isinstance(v, (bool, np.bool_)) for v in items):
-                raise ValueError(f"{f.name}: a boolean is not a number, got {value!r}")
+            if f.name in _TEXT_FIELDS or (value is None and f.default is None):
+                continue
+            for v in {"ns": ns, "deltas": deltas}.get(f.name, (value,)):
+                if isinstance(v, (bool, np.bool_)):
+                    raise ValueError(f"{f.name}: a boolean is not a number, got {value!r}")
+                # ns entries have their own rule, whole numbers, below
+                if f.name != "ns" and not isinstance(v, numbers.Real):
+                    raise ValueError(f"{f.name}: must be a number, got {value!r}")
         if not is_integer(self.trials) or self.trials < 0:
             raise ValueError(f"trials must be an integer >= 0, got {self.trials!r}")
         moments = system_moments(self.system, self.alpha, self.moments)
@@ -115,8 +127,7 @@ class ExperimentPlan:
             raise ValueError("ns must name at least one sample count")
         for n in ns:
             # 256 and 256.0 are the same count; 256.5 is not a count
-            if not (isinstance(n, (int, float, np.integer, np.floating))
-                    and float(n).is_integer()):
+            if not (isinstance(n, numbers.Real) and float(n).is_integer()):
                 raise ValueError(f"ns entries must be whole numbers, got {n!r}")
             coarse_level_for(int(n), self.alpha, moments)  # power of two, large enough
         if not deltas:
@@ -186,21 +197,22 @@ def _trial_seed(master_seed: int, cell: int, trial: int) -> np.random.SeedSequen
 
 
 def _chunk_trials(n: int) -> int:
-    """Trials per batch at sample count n.  Depends on n alone, so the split
-    of a cell into chunks never depends on the worker count."""
+    """Rows per batch at sample count n.  Depends on n alone, so the batches
+    never depend on the worker count."""
     return max(1, _CHUNK_ELEMENTS // n)
 
 
 def run_cell(plan: ExperimentPlan, cell: int, n: int, delta: float,
              trials: range, system=None) -> list[TrialReport]:
-    """Reports for a range of trials of one cell, computed as one batch.
+    """Reports for a range of trials of one cell.
 
     ``system`` is the cell's wavelet system; by default it is resolved with
     :func:`~waveshrink.shrinkage.wavelet_system` for the plan and n.
-    The signal, the config and the signal's coefficients are made once.  Each
-    trial draws its noise from its own seed, and the rows of the (trials, n)
+    The signal, the config and the signal's coefficients are made once per
+    call.  The trials then run in batches of :func:`_chunk_trials` rows: each
+    trial draws its noise from its own seed, and the rows of a (trials, n)
     batch go through the same elementwise operations as a single trial would,
-    so a report does not depend on which trials share its batch.
+    so a report does not depend on which trials share its batch or its call.
     """
     signal = make_signal(plan.signal_kind, plan.alpha, plan.holder_const)
     f = signal.sample(n)
@@ -213,49 +225,58 @@ def run_cell(plan: ExperimentPlan, cell: int, n: int, delta: float,
         system_const=system.c_phi_estimate,
     )
     lam, lo = cfg.orthonormal_threshold, 2 ** cfg.coarse_level
-
-    seeds = [_trial_seed(plan.master_seed, cell, t) for t in trials]
-    noise = np.zeros((len(seeds), n))
-    if plan.noise_bound > 0:
-        for row, seed in zip(noise, seeds):
-            row[...] = sample_noise(NoiseSpec(plan.noise_family, plan.noise_bound, seed), n)
-
-    if n not in _EVENT_A_SIZES:
-        members = [None] * len(seeds)
-    elif plan.noise_bound > 0:
-        members = [in_event_A(e, plan.noise_bound, system).member for e in noise]
-    else:
-        members = [True] * len(seeds)  # zero noise is trivially inside A
-
-    # Arrays are reused in place where the values are no longer needed, which
-    # keeps the number of live (trials, n) arrays small.
-    over = system.analyze(noise)
-    over = np.abs(over, out=over) > lam
-    levels = range(cfg.coarse_level, system.finest_level)
-    by_level = np.empty((len(seeds), len(levels)), dtype=int)
-    for i, j in enumerate(levels):
-        by_level[:, i] = np.count_nonzero(over[:, 2 ** j : 2 ** (j + 1)], axis=-1)
-    by_level[:, 0] += np.count_nonzero(over[:, :lo], axis=-1)
-    exceed = by_level.sum(axis=-1)
-
     signal_c = system.analyze(f)
-    # noise is not needed again
-    shrunk = system.analyze(np.add(noise, f, out=noise))
-    shrunk[:, lo:] = threshold_rule(cfg.mode)(shrunk[:, lo:], lam)
-    _assert_detail_contraction(shrunk, signal_c, lam, cfg.coarse_level,
-                               exceed, cfg.mode)
+    levels = range(cfg.coarse_level, system.finest_level)
 
-    sq = system.synthesize(shrunk)
-    sq -= f
-    np.square(sq, out=sq)
-    max_sq, mse = np.max(sq, axis=-1), np.mean(sq, axis=-1)
+    reports = []
+    step = _chunk_trials(n)
+    for start in range(0, len(trials), step):
+        batch = trials[start : start + step]
+        seeds = [_trial_seed(plan.master_seed, cell, t) for t in batch]
+        noise = np.zeros((len(seeds), n))
+        if plan.noise_bound > 0:
+            for row, seed in zip(noise, seeds):
+                row[...] = sample_noise(
+                    NoiseSpec(plan.noise_family, plan.noise_bound, seed), n)
 
-    return [TrialReport(trial=t, n=n, delta=delta, max_sq_err=float(max_sq[i]),
-                        mse=float(mse[i]), in_A=members[i],
-                        exceed_count=int(exceed[i]),
-                        seed=int(seeds[i].generate_state(1, np.uint64)[0]),
-                        exceed_by_level=dict(zip(levels, by_level[i].tolist())))
-            for i, t in enumerate(trials)]
+        if n not in _EVENT_A_SIZES:
+            members = [None] * len(seeds)
+        elif plan.noise_bound > 0:
+            members = [in_event_A(e, plan.noise_bound, system).member for e in noise]
+        else:
+            members = [True] * len(seeds)  # zero noise is trivially inside A
+
+        # Arrays are reused in place where the values are no longer needed,
+        # which keeps the number of live (trials, n) arrays small.
+        over = system.analyze(noise)
+        over = np.abs(over, out=over) > lam
+        by_level = np.empty((len(seeds), len(levels)), dtype=int)
+        for i, j in enumerate(levels):
+            by_level[:, i] = np.count_nonzero(over[:, 2 ** j : 2 ** (j + 1)], axis=-1)
+        by_level[:, 0] += np.count_nonzero(over[:, :lo], axis=-1)
+        exceed = by_level.sum(axis=-1)
+
+        # noise is not needed again
+        shrunk = system.analyze(np.add(noise, f, out=noise))
+        shrunk[:, lo:] = threshold_rule(cfg.mode)(shrunk[:, lo:], lam)
+        _assert_detail_contraction(shrunk, signal_c, lam, cfg.coarse_level,
+                                   exceed, cfg.mode)
+
+        sq = system.synthesize(shrunk)
+        sq -= f
+        np.square(sq, out=sq)
+        max_sq, mse = np.max(sq, axis=-1), np.mean(sq, axis=-1)
+        # sq would stay alive through the next batch's synthesis, one more
+        # (trials, n) array at the peak
+        del sq
+
+        reports += [TrialReport(trial=t, n=n, delta=delta,
+                                max_sq_err=float(max_sq[i]), mse=float(mse[i]),
+                                in_A=members[i], exceed_count=int(exceed[i]),
+                                seed=int(seeds[i].generate_state(1, np.uint64)[0]),
+                                exceed_by_level=dict(zip(levels, by_level[i].tolist())))
+                    for i, t in enumerate(batch)]
+    return reports
 
 
 def run_trial(plan: ExperimentPlan, cell: int, n: int, delta: float,
@@ -281,10 +302,14 @@ def _assert_detail_contraction(shrunk: np.ndarray, signal: np.ndarray, lam: floa
         return
     lo = 2 ** coarse_level
     tol = 1e-12 * math.sqrt(shrunk.shape[-1])
-    d_f = np.abs(signal[lo:])
+    # one comparison over the batch: rounding is monotone, so
+    # min(|d_f|, 2 lambda) + tol is exactly min(|d_f| + tol, 2 lambda + tol)
+    bound = np.abs(signal[lo:])
+    np.minimum(bound, 2 * lam, out=bound)
+    bound += tol
     diff = np.subtract(shrunk[:, lo:], signal[lo:])
     np.abs(diff, out=diff)
-    bad = (diff > d_f + tol) | (diff > 2 * lam + tol)
+    bad = diff > bound
     bad &= (np.asarray(exceed) == 0)[:, None]
     if np.any(bad):
         row, i = np.argwhere(bad)[0]
@@ -295,15 +320,20 @@ def _assert_detail_contraction(shrunk: np.ndarray, signal: np.ndarray, lam: floa
         )
 
 
-def _run_chunk(task) -> list[TrialReport]:
+def _run_task(task) -> list[TrialReport]:
     return run_cell(*task)
 
 
-def _plan_tasks(plan: ExperimentPlan) -> list[tuple]:
-    """(plan, cell, n, delta, trial range) for every chunk, in report order."""
+def _plan_tasks(plan: ExperimentPlan, workers: int) -> list[tuple]:
+    """(plan, cell, n, delta, trial range) for every task, in report order.
+
+    A task is a share of one cell: ``trials / workers`` trials, rounded up,
+    but never fewer than one batch of :func:`_chunk_trials`, so one worker
+    gets one task per cell and no cell has more tasks than batches.
+    """
     tasks = []
     for cell, n, delta in plan.cells():
-        step = _chunk_trials(n)
+        step = max(_chunk_trials(n), -(-plan.trials // workers))
         for start in range(0, plan.trials, step):
             tasks.append((plan, cell, n, delta,
                           range(start, min(start + step, plan.trials))))
@@ -314,8 +344,8 @@ def run_plan(plan: ExperimentPlan, workers: Optional[int] = None) -> list[TrialR
     """All trial reports for the plan, in deterministic (cell, trial) order.
 
     ``workers`` defaults to the WAVESHRINK_WORKERS environment variable, else
-    1; a pool never gets more processes than there are chunks.  The system of
-    each n is resolved once, before any chunk runs, and sent with every chunk
+    1; a pool never gets more processes than there are tasks.  The system of
+    each n is resolved once, before any task runs, and sent with every task
     of that n.  Interval systems missing from this process's store are built
     by the pool, if there is one, else here, and stored here, so a later call
     with the same systems builds none.
@@ -329,7 +359,7 @@ def run_plan(plan: ExperimentPlan, workers: Optional[int] = None) -> list[TrialR
                 f"WAVESHRINK_WORKERS must be an integer, got {raw!r}") from None
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
-    tasks = _plan_tasks(plan)
+    tasks = _plan_tasks(plan, workers)
     workers = min(workers, len(tasks))
     with ExitStack() as stack:
         run_map = map
@@ -339,8 +369,8 @@ def run_plan(plan: ExperimentPlan, workers: Optional[int] = None) -> list[TrialR
             run_map = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
         systems = wavelet_systems(plan.system, {t[2] for t in tasks},
                                   plan.alpha, plan.moments, build_map=run_map)
-        chunks = list(run_map(_run_chunk, [t + (systems[t[2]],) for t in tasks]))
-    return [r for chunk in chunks for r in chunk]
+        shares = list(run_map(_run_task, [t + (systems[t[2]],) for t in tasks]))
+    return [r for share in shares for r in share]
 
 
 def wilson_interval(successes: int, trials: int,
@@ -382,6 +412,7 @@ def estimate_event_probability(noise_family: str, b: float, n: int, trials: int,
 
 def fit_rate(ns: Sequence[int], medians: Sequence[float], alpha: float) -> RateFit:
     """Least-squares slope of log(median error) vs log(log2(n)/n)."""
+    _check_alpha(alpha)
     y = np.asarray(medians, dtype=float)
     if len(set(ns)) < 4 or len(ns) != len(y) or not np.all(np.isfinite(y) & (y > 0)):
         raise ValueError(f"need finite medians > 0 at 4 or more distinct n, "

@@ -184,6 +184,12 @@ class TestSimulate:
         ({"system": "interval", "moments": True}, "moments: a boolean is not a number"),
         ({"noise_bound": True}, "noise_bound: a boolean is not a number"),
         ({"deltas": [1.0, False]}, "deltas: a boolean is not a number"),
+        # a JSON string is not a number either
+        ({"alpha": "0.5"}, "alpha: must be a number, got '0.5'"),
+        ({"noise_bound": "1"}, "noise_bound: must be a number, got '1'"),
+        ({"deltas": [1.0, "2"]}, "deltas: must be a number, got [1.0, '2']"),
+        ({"noise_bound": 0.0, "threshold_bound": "1"},
+         "threshold_bound: must be a number"),
         # a repeated n or delta would run each of its cells again and pool them
         ({"ns": [256, 256, 512]}, "ns must not repeat a value, got [256, 256, 512]"),
         ({"ns": [256, 256.0]}, "ns must not repeat a value"),
@@ -192,7 +198,8 @@ class TestSimulate:
             "ns-not-power-of-two", "ns-not-whole", "ns-too-small-for-alpha",
             "ns-too-small-for-moments", "empty-deltas", "negative-delta",
             "trials-bool", "seed-bool", "moments-bool", "noise-bound-bool",
-            "delta-bool", "ns-repeated", "ns-repeated-as-float",
+            "delta-bool", "alpha-str", "noise-bound-str", "delta-str",
+            "threshold-bound-str", "ns-repeated", "ns-repeated-as-float",
             "deltas-repeated"])
     def test_bad_plan_values_rejected(self, tmp_path, capsys, override, message):
         plan = self.plan(tmp_path, **override)
@@ -284,6 +291,16 @@ class TestRatesAndVerify:
         assert main(["rates", str(summ), "--alpha", "1.0"]) == 1
         captured = capsys.readouterr()
         assert message in captured.err and "s.csv" not in captured.out
+
+    @pytest.mark.parametrize("alpha", ["-0.5", "nan"])
+    def test_rates_rejects_bad_alpha(self, tmp_path, capsys, alpha):
+        summ = tmp_path / "s.csv"
+        summ.write_text("n,delta,q50_max\n" + "\n".join(
+            f"{n},1,{0.1 / k}" for k, n in enumerate([256, 1024, 4096, 16384], 1)))
+        assert main(["rates", str(summ), "--alpha", alpha]) == 1
+        captured = capsys.readouterr()
+        assert "error: alpha must be finite and > 0" in captured.err
+        assert captured.out == ""
 
     def test_verify_passes(self, capsys):
         assert main(["verify"]) == 0

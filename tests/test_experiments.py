@@ -139,6 +139,11 @@ class TestStatistics:
         assert fit.residual < 1e-12
         assert fit.target == pytest.approx(2 / 3)
 
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, math.nan, math.inf])
+    def test_fit_rate_checks_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+            fit_rate([256, 1024, 4096, 16384], [0.1, 0.05, 0.02, 0.01], alpha)
+
     def test_fit_rate_needs_four_points(self):
         with pytest.raises(ValueError):
             fit_rate([256, 512, 1024], [1, 1, 1], 1.0)

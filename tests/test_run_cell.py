@@ -6,12 +6,13 @@ import math
 import multiprocessing
 import os
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from trial_oracle import run_trial as oracle_trial
-from waveshrink import experiments, interval, noise, shrinkage
+from waveshrink import experiments, interval, noise, shrinkage, signals
 from waveshrink.experiments import (
     ExperimentPlan,
     _assert_detail_contraction,
@@ -21,6 +22,7 @@ from waveshrink.experiments import (
     run_trial,
 )
 from waveshrink.shrinkage import soft_threshold, wavelet_system
+from waveshrink.transform import HaarSystem
 
 
 def plan_of(**overrides):
@@ -47,8 +49,8 @@ HAAR_PLANS = {
                        deltas=(0.0, 0.5, 2.5)),
     "truncated": plan_of(noise_family="truncated", signal_kind="ripple",
                          alpha=1.0, ns=(256, 1024)),
-    # chunks of 32 at n = 1024 and 2 at n = 2^14: 37 and 3 trials leave a
-    # partial last chunk
+    # batches of 32 at n = 1024 and 2 at n = 2^14: 37 and 3 trials leave a
+    # partial last batch
     "partial-chunk": plan_of(ns=(1024,), deltas=(1.0,), trials=37),
     "two-per-chunk": plan_of(ns=(2 ** 14,), deltas=(1.0,), trials=3),
     "one-trial": plan_of(trials=1),
@@ -132,13 +134,94 @@ def test_reports_do_not_depend_on_chunking():
             (b, b.max_sq_err, b.mse, b.exceed_by_level)
 
 
-def test_chunks_depend_on_n_only():
+@pytest.fixture
+def analyzed(monkeypatch):
+    """The shapes Haar analysis is applied to, in call order."""
+    shapes = []
+    analyze = HaarSystem.analyze
+
+    def recording(self, samples):
+        shapes.append(np.shape(samples))
+        return analyze(self, samples)
+
+    monkeypatch.setattr(HaarSystem, "analyze", recording)
+    return shapes
+
+
+def test_batches_depend_on_n_only(analyzed):
     assert _chunk_trials(2 ** 8) == 128
     assert _chunk_trials(2 ** 14) == 2
     assert _chunk_trials(2 ** 20) == 1
-    tasks = experiments._plan_tasks(HAAR_PLANS["partial-chunk"])
-    assert [len(t[-1]) for t in tasks] == [32, 5]
-    assert [t for task in tasks for t in task[-1]] == list(range(37))
+    plan = HAAR_PLANS["partial-chunk"]
+    cell, n, delta = plan.cells()[0]
+    assert len(run_cell(plan, cell, n, delta, range(37))) == 37
+    # per batch: the noise, then signal plus noise
+    assert [s[0] for s in analyzed if len(s) == 2] == [32, 32, 5, 5]
+
+
+# rows per task for 50 trials: batches of 32 rows at n = 1024, 8 at 2^12 and
+# 2 at 2^14
+CELL_SHARES = {
+    1: {1024: [50], 2 ** 12: [50], 2 ** 14: [50]},
+    2: {1024: [32, 18], 2 ** 12: [25, 25], 2 ** 14: [25, 25]},
+    3: {1024: [32, 18], 2 ** 12: [17, 17, 16], 2 ** 14: [17, 17, 16]},
+    4: {1024: [32, 18], 2 ** 12: [13, 13, 13, 11], 2 ** 14: [13, 13, 13, 11]},
+}
+
+
+@pytest.mark.parametrize("workers", sorted(CELL_SHARES))
+def test_tasks_are_cell_shares(workers):
+    plan = plan_of(ns=(1024, 2 ** 12, 2 ** 14), deltas=(0.5, 1.0), trials=50)
+    tasks = experiments._plan_tasks(plan, workers)
+    assert [(task[1], t) for task in tasks for t in task[-1]] == \
+        [(cell, t) for cell, _, _ in plan.cells() for t in range(plan.trials)]
+    for cell, n, delta in plan.cells():
+        shares = [task for task in tasks if task[1] == cell]
+        assert all(task[:4] == (plan, cell, n, delta) for task in shares)
+        assert [len(task[-1]) for task in shares] == CELL_SHARES[workers][n]
+
+
+def test_run_cell_makes_the_signal_once(analyzed, monkeypatch):
+    plan = plan_of(ns=(2 ** 14,), deltas=(1.0,), trials=9)
+    cell, n, delta = plan.cells()[0]
+    want = oracle_reports(plan)
+    analyzed.clear()
+    calls = []
+
+    def count(cls, name):
+        method = getattr(cls, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return method(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    count(signals.HolderSignal, "sample")
+    count(shrinkage.ShrinkageConfig, "build")
+    assert run_cell(plan, cell, n, delta, range(9)) == want
+    assert sorted(calls) == ["build", "sample"]
+    assert analyzed.count((n,)) == 1
+    assert [s[0] for s in analyzed if len(s) == 2] == [2] * 8 + [1] * 2
+
+
+def test_more_batches_do_not_raise_the_peak():
+    """Batches of one call do not overlap: ten batches at n = 2^14 peak within
+    half a batch array of one batch (the reports themselves take ~16 KiB)."""
+    plan = plan_of(ns=(2 ** 14,), deltas=(1.0,), trials=20)
+    cell, n, delta = plan.cells()[0]
+    run_cell(plan, cell, n, delta, range(2))  # warm the caches
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            run_cell(plan, cell, n, delta, trials)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    batch_array = 8 * _chunk_trials(n) * n
+    assert peak(range(20)) - peak(range(2)) < batch_array / 2
 
 
 class TestContractionCheck:
@@ -242,9 +325,22 @@ class TestWorkers:
         assert pools == [3]
 
     def test_pool_never_exceeds_the_task_count(self, pools):
-        plan = plan_of(ns=(256, 512), deltas=(1.0,))  # one chunk per cell
+        plan = plan_of(ns=(256, 512), deltas=(1.0,))  # one task per cell
         assert run_plan(plan, workers=8) == run_plan(plan, workers=1)
         assert pools == [2]
+
+    def test_reports_do_not_depend_on_the_worker_count(self, pools):
+        # two and three workers split the cells at n = 2^12 and 2^14 into
+        # shares of different sizes
+        plan = plan_of(ns=(16, 256, 2 ** 12, 2 ** 14), deltas=(1.0,), trials=10)
+        serial = run_plan(plan, workers=1)
+        for workers in (2, 3):
+            shared = run_plan(plan, workers=workers)
+            assert shared == serial
+            for a, b in zip(shared, serial):
+                assert (a.max_sq_err, a.mse, a.exceed_by_level) == \
+                    (b.max_sq_err, b.mse, b.exceed_by_level)
+        assert pools == [2, 3]
 
     def test_single_task_runs_without_a_pool(self, pools):
         plan = plan_of(ns=(256,), deltas=(1.0,))
@@ -325,7 +421,7 @@ class TestRealPool:
         serial = run_plan(self.PLAN, workers=1)  # fills the store here
         assert sorted(store) == [(2, 256, 3), (2, 1024, 3)]
         monkeypatch.setattr(interval, "build_interval_system", refuse)
-        # chunks get their system with the task, not by resolving it
+        # each task carries its system, so none resolves one
         monkeypatch.setattr(experiments, "wavelet_system", refuse)
         assert run_plan(self.PLAN, workers=2) == serial
 
