@@ -8,6 +8,7 @@ coefficients below ~ b sqrt(log n / n).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -149,6 +150,79 @@ def _system_at(system: System, n: int):
     return system
 
 
+def _check_event_size(n: int) -> None:
+    if n not in EVENT_A_SIZES:
+        raise GeometryError(f"event-A geometry needs n in {EVENT_A_SIZES}, got {n}")
+
+
+def _event_bound(b: float, J: int, level_offset: int) -> float:
+    return b * J * 2.0 ** (level_offset / 2.0) * math.sqrt(0.5 * math.log(2.0))
+
+
+def haar_event_margins(noise, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Haar event-A test of every row of a (trials, n) noise batch.
+
+    Returns each row's margin, its largest |block sum| over the bound
+    (member iff <= 1), and its worst block as a (trials, 2) array of
+    (level offset l, block index k).  A row's values are bit-equal to
+    :func:`in_event_A` on that row alone, which is this function's one-row
+    case.
+    """
+    e = np.asarray(noise, dtype=float)
+    if e.ndim != 2:
+        raise ValueError(f"expected a (trials, n) noise batch, got shape {e.shape}")
+    _check_event_size(e.shape[1])
+    check_noise_range(b)
+    if not np.all(np.isfinite(e)):
+        raise ValueError("samples must be finite")
+    return _haar_margins(e, b)
+
+
+class _HaarGeometry(NamedTuple):
+    """The Haar event-A levels at one n and b, level offsets -1, 0, ... in
+    order.  A row of |block sums| holds every level's blocks side by side."""
+
+    counts: list          # blocks per level
+    starts: np.ndarray    # each level's first column
+    level_of: np.ndarray  # each column's level index
+    bounds: np.ndarray    # each level's bound
+
+
+@functools.lru_cache(maxsize=16)
+def _haar_geometry(n: int, b: float) -> _HaarGeometry:
+    J = finest_level(n)
+    log_j = finest_level(J)
+    offsets = range(-1, J - log_j + 1)
+    counts = [2 ** (J - log_j - level_offset) for level_offset in offsets]
+    return _HaarGeometry(
+        counts, np.cumsum([0] + counts[:-1]),
+        np.repeat(np.arange(len(counts)), counts),
+        np.array([_event_bound(b, J, level_offset) for level_offset in offsets]))
+
+
+def _haar_margins(e: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`haar_event_margins` of a checked batch."""
+    geo = _haar_geometry(e.shape[1], b)
+    sums = np.empty((len(e), len(geo.level_of)))
+    for count, start in zip(geo.counts, geo.starts):
+        blocks = e.reshape(len(e), count, -1)
+        # the Haar block sums run over the first half of each block
+        np.sum(blocks[..., : blocks.shape[-1] // 2], axis=-1,
+               out=sums[:, start : start + count])
+    np.abs(sums, out=sums)
+    tops = np.maximum.reduceat(sums, geo.starts, axis=-1)
+    ratios = tops / geo.bounds
+    # the first level with the largest ratio and its first block with the
+    # largest sum, as a scan over the levels and blocks would keep
+    rows = np.arange(len(e))
+    worst = np.argmax(ratios, axis=-1)
+    in_worst = geo.level_of == worst[:, None]
+    in_worst &= sums == tops[rows, worst][:, None]
+    block = np.argmax(in_worst, axis=-1) - geo.starts[worst]
+    # level index i is level offset i - 1
+    return ratios[rows, worst], np.column_stack((worst - 1, block))
+
+
 def in_event_A(noise, b: float, system: System = "haar") -> EventAReport:
     """Membership in the good event A.
 
@@ -156,7 +230,8 @@ def in_event_A(noise, b: float, system: System = "haar") -> EventAReport:
     itself be a power of two; only n in ``EVENT_A_SIZES`` are supported.
 
     ``system`` is "haar" or a :class:`HaarSystem`, whose block sums do not
-    depend on the coarse level, or an :class:`IntervalSystem`.  On the
+    depend on the coarse level (see :func:`haar_event_margins` for a batch),
+    or an :class:`IntervalSystem`.  On the
     interval system each level-j scaling and detail row k is summed
     over the k-th dyadic block of 2^(J-j) samples only.  Row index does not
     follow support near the ends: a boundary row sits at whatever index the
@@ -166,37 +241,34 @@ def in_event_A(noise, b: float, system: System = "haar") -> EventAReport:
     """
     e = _as_samples(noise)
     n = len(e)
-    if n not in EVENT_A_SIZES:
-        raise GeometryError(f"event-A geometry needs n in {EVENT_A_SIZES}, got {n}")
+    _check_event_size(n)
     check_noise_range(b)
     system = _system_at(system, n)
+    if not isinstance(system, IntervalSystem):
+        margins, worst = _haar_margins(e[None], b)
+        margin = float(margins[0])
+        return EventAReport(member=margin <= 1.0,
+                            worst_block=(int(worst[0, 0]), int(worst[0, 1])),
+                            margin=margin)
 
     J = finest_level(n)
     log_j = finest_level(J)
     margin, worst = 0.0, (-1, 0)
     for level_offset in range(-1, J - log_j + 1):
-        bound = b * J * 2.0 ** (level_offset / 2.0) * math.sqrt(0.5 * math.log(2.0))
-        n_blocks = 2 ** (J - log_j - level_offset)
-        blocks = e.reshape(n_blocks, -1)
-        if isinstance(system, IntervalSystem):
-            j = J - log_j - level_offset
-            if not system.coarse_level <= j < J:
-                continue  # no basis functions at this level
-            factor = 2.0 ** ((J - j) / 2.0)
-            sums = np.empty(n_blocks)
-            for kind in KINDS:
-                bw = _block_weights(system, j, kind)
-                sums[bw.clean.start : bw.clean.stop] = \
-                    blocks[bw.clean.start : bw.clean.stop] @ bw.translate
-                sums[bw.others] = np.einsum("ij,ij->i", blocks[bw.others], bw.rows)
-                sums *= factor
-                k = _first_max(sums)
-                if abs(sums[k]) / bound > margin:
-                    margin, worst = abs(sums[k]) / bound, (level_offset, k)
-        else:
-            # the Haar block sums run over the first half of each block
-            sums = blocks[:, : blocks.shape[1] // 2].sum(axis=1)
-            k = int(np.argmax(np.abs(sums)))
+        j = J - log_j - level_offset
+        if not system.coarse_level <= j < J:
+            continue  # no basis functions at this level
+        bound = _event_bound(b, J, level_offset)
+        blocks = e.reshape(2 ** j, -1)
+        factor = 2.0 ** ((J - j) / 2.0)
+        sums = np.empty(2 ** j)
+        for kind in KINDS:
+            bw = _block_weights(system, j, kind)
+            sums[bw.clean.start : bw.clean.stop] = \
+                blocks[bw.clean.start : bw.clean.stop] @ bw.translate
+            sums[bw.others] = np.einsum("ij,ij->i", blocks[bw.others], bw.rows)
+            sums *= factor
+            k = _first_max(sums)
             if abs(sums[k]) / bound > margin:
                 margin, worst = abs(sums[k]) / bound, (level_offset, k)
     return EventAReport(member=bool(margin <= 1.0), worst_block=worst,

@@ -177,10 +177,12 @@ class HaarSystem:
         s = c[..., : 2 ** self.coarse_level].copy()
         for j in range(self.coarse_level, self.finest_level):
             d = c[..., 2 ** j : 2 ** (j + 1)]
-            out = np.empty(c.shape[:-1] + (2 ** (j + 1),))
-            out[..., 0::2] = (s + d) / _SQRT2
-            out[..., 1::2] = (s - d) / _SQRT2
-            s = out
+            # (s ± d) / sqrt(2) written as pairs, one division for both
+            out = np.empty(c.shape[:-1] + (2 ** j, 2))
+            np.add(s, d, out=out[..., 0])
+            np.subtract(s, d, out=out[..., 1])
+            out /= _SQRT2
+            s = out.reshape(c.shape[:-1] + (2 ** (j + 1),))
         return s
 
 

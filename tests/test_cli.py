@@ -194,13 +194,22 @@ class TestSimulate:
         ({"ns": [256, 256, 512]}, "ns must not repeat a value, got [256, 256, 512]"),
         ({"ns": [256, 256.0]}, "ns must not repeat a value"),
         ({"deltas": [1, 1.0]}, "deltas must not repeat a value, got [1.0, 1.0]"),
+        # a value of the wrong JSON type names its field
+        ({"mode": [1]}, "mode: must be a string, got [1]"),
+        ({"system": 2}, "system: must be a string, got 2"),
+        ({"signal_kind": None}, "signal_kind: must be a string, got None"),
+        ({"noise_family": {"uniform": 1}}, "noise_family: must be a string"),
+        ({"ns": 256}, "ns: must be a list, got 256"),
+        ({"deltas": 1.0}, "deltas: must be a list, got 1.0"),
+        ({"ns": "256"}, "ns: must be a list, got '256'"),
     ], ids=["system", "trials", "haar-moments", "mode", "empty-ns",
             "ns-not-power-of-two", "ns-not-whole", "ns-too-small-for-alpha",
             "ns-too-small-for-moments", "empty-deltas", "negative-delta",
             "trials-bool", "seed-bool", "moments-bool", "noise-bound-bool",
             "delta-bool", "alpha-str", "noise-bound-str", "delta-str",
             "threshold-bound-str", "ns-repeated", "ns-repeated-as-float",
-            "deltas-repeated"])
+            "deltas-repeated", "mode-list", "system-int", "signal-kind-null",
+            "noise-family-object", "ns-int", "deltas-float", "ns-str"])
     def test_bad_plan_values_rejected(self, tmp_path, capsys, override, message):
         plan = self.plan(tmp_path, **override)
         rep, summ = tmp_path / "r.jsonl", tmp_path / "s.csv"

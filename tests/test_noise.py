@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from waveshrink.interval import GeometryError, build_interval_system, min_coarse_level
 from waveshrink.noise import (
+    EVENT_A_SIZES,
     NOISE_FAMILIES,
     NoiseSpec,
+    haar_event_margins,
     hoeffding_bound,
     in_event_A,
     noise_coeff_bound_check,
@@ -145,6 +147,35 @@ class TestEventA:
             in_event_A(np.zeros(256), 1.0, "daubechies")
         with pytest.raises(ValueError, match="size"):
             in_event_A(np.zeros(256), 1.0, HaarSystem(16, 0))
+
+    @pytest.mark.parametrize("n", EVENT_A_SIZES)
+    def test_batched_haar_margins_equal_the_row_test(self, n):
+        rows = [sample_noise(NoiseSpec(family, 1.0, seed), n)
+                for family in NOISE_FAMILIES for seed in (0, 1)]
+        # scaled to margin 1.0, and just inside and outside it
+        at_one = rows[0] / in_event_A(rows[0], 1.0).margin
+        rows += [at_one * (1 - 1e-12), at_one, at_one * (1 + 1e-12), np.zeros(n)]
+        margins, worst = haar_event_margins(np.array(rows), 1.0)
+        assert margins.shape == (len(rows),) and worst.shape == (len(rows), 2)
+        for e, margin, block in zip(rows, margins, worst):
+            rep = in_event_A(e, 1.0)
+            assert (rep.margin, rep.member, rep.worst_block) == \
+                (margin, margin <= 1.0, tuple(block))
+        assert margins[-3] == pytest.approx(1.0, rel=1e-15)
+        assert margins[-4] <= 1.0 < margins[-2]
+        assert tuple(worst[-1]) == (-1, 0)  # zero noise: no block is worse
+
+    def test_batched_haar_margins_reject_what_the_row_test_rejects(self):
+        with pytest.raises(ValueError, match="batch"):
+            haar_event_margins(np.zeros(256), 1.0)
+        with pytest.raises(GeometryError):
+            haar_event_margins(np.zeros((2, 1024)), 1.0)
+        with pytest.raises(ValueError, match="noise range"):
+            haar_event_margins(np.zeros((2, 256)), 0.0)
+        e = np.zeros((2, 256))
+        e[1, 3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            haar_event_margins(e, 1.0)
 
 
 class TestHoeffding:
