@@ -16,10 +16,11 @@ depends on n alone.  Each row of a batch goes through the same
 floating-point operations as the trial would alone, so the output bytes
 depend neither on the batches nor on the tasks or the worker count.
 
-The transforms are linear, so a batch analyzes its noise once: We gives the
-exceedance counts, and We + Wf is thresholded and synthesized.  This rounds
-differently from analyzing f + e (at most about 3e-14 relative in the error
-fields); seeds, event A and the exceedances are the same either way.
+The transforms are linear, so a batch analyzes its noise once: |We| gives
+event A and the exceedance counts, and We + Wf is thresholded and
+synthesized.  This rounds differently from analyzing f + e (at most about
+3e-14 relative in the error fields); seeds, event A and the exceedances are
+the same either way.  Reports carry event A at n in ``EVENT_A_SIZES`` only.
 
 Interval systems come from one bounded store per process
 (:func:`~waveshrink.shrinkage.wavelet_systems`).  :func:`run_plan` resolves
@@ -52,7 +53,7 @@ from .noise import (
     NoiseSpec,
     _system_at,
     check_family,
-    haar_event_margins,
+    coefficient_bound,
     in_event_A,
     sample_noise,
 )
@@ -68,12 +69,13 @@ from .shrinkage import (
     wavelet_systems,
 )
 from .signals import make_signal
-from .transform import HaarSystem, haar_dwt, haar_idwt, is_integer
+from .transform import haar_dwt, haar_idwt, is_integer
 
-# Trials run batched through the system objects, so the pyramid functions
-# haar_dwt, haar_idwt, interval_dwt, interval_idwt, apply_threshold and
-# build_interval_system are not called here; they stay bound in this
-# namespace because perfbench/tracer.py wraps them by name.
+# Trials run batched through the system objects and read event A off their
+# noise coefficients, so the pyramid functions haar_dwt, haar_idwt,
+# interval_dwt, interval_idwt, apply_threshold and build_interval_system, and
+# in_event_A, are not called here; they stay bound in this namespace because
+# perfbench/tracer.py wraps them by name.
 
 # Most float64 values in one batched (trials, n) array: 2^15 values, 256 KiB.
 # Batching amortizes per-call overhead; the cap keeps peak memory near that of
@@ -222,6 +224,15 @@ def _chunk_trials(n: int) -> int:
     return max(1, _CHUNK_ELEMENTS // n)
 
 
+def _noise_batch(family: str, b: float, seeds, n: int) -> np.ndarray:
+    """(len(seeds), n) noise, row i drawn from seeds[i]; zeros for b = 0."""
+    noise = np.zeros((len(seeds), n))
+    if b != 0:  # NoiseSpec rejects any other b that is not > 0
+        for row, seed in zip(noise, seeds):
+            row[...] = sample_noise(NoiseSpec(family, b, seed), n)
+    return noise
+
+
 def run_cell(plan: ExperimentPlan, cell: int, n: int, delta: float,
              trials: range, system=None) -> list[TrialReport]:
     """Reports for a range of trials of one cell.
@@ -245,6 +256,7 @@ def run_cell(plan: ExperimentPlan, cell: int, n: int, delta: float,
         system_const=system.c_phi_estimate,
     )
     lam, lo = cfg.orthonormal_threshold, 2 ** cfg.coarse_level
+    bound = coefficient_bound(plan.noise_bound, system)
     signal_c = system.analyze(f)
     levels = range(cfg.coarse_level, system.finest_level)
     starts = [0] + [2 ** j for j in levels[1:]]
@@ -254,29 +266,16 @@ def run_cell(plan: ExperimentPlan, cell: int, n: int, delta: float,
     for start in range(0, len(trials), step):
         batch = trials[start : start + step]
         seeds = [_trial_seed(plan.master_seed, cell, t) for t in batch]
-        noise = np.zeros((len(seeds), n))
-        if plan.noise_bound > 0:
-            for row, seed in zip(noise, seeds):
-                row[...] = sample_noise(
-                    NoiseSpec(plan.noise_family, plan.noise_bound, seed), n)
+        noise = _noise_batch(plan.noise_family, plan.noise_bound, seeds, n)
 
-        if n not in _EVENT_A_SIZES:
-            members = [None] * len(seeds)
-        elif plan.noise_bound == 0:
-            members = [True] * len(seeds)  # zero noise is trivially inside A
-        elif isinstance(system, HaarSystem):
-            margins, _ = haar_event_margins(noise, plan.noise_bound)
-            members = (margins <= 1.0).tolist()
-        else:
-            members = [in_event_A(e, plan.noise_bound, system).member for e in noise]
-
-        # W(f + e) = Wf + We: the noise is analyzed once, for the exceedances
-        # and, with the signal's coefficients added, for the estimate.  |We|
-        # goes into the noise buffer, which is then freed, so the batch keeps
-        # no more live (trials, n) float arrays than one analysis makes.
+        # W(f + e) = Wf + We: the noise is analyzed once, for event A, the
+        # exceedances and, with Wf added, the estimate.  |We| goes into the
+        # noise buffer, not a new (trials, n) array.
         c = system.analyze(noise)
-        over = np.abs(c, out=noise) > lam
-        del noise
+        np.abs(c, out=noise)
+        members = (np.max(noise, axis=-1) <= bound).tolist() \
+            if n in _EVENT_A_SIZES else [None] * len(seeds)
+        over = noise > lam
         # the approximation block counts with the coarsest level
         by_level = np.add.reduceat(over, starts, axis=-1, dtype=np.intp)
         exceed = by_level.sum(axis=-1)
@@ -418,19 +417,20 @@ def wilson_interval(successes: int, trials: int,
 def estimate_event_probability(noise_family: str, b: float, n: int, trials: int,
                                master_seed: int = 0,
                                system="haar") -> tuple[float, tuple[float, float]]:
-    """Empirical P(A) with a Wilson 99% confidence interval."""
+    """Empirical P(A) on ``system`` (as for :func:`~waveshrink.noise.in_event_A`)
+    with a Wilson 99% confidence interval.  Trial t draws its noise from
+    ``SeedSequence(master_seed, spawn_key=(0, t))``."""
     if not is_integer(trials) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
-    if n not in _EVENT_A_SIZES:
-        raise ValueError(f"event-A geometry supports n in {_EVENT_A_SIZES}")
     check_family(noise_family)
-    _system_at(system, n)
-    if b == 0:
-        return 1.0, wilson_interval(trials, trials)  # zero noise is inside A
-    hits = 0
-    for t in range(trials):
-        e = sample_noise(NoiseSpec(noise_family, b, _trial_seed(master_seed, 0, t)), n)
-        hits += in_event_A(e, b, system).member
+    system = _system_at(system, n)
+    bound = coefficient_bound(b, system)
+    hits, step = 0, _chunk_trials(n)
+    for start in range(0, trials, step):
+        seeds = [_trial_seed(master_seed, 0, t)
+                 for t in range(start, min(start + step, trials))]
+        c = system.analyze(_noise_batch(noise_family, b, seeds, n))
+        hits += int(np.count_nonzero(np.max(np.abs(c, out=c), axis=-1) <= bound))
     return hits / trials, wilson_interval(hits, trials)
 
 

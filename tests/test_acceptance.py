@@ -4,6 +4,8 @@ The nine checks cover transform exactness, the closed-form oracle, the
 coefficient-decay ceilings, the thresholding contraction, the good-event
 probability and its conditional coefficient bound, rate recovery, tail
 behavior of the error envelope, and the minimal-sample-count constant.
+Beside checks 5 and 6, 5a tests the estimated good-event probability against
+its derived floor.
 """
 import math
 import time
@@ -13,6 +15,7 @@ import pytest
 
 from waveshrink.experiments import (
     ExperimentPlan,
+    estimate_event_probability,
     fit_rate,
     run_plan,
     wilson_interval,
@@ -23,13 +26,20 @@ from waveshrink.interval import (
     interval_idwt,
     min_coarse_level,
 )
-from waveshrink.noise import NoiseSpec, in_event_A, noise_coeff_bound_check, sample_noise
+from waveshrink.noise import (
+    NoiseSpec,
+    _system_at,
+    event_probability_floor,
+    in_event_A,
+    noise_coeff_bound_check,
+    sample_noise,
+)
 from waveshrink.shrinkage import min_samples
 from waveshrink.signals import make_signal, sample_grid
 from waveshrink.transform import haar_coeff_closed_form, haar_dwt, haar_idwt
 
 
-def report(number: int, name: str, ok: bool, detail: str = "") -> None:
+def report(number, name: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     suffix = f" ({detail})" if detail else ""
     print(f"acceptance {number} [{name}]: {status}{suffix}")
@@ -178,6 +188,33 @@ def test_6_conditional_coefficient_bound(event_trials):
     report(6, "conditional coefficient bound",
            total_members > 0 and total_violations == 0,
            f"{total_members} members, {total_violations} violations")
+
+
+def test_5a_event_probability_floor():
+    """P(A) >= 1 - 2n exp(-2 c_phi^2 J) for every noise family: Hoeffding's
+    inequality on each coefficient (a unit-norm row of W) and a union bound
+    over the n coefficients.  The floor is proven, so the estimate must not
+    refute it at 99%: the floor must not exceed the Wilson upper bound.  The
+    line also shows the Wilson lower bound, which clears the floor wherever
+    10^4 draws can (Haar n = 16 and 64; the floor is 1 - 5.8e-5 at Haar
+    n = 256 and within 1e-17 of 1 on the interval system)."""
+    start = time.perf_counter()
+    ok, details = True, []
+    configs = [(16, "haar"), (64, "haar"), (256, "haar"),
+               (256, build_interval_system(2, 256, min_coarse_level(2)))]
+    for n, system in configs:
+        floor = event_probability_floor(_system_at(system, n))
+        name = "haar" if isinstance(system, str) else "interval N=2"
+        for family in ("uniform", "rademacher"):
+            p_hat, (lo, hi) = estimate_event_probability(
+                family, 1.0, n, 10_000, master_seed=5, system=system)
+            details.append(f"{name} n={n} {family} p_hat={p_hat:.4f} "
+                           f"lo={lo:.5f} floor={floor:.5f}")
+            if hi < floor:
+                ok = False
+    elapsed = time.perf_counter() - start
+    report("5a", "derived event floor", ok and elapsed < 60.0,
+           "; ".join(details) + f", {elapsed:.1f}s")
 
 
 def test_7_rate_recovery(rate_runs):

@@ -163,8 +163,15 @@ class TestStatistics:
         p, (lo, hi) = estimate_event_probability("uniform", 1.0, 256, 50,
                                                  master_seed=1)
         assert 0 <= lo <= p <= hi <= 1
-        with pytest.raises(ValueError):
-            estimate_event_probability("uniform", 1.0, 512, 10)
+
+    @pytest.mark.parametrize("b", [-1.0, math.nan, math.inf])
+    def test_event_probability_rejects_bad_noise_range(self, b):
+        with pytest.raises(ValueError, match="noise range b must be finite and > 0"):
+            estimate_event_probability("uniform", b, 256, 3)
+
+    def test_event_probability_noise_free(self):
+        assert estimate_event_probability("uniform", 0.0, 64, 3) == \
+            (1.0, wilson_interval(3, 3))
 
     @pytest.mark.parametrize("trials", [0, -3, 2.0, 2.5, "10", True])
     def test_event_probability_rejects_bad_trials(self, trials):

@@ -112,8 +112,8 @@ class TestVanishingMoments:
 
 
 class TestWeights:
-    """Composed rows (:meth:`IntervalSystem.row`), which c_phi and the event A
-    read, against the transform."""
+    """Composed rows (:meth:`IntervalSystem.row`), which c_phi reads, against
+    the transform."""
 
     def test_haar_weights_are_unit(self, systems):
         system = systems[(1, 256)]

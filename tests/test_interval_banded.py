@@ -1,6 +1,5 @@
 """The banded interval transform against the dense oracle, and at sizes the
 dense form cannot reach."""
-import math
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from waveshrink.interval import (
     interval_idwt,
     min_coarse_level,
 )
-from waveshrink.noise import NOISE_FAMILIES, NoiseSpec, in_event_A, sample_noise
 
 TOL = 1e-8
 
@@ -34,32 +32,6 @@ def _as_dense(row, n):
     full = np.zeros(n)
     full[row.offset : row.offset + len(row.values)] = row.values
     return full
-
-
-def _dense_event_A(e, b, dense):
-    """The interval branch of in_event_A on dense composed rows: each row
-    summed over its own dyadic block.  Near-ties go to the first block, as in
-    the banded version; translates of one row differ in their last bits here."""
-    n = len(e)
-    J = int(math.log2(n))
-    log_j = int(math.log2(J))
-    margin, worst = 0.0, (-1, 0)
-    for level_offset in range(-1, J - log_j + 1):
-        bound = b * J * 2.0 ** (level_offset / 2.0) * math.sqrt(0.5 * math.log(2.0))
-        j = J - log_j - level_offset
-        if not dense.coarse_level <= j < J:
-            continue
-        n_blocks, stride = 2 ** j, 2 ** (J - j)
-        factor = 2.0 ** ((J - j) / 2.0)
-        for rows in (dense.scaling_rows[j], dense.detail_rows[j]):
-            sums = np.array([rows[k, k * stride : (k + 1) * stride] * factor
-                             @ e[k * stride : (k + 1) * stride]
-                             for k in range(n_blocks)])
-            mags = np.abs(sums)
-            k = int(np.argmax(mags >= np.max(mags) * (1.0 - 1e-12)))
-            if mags[k] / bound > margin:
-                margin, worst = mags[k] / bound, (level_offset, k)
-    return margin <= 1.0, worst, margin
 
 
 @pytest.mark.parametrize("N", range(1, 6))
@@ -85,20 +57,6 @@ def test_matches_dense_oracle(N, n):
                 assert np.max(np.abs(got - _dense_row(dense, j, k, kind))) < 1e-12
 
     assert system.c_phi_estimate == pytest.approx(dense.c_phi_estimate, rel=1e-12)
-
-
-@pytest.mark.parametrize("family", NOISE_FAMILIES)
-def test_event_A_matches_dense_oracle(family):
-    N, n = 2, 256
-    dense = build_dense_system(N, n, min_coarse_level(N))
-    system = build_interval_system(N, n, min_coarse_level(N))
-    for seed in range(200):
-        e = sample_noise(NoiseSpec(family, 1.0, seed), n)
-        rep = in_event_A(e, 1.0, system)
-        member, worst, margin = _dense_event_A(e, 1.0, dense)
-        assert rep.member == member
-        assert rep.worst_block == worst
-        assert rep.margin == pytest.approx(margin, abs=1e-12)
 
 
 @pytest.mark.parametrize("N, n", [(2, 256), (2, 2048), (3, 128)])

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from waveshrink.interval import GeometryError, build_interval_system, min_coarse_level
 from waveshrink.noise import (
-    EVENT_A_SIZES,
     NOISE_FAMILIES,
     NoiseSpec,
-    haar_event_margins,
+    coefficient_bound,
+    event_probability_floor,
     hoeffding_bound,
     in_event_A,
     noise_coeff_bound_check,
@@ -96,35 +96,44 @@ class TestEventA:
     def test_geometry_restrictions(self):
         with pytest.raises(GeometryError):
             in_event_A(np.zeros(100), 1.0)
-        with pytest.raises(GeometryError):
-            in_event_A(np.zeros(1024), 1.0)  # J = 10 is not a power of two
+
+    @pytest.mark.parametrize("n", [64, 512, 1024])
+    def test_any_power_of_two(self, n):
+        # J = log2 n need not be a power of two
+        assert in_event_A(np.zeros(n), 1.0) == (True, 0.0)
+        assert not in_event_A(np.full(n, 0.5), 1.0).member
 
     def test_zero_noise_is_member(self):
         rep = in_event_A(np.zeros(256), 1.0)
         assert rep.member and rep.margin == 0.0
 
     def test_saturated_noise_is_not_member(self):
-        # all samples at +b/2: every block sum is at its maximum
+        # all samples at +b/2: the approximation coefficient is 8 > sqrt(8)
         rep = in_event_A(np.full(256, 0.5), 1.0)
         assert not rep.member and rep.margin > 1.0
 
-    @given(seeds)
-    @settings(max_examples=30, deadline=None)
-    def test_membership_matches_direct_recomputation(self, seed):
-        e = sample_noise(NoiseSpec("uniform", 1.0, seed), 256)
-        J, log_j = 8, 3
-        worst = 0.0
-        for l in range(-1, J - log_j + 1):
-            m = int(J * 2.0 ** (l - 1))
-            stride = max(1, 2 * m)
-            bound = 1.0 * J * 2.0 ** (l / 2.0) * math.sqrt(0.5 * math.log(2.0))
-            for k in range(2 ** (J - log_j - l)):
-                s = abs(np.sum(e[k * stride : k * stride + m]))
-                worst = max(worst, s / bound)
-        rep = in_event_A(e, 1.0)
-        assert rep.margin == pytest.approx(worst, rel=1e-12)
-        assert rep.member == (worst <= 1.0)
-        assert in_event_A(e, 1.0, HaarSystem(256, 3)) == rep
+    @pytest.mark.parametrize("system", ["haar", "interval", "haar-system"])
+    @given(seed=seeds, b=st.floats(0.1, 5.0))
+    @settings(max_examples=20, deadline=None)
+    def test_membership_is_the_largest_coefficient(self, system, seed, b):
+        system = _system(system)
+        e = sample_noise(NoiseSpec("uniform", b, seed), 256)
+        resolved = HaarSystem(256, 0) if system == "haar" else system
+        top = np.max(np.abs(resolved.analyze(e)))
+        bound = coefficient_bound(b, resolved)
+        assert bound == b * resolved.c_phi_estimate * math.sqrt(8)
+        rep = in_event_A(e, b, system)
+        assert rep == (top <= bound, top / bound)
+        assert noise_coeff_bound_check(e, b, system) == rep.member
+
+    def test_coarse_level_counts(self):
+        # the constant noise 0.2081 b: its one approximation coefficient at
+        # coarse level 0 is 0.2081 b * 16 > b sqrt(8); at coarse level 3 each
+        # of the eight is 0.2081 b * sqrt(32) < b sqrt(8)
+        e = np.full(256, 0.2081)
+        assert not in_event_A(e, 1.0).member
+        assert not in_event_A(e, 1.0, HaarSystem(256, 0)).member
+        assert in_event_A(e, 1.0, HaarSystem(256, 3)).member
 
     @pytest.mark.parametrize("system", ["haar", "interval", "haar-system"])
     def test_rejects_non_finite_noise(self, system):
@@ -148,54 +157,50 @@ class TestEventA:
         with pytest.raises(ValueError, match="size"):
             in_event_A(np.zeros(256), 1.0, HaarSystem(16, 0))
 
-    @pytest.mark.parametrize("n", EVENT_A_SIZES)
-    def test_batched_haar_margins_equal_the_row_test(self, n):
-        rows = [sample_noise(NoiseSpec(family, 1.0, seed), n)
-                for family in NOISE_FAMILIES for seed in (0, 1)]
-        # scaled to margin 1.0, and just inside and outside it
-        at_one = rows[0] / in_event_A(rows[0], 1.0).margin
-        rows += [at_one * (1 - 1e-12), at_one, at_one * (1 + 1e-12), np.zeros(n)]
-        margins, worst = haar_event_margins(np.array(rows), 1.0)
-        assert margins.shape == (len(rows),) and worst.shape == (len(rows), 2)
-        for e, margin, block in zip(rows, margins, worst):
-            rep = in_event_A(e, 1.0)
-            assert (rep.margin, rep.member, rep.worst_block) == \
-                (margin, margin <= 1.0, tuple(block))
-        assert margins[-3] == pytest.approx(1.0, rel=1e-15)
-        assert margins[-4] <= 1.0 < margins[-2]
-        assert tuple(worst[-1]) == (-1, 0)  # zero noise: no block is worse
+    @pytest.mark.parametrize("n, floor", [(2, 1 - 4 * math.exp(-2)),
+                                          (16, 1 - 32 * math.exp(-8)),
+                                          (256, 1 - 512 * math.exp(-16))])
+    def test_event_probability_floor(self, n, floor):
+        assert event_probability_floor(HaarSystem(n, 0)) == \
+            pytest.approx(floor, rel=1e-13)
 
-    def test_batched_haar_margins_reject_what_the_row_test_rejects(self):
-        with pytest.raises(ValueError, match="batch"):
-            haar_event_margins(np.zeros(256), 1.0)
-        with pytest.raises(GeometryError):
-            haar_event_margins(np.zeros((2, 1024)), 1.0)
-        with pytest.raises(ValueError, match="noise range"):
-            haar_event_margins(np.zeros((2, 256)), 0.0)
-        e = np.zeros((2, 256))
-        e[1, 3] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            haar_event_margins(e, 1.0)
+    def test_event_probability_floor_uses_c_phi(self):
+        system = build_interval_system(2, 256, min_coarse_level(2))
+        c = system.c_phi_estimate
+        assert c > 1
+        assert event_probability_floor(system) == \
+            pytest.approx(1 - 512 * math.exp(-16 * c * c), rel=1e-13)
 
 
 class TestHoeffding:
     def test_block_substitution_value(self):
-        # the finest block family at n = 256: 2^l J samples per block with
-        # bound b J 2^(l/2) sqrt(ln 2 / 2) gives exactly 1 - 1/n
+        # 2^l J samples in [-1/2, 1/2] with t = J 2^(l/2) sqrt(ln 2 / 2) give
+        # exactly 1 - 2/n at n = 256, for any l: the exponent is -J ln 2
         n, J = 256, 8
-        l = J - 3  # any l: the exponent is level-independent
+        l = J - 3
         m = J * 2 ** l
         t = J * 2.0 ** (l / 2.0) * math.sqrt(0.5 * math.log(2.0))
-        assert hoeffding_bound(m, t, -0.5, 0.5) == pytest.approx(1 - 1 / n,
+        assert hoeffding_bound(m, t, -0.5, 0.5) == pytest.approx(1 - 2 / n,
                                                                  abs=1e-12)
+
+    def test_two_sided(self):
+        # one Rademacher draw of +-1/2: P(|S| <= 0.49) = 0, and the one-sided
+        # constant would claim 1 - exp(-2 * 0.49^2) = 0.381
+        draws = np.array([-0.5, 0.5])
+        exact = float(np.mean(np.abs(draws) <= 0.49))
+        assert exact == 0.0
+        assert hoeffding_bound(1, 0.49, -0.5, 0.5) <= exact
+        assert hoeffding_bound(1, 0.49, -0.5, 0.5) == 0.0
 
     @given(st.integers(1, 1000), st.floats(0.01, 100), st.floats(-5, 0.0),
            st.floats(0.1, 5))
     @settings(max_examples=50)
     def test_bound_in_unit_interval(self, m, t, lo, width):
         p = hoeffding_bound(m, t, lo, lo + width)
-        # the exponential can underflow to exactly 0 for huge t
-        assert 0.0 < p <= 1.0
+        # clipped at 0 for small t; 1 when the exponential underflows
+        assert 0.0 <= p <= 1.0
+        hi = lo + width
+        assert p == max(0.0, 1 - 2 * math.exp(-2 * t * t / (m * (hi - lo) ** 2)))
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -204,6 +209,11 @@ class TestHoeffding:
             hoeffding_bound(1, 0.0, -1, 1)
         with pytest.raises(ValueError):
             hoeffding_bound(1, 1.0, 1, -1)
+        for t in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite t"):
+                hoeffding_bound(1, t, -1, 1)
+        with pytest.raises(ValueError, match="finite hi"):
+            hoeffding_bound(1, 1.0, -1, math.nan)
 
 
 class TestCoefficientBound:

@@ -444,21 +444,6 @@ def test_run_cell_takes_the_system_it_is_given(store, monkeypatch):
     assert run_cell(plan, cell, n, delta, range(0, 4), shipped) == want
 
 
-def test_shipped_copies_share_the_event_a_block_weights(monkeypatch):
-    system = wavelet_system("interval", 256, 1.0, 2)
-    copy = pickle.loads(pickle.dumps(system))
-    assert copy is not system
-    e = np.random.default_rng(3).uniform(-0.5, 0.5, 256)
-    monkeypatch.setattr(noise, "_BLOCK_WEIGHTS", {})
-    first = noise.in_event_A(e, 1.0, system)
-    weights = dict(noise._BLOCK_WEIGHTS[2, 256, 3])
-    # recomputing the weights would compose rows again
-    monkeypatch.setattr(interval.IntervalSystem, "row", refuse)
-    assert noise.in_event_A(e, 1.0, copy) == first
-    assert list(noise._BLOCK_WEIGHTS) == [(2, 256, 3)]
-    assert all(noise._BLOCK_WEIGHTS[2, 256, 3][k] is w for k, w in weights.items())
-
-
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="workers must inherit the patched build function")
 class TestRealPool:

@@ -4,7 +4,9 @@ This is ``run_trial`` and ``_assert_detail_contraction`` as the package had
 them before trials ran batched, cell by cell (:func:`waveshrink.experiments.run_cell`).
 One trial at a time, it rebuilds the signal and the config, analyzes the
 noise, the signal and the noisy samples through the pyramid functions, and
-walks the levels in Python.  The body is unchanged; only the imports are new.
+walks the levels in Python.  The body is unchanged but for the imports and
+the event-A system: the run's Haar system at its coarse level, not "haar"
+(coarse level 0), since the event covers the approximation block.
 """
 import math
 from typing import Optional
@@ -21,7 +23,7 @@ from waveshrink.interval import interval_dwt, interval_idwt
 from waveshrink.noise import NoiseSpec, in_event_A, sample_noise
 from waveshrink.shrinkage import ShrinkageConfig, apply_threshold, wavelet_system
 from waveshrink.signals import make_signal
-from waveshrink.transform import haar_dwt, haar_idwt
+from waveshrink.transform import HaarSystem, haar_dwt, haar_idwt
 
 
 def run_trial(plan: ExperimentPlan, cell: int, n: int, delta: float,
@@ -77,7 +79,8 @@ def run_trial(plan: ExperimentPlan, cell: int, n: int, delta: float,
     member: Optional[bool] = None
     if n in _EVENT_A_SIZES and plan.noise_bound > 0:
         member = in_event_A(e, plan.noise_bound,
-                            system if system is not None else "haar").member
+                            system if system is not None
+                            else HaarSystem(n, cfg.coarse_level)).member
     elif n in _EVENT_A_SIZES:
         member = True  # zero noise is trivially inside A
 
