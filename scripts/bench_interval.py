@@ -43,7 +43,8 @@ def measure(moments: int, n: int, repeats: int) -> dict:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--moments", type=int, default=2)
+    # N = 1 is the Haar basis, which has no banded build
+    ap.add_argument("--moments", type=int, choices=range(2, 6), default=2)
     ap.add_argument("--min-exp", type=int, default=8)
     ap.add_argument("--max-exp", type=int, default=16)
     ap.add_argument("--repeats", type=int, default=21)

@@ -29,9 +29,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=500)
     ap.add_argument("--seed", type=int, default=20240817)
-    ap.add_argument("--workers", type=int,
-                    default=int(os.environ.get("WAVESHRINK_WORKERS",
-                                               os.cpu_count() or 1)))
+    ap.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     ap.add_argument("--system", choices=SYSTEM_KINDS, default="haar")
     ap.add_argument("--moments", type=int, default=None,
                     help="vanishing moments of the interval system")

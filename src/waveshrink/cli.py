@@ -240,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("summary", help="output CSV path for per-cell summaries")
     p.add_argument("--seed", type=int, default=None,
                    help="master seed; overrides the plan's master_seed")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: WAVESHRINK_WORKERS or 1)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes (default 1)")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("rates", help="fit convergence rates from summary CSVs")

@@ -22,7 +22,7 @@ synthesized.  This rounds differently from analyzing f + e (at most about
 3e-14 relative in the error fields); seeds, event A and the exceedances are
 the same either way.  Reports carry event A at n in ``EVENT_A_SIZES`` only.
 
-Interval systems come from one bounded store per process
+Interval systems come from one store per process
 (:func:`~waveshrink.shrinkage.wavelet_systems`).  :func:`run_plan` resolves
 the system of each n before any task runs: systems missing from the
 caller's store are built once each, in the pool's workers if there is a pool,
@@ -132,10 +132,7 @@ class ExperimentPlan:
         moments = system_moments(self.system, self.alpha, self.moments)
         threshold_rule(self.mode)
         check_family(self.noise_family)
-        # the seed rule of SeedSequence; None would draw fresh entropy
-        if not (is_integer(self.master_seed) and self.master_seed >= 0):
-            raise ValueError(f"master_seed must be a non-negative integer, "
-                             f"got {self.master_seed!r}")
+        check_master_seed(self.master_seed)
         if not (math.isfinite(self.noise_bound) and self.noise_bound >= 0):
             raise ValueError(
                 f"noise bound must be finite and >= 0, got {self.noise_bound}")
@@ -212,6 +209,14 @@ class RateFit:
     intercept: float
     residual: float
     target: float
+
+
+def check_master_seed(master_seed) -> None:
+    """The one master-seed rule, SeedSequence's: a non-negative integer.
+    None would draw fresh entropy, so no run could be repeated."""
+    if not (is_integer(master_seed) and master_seed >= 0):
+        raise ValueError(f"master_seed must be a non-negative integer, "
+                         f"got {master_seed!r}")
 
 
 def _trial_seed(master_seed: int, cell: int, trial: int) -> np.random.SeedSequence:
@@ -363,25 +368,17 @@ def _plan_tasks(plan: ExperimentPlan, workers: int) -> list[tuple]:
     return tasks
 
 
-def run_plan(plan: ExperimentPlan, workers: Optional[int] = None) -> list[TrialReport]:
+def run_plan(plan: ExperimentPlan, workers: int = 1) -> list[TrialReport]:
     """All trial reports for the plan, in deterministic (cell, trial) order.
 
-    ``workers`` defaults to the WAVESHRINK_WORKERS environment variable, else
-    1; a pool never gets more processes than there are tasks.  The system of
-    each n is resolved once, before any task runs, and sent with every task
-    of that n.  Interval systems missing from this process's store are built
-    by the pool, if there is one, else here, and stored here, so a later call
-    with the same systems builds none.
+    ``workers`` is an integer >= 1; a pool never gets more processes than
+    there are tasks.  The system of each n is resolved once, before any task
+    runs, and sent with every task of that n.  Interval systems missing from
+    this process's store are built by the pool, if there is one, else here,
+    and stored here, so a later call with the same systems builds none.
     """
-    if workers is None:
-        raw = os.environ.get("WAVESHRINK_WORKERS", "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"WAVESHRINK_WORKERS must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
+    if not (is_integer(workers) and workers >= 1):
+        raise ValueError(f"worker count must be an integer >= 1, got {workers!r}")
     tasks = _plan_tasks(plan, workers)
     workers = min(workers, len(tasks))
     with ExitStack() as stack:
@@ -422,6 +419,7 @@ def estimate_event_probability(noise_family: str, b: float, n: int, trials: int,
     ``SeedSequence(master_seed, spawn_key=(0, t))``."""
     if not is_integer(trials) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    check_master_seed(master_seed)
     check_family(noise_family)
     system = _system_at(system, n)
     bound = coefficient_bound(b, system)

@@ -24,6 +24,9 @@ diagonalizes the column position, ordered by center.  The polynomial span is
 carried from level to level as O(N) vectors of the level's length; every
 other step works on a window of O(N) columns at one end of the level, so no
 step touches an L x L array.
+
+N starts at 2: the N = 1 member, Haar, needs no boundary rows and is
+:class:`~waveshrink.transform.HaarSystem`.
 """
 from __future__ import annotations
 
@@ -40,6 +43,7 @@ from .transform import (
     _as_samples,
     _last_axis,
     finest_level,
+    is_integer,
 )
 
 _ORTHO_TOL = 1e-9
@@ -61,8 +65,6 @@ def daubechies_filter(moments: int) -> np.ndarray:
     """
     if not 1 <= moments <= MAX_MOMENTS:
         raise ValueError(f"unsupported number of vanishing moments: {moments}")
-    if moments == 1:
-        return np.array([1.0, 1.0]) / math.sqrt(2.0)
     # P(y) = sum_k C(N-1+k, k) y^k has no roots in [0, 1]
     p = np.array([math.comb(moments - 1 + k, k) for k in range(moments)], dtype=float)
     y_roots = np.roots(p[::-1])
@@ -483,10 +485,6 @@ def _level_map(h: np.ndarray, g: np.ndarray, L: int, left: _EndBasis,
     N = len(h) // 2
     half = L // 2
 
-    if N == 1:
-        # no boundary functions needed: plain Haar level map
-        return _Level(L, _Band(h, 0, half - 1), _Band(g, 0, half - 1), ()), 0
-
     # row budget: N left boundary scaling rows, R right boundary scaling rows,
     # ceil(margin_left/2) left and R right boundary detail rows; everything
     # else carries the interior filters
@@ -591,7 +589,8 @@ class BasisRow(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class IntervalSystem:
-    """Orthogonal transform for the interval wavelet basis, in banded form.
+    """Orthogonal transform for the interval wavelet basis with N =
+    ``moments`` in 2..MAX_MOMENTS vanishing moments, in banded form.
 
     ``levels[i]`` is the map of level j = coarse_level + i: it takes the
     2^(j+1) scaling coefficients of level j+1 (the samples, at j = J-1) to
@@ -672,13 +671,19 @@ class IntervalSystem:
 
 
 def min_coarse_level(moments: int) -> int:
+    """Smallest coarse level J0 for N vanishing moments: room for both
+    boundaries at N >= 2, and 0 at N = 1 (Haar, which has none)."""
     if moments == 1:
-        return 0  # Haar needs no boundary adaptation
+        return 0
     return 1 + math.ceil(math.log2(2 * moments - 1))
 
 
 def build_interval_system(moments: int, n: int, coarse_level: int) -> IntervalSystem:
-    """Assemble the banded level maps of the interval wavelet transform."""
+    """Assemble the banded level maps of the interval wavelet transform, N in
+    2..MAX_MOMENTS; N = 1 is :class:`~waveshrink.transform.HaarSystem`."""
+    if not (is_integer(moments) and 2 <= moments <= MAX_MOMENTS):
+        raise ValueError(f"the banded interval system takes N in 2..{MAX_MOMENTS}, "
+                         f"got N={moments!r}; N = 1 is HaarSystem")
     J = finest_level(n)
     if not min_coarse_level(moments) <= coarse_level <= J:
         raise GeometryError(
@@ -701,7 +706,7 @@ def build_interval_system(moments: int, n: int, coarse_level: int) -> IntervalSy
         left_cols, right_cols = _end_cols(L // 2, moments)
         left = _level_basis(coarse[:moments], left_cols)
         right = _level_basis(coarse[moments:], right_cols)
-        margin_left = 0 if moments == 1 else moments
+        margin_left = moments
     system = IntervalSystem(moments=moments, coarse_level=coarse_level, n=n,
                             levels=tuple(reversed(levels)))
 

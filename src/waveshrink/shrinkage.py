@@ -156,7 +156,8 @@ def wavelet_system(kind: str, n: int, alpha: float,
                    moments: Optional[int] = None) -> HaarSystem | IntervalSystem:
     """The wavelet system the shrinkage pipeline uses for (kind, n, alpha, N),
     with N from :func:`system_moments` and the coarse level from
-    :func:`coarse_level_for`.  Interval systems come from one store per
+    :func:`coarse_level_for`: at N = 1, the Haar basis, a :class:`HaarSystem`
+    whatever the kind, else an interval system.  Interval systems come from one store per
     process (see :func:`wavelet_systems`) and are shared, so callers must not
     modify them."""
     return wavelet_systems(kind, (n,), alpha, moments)[n]
@@ -167,35 +168,25 @@ def wavelet_systems(kind: str, ns, alpha: float, moments: Optional[int] = None,
     """:func:`wavelet_system` for every n of ``ns``, as a dict keyed by n.
 
     Interval systems live in one store per process, keyed by (N, n, J0), that
-    keeps the ``_STORE_SIZE`` most recently used.  Those missing from it are
-    built once per distinct key, by mapping a module-level build function
+    keeps every system it builds.  Those missing from it are built once per
+    distinct key, largest first, by mapping a module-level build function
     over the keys with ``build_map``, and stored: the builtin ``map`` builds
     them here, a process pool's ``map`` builds them in its workers, in
     parallel, and they come back here.
     """
     moments = system_moments(kind, alpha, moments)
     coarse = {n: coarse_level_for(n, alpha, moments) for n in ns}
-    if kind == "haar":
+    if moments == 1:
         return {n: HaarSystem(n, j0) for n, j0 in coarse.items()}
     keys = {n: (moments, n, j0) for n, j0 in coarse.items()}
-    wanted = set(keys.values())
     # largest first, so that a pool does not start its longest build last
-    missing = sorted(wanted - _INTERVAL_SYSTEMS.keys(), reverse=True)
-    built = dict(zip(missing, build_map(_build_system, missing)))
-    # (re-)inserted smallest first, so that past the bound the cheapest
-    # rebuilds go out first
-    systems = {key: built[key] if key in built else _INTERVAL_SYSTEMS.pop(key)
-               for key in sorted(wanted)}
-    _INTERVAL_SYSTEMS.update(systems)
-    while len(_INTERVAL_SYSTEMS) > _STORE_SIZE:
-        del _INTERVAL_SYSTEMS[next(iter(_INTERVAL_SYSTEMS))]
-    return {n: systems[key] for n, key in keys.items()}
+    missing = sorted(set(keys.values()) - _INTERVAL_SYSTEMS.keys(), reverse=True)
+    _INTERVAL_SYSTEMS.update(zip(missing, build_map(_build_system, missing)))
+    return {n: _INTERVAL_SYSTEMS[key] for n, key in keys.items()}
 
 
-# The interval systems built in this process, by (N, n, J0), least recently
-# used first.
+# The interval systems built in this process, by (N, n, J0).
 _INTERVAL_SYSTEMS: dict[tuple[int, int, int], IntervalSystem] = {}
-_STORE_SIZE = 8
 
 
 def _build_system(key: tuple[int, int, int]) -> IntervalSystem:

@@ -127,24 +127,25 @@ def check_holder(samples, alpha: float, M: float) -> HolderCheck:
 
     For alpha <= 1 every grid pair is checked directly (O(n^2), fine at desk
     scale).  For alpha > 1 the first difference quotients are required to stay
-    below M and their sequence must satisfy the (alpha - 1) pairwise check.
+    below M and their sequence must satisfy the (alpha - 1) pairwise check,
+    on the same grid spacing 1/n.
     """
     y = np.asarray(samples, dtype=float)
     n = len(y)
-    if n < 2:
-        raise ValueError("need at least two samples")
     _check_class(alpha, M)
+    need = 1 + max(1, math.ceil(alpha))  # a pair of the last quotients
+    if n < need:
+        raise ValueError(f"need at least {need} samples at alpha={alpha}, got {n}")
 
-    if alpha > 1:
-        quot = (y[1:] - y[:-1]) * n
+    while alpha > 1:
+        quot = (y[1:] - y[:-1]) * n  # the quotients keep the spacing 1/n
         i = int(np.argmax(np.abs(quot)))
         if abs(quot[i]) > M:
             return HolderCheck(False, float(abs(quot[i]) / M), (i, i + 1))
-        inner = check_holder(quot, alpha - 1.0, M)
-        return HolderCheck(inner.ok, inner.worst_ratio, inner.pair)
+        y, alpha = quot, alpha - 1.0
 
     worst, pair = 0.0, (0, 1)
-    for d in range(1, n):
+    for d in range(1, len(y)):
         num = np.abs(y[d:] - y[:-d])
         ratio = num / (M * (d / n) ** alpha)
         i = int(np.argmax(ratio))

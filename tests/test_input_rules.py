@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from waveshrink.experiments import ExperimentPlan, estimate_event_probability
 from waveshrink.interval import GeometryError, build_interval_system
 from waveshrink.noise import NoiseSpec, in_event_A, noise_coeff_bound_check
 from waveshrink.shrinkage import compute_levels, compute_threshold
@@ -54,6 +55,30 @@ NOISE_RANGE_ENTRY_POINTS = {
 def test_noise_range_rule(entry, b):
     with pytest.raises(ValueError, match=NOISE_RANGE_MESSAGE):
         NOISE_RANGE_ENTRY_POINTS[entry](b)
+
+
+# entry points that take a master seed
+MASTER_SEED_ENTRY_POINTS = {
+    "ExperimentPlan": lambda seed: ExperimentPlan(
+        signal_kind="sine", alpha=1.0, holder_const=1.0, noise_family="uniform",
+        noise_bound=1.0, ns=(256,), deltas=(1.0,), trials=1, master_seed=seed),
+    "estimate_event_probability": lambda seed: estimate_event_probability(
+        "uniform", 1.0, 16, 3, master_seed=seed),
+}
+
+
+@pytest.mark.parametrize("entry", MASTER_SEED_ENTRY_POINTS)
+@pytest.mark.parametrize("seed", [None, -1, 1.5, "3", True])
+def test_master_seed_rule(entry, seed):
+    # a plan names the field before it reaches the rule, for a value that is
+    # not a number at all
+    with pytest.raises(ValueError, match="^master_seed"):
+        MASTER_SEED_ENTRY_POINTS[entry](seed)
+
+
+@pytest.mark.parametrize("entry", MASTER_SEED_ENTRY_POINTS)
+def test_master_seed_accepts_numpy_integers(entry):
+    MASTER_SEED_ENTRY_POINTS[entry](np.int64(3))
 
 
 def test_signal_kinds_keep_their_order():

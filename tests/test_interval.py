@@ -14,7 +14,8 @@ from waveshrink.interval import (
     interval_idwt,
     min_coarse_level,
 )
-from waveshrink.transform import HaarSystem, haar_dwt
+from waveshrink.shrinkage import wavelet_system
+from waveshrink.transform import HaarSystem
 
 TOL = 1e-8
 
@@ -23,7 +24,7 @@ TOL = 1e-8
 def systems():
     """Interval systems keyed by (N, n), and the Haar system under ("haar", n)."""
     out = {(N, n): build_interval_system(N, n, min_coarse_level(N))
-           for N in (1, 2, 3) for n in (128, 256)}
+           for N in (2, 3) for n in (128, 256)}
     out.update({("haar", n): HaarSystem(n, 0) for n in (128, 256)})
     return out
 
@@ -57,14 +58,14 @@ class TestFilters:
 
 
 class TestOrthogonality:
-    @pytest.mark.parametrize("N", [1, 2, 3, "haar"])
+    @pytest.mark.parametrize("N", [2, 3, "haar"])
     @pytest.mark.parametrize("n", [128, 256])
     def test_matrix_is_orthogonal(self, systems, N, n):
         # row i is W e_i: the transpose of W, in one batched call
         Wt = systems[(N, n)].analyze(np.eye(n))
         assert np.max(np.abs(Wt @ Wt.T - np.eye(n))) < TOL
 
-    @pytest.mark.parametrize("N", [1, 2, 3, "haar"])
+    @pytest.mark.parametrize("N", [2, 3, "haar"])
     def test_round_trip(self, systems, N):
         rng = np.random.default_rng(N if N != "haar" else 0)
         system = systems[(N, 256)]
@@ -93,13 +94,13 @@ class TestVanishingMoments:
             worst = max(np.max(np.abs(d)) for d in pyr.details)
             assert worst < 1e-9
 
-    def test_haar_case_matches_fast_transform(self, systems):
-        system = systems[(1, 256)]
-        rng = np.random.default_rng(7)
-        y = rng.standard_normal(256)
-        a = interval_dwt(y, system).flat()
-        b = haar_dwt(y, 0).flat()
-        assert np.max(np.abs(np.abs(a) - np.abs(b))) < 1e-10
+    def test_haar_case_matches_fast_transform(self):
+        # N = 1 is the Haar basis: the pipeline resolves it to HaarSystem
+        for n in (16, 256, 2 ** 14):
+            for alpha in (0.5, 1.0):
+                system = wavelet_system("interval", n, alpha, 1)
+                assert isinstance(system, HaarSystem)
+                assert system == wavelet_system("haar", n, alpha)
 
     def test_smooth_signal_decay_slope(self, systems):
         system = build_interval_system(2, 1024, min_coarse_level(2))
@@ -114,14 +115,6 @@ class TestVanishingMoments:
 class TestWeights:
     """Composed rows (:meth:`IntervalSystem.row`), which c_phi reads, against
     the transform."""
-
-    def test_haar_weights_are_unit(self, systems):
-        system = systems[(1, 256)]
-        factor = 2.0 ** ((system.finest_level - 3) / 2.0)
-        for kind in ("scaling", "detail"):
-            offset, values = system.row(3, 2, kind)
-            assert offset == 2 * 32
-            assert np.allclose(np.abs(values * factor), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("N", [2, 3])
     def test_weight_identity(self, systems, N):
@@ -155,6 +148,11 @@ class TestGeometryAndSerialization:
             build_interval_system(2, 128, min_coarse_level(2) - 1)
         with pytest.raises(GeometryError):
             build_interval_system(2, 128, 8)
+
+    @pytest.mark.parametrize("N", [0, 1, 6, 2.0])
+    def test_banded_build_needs_two_to_five_moments(self, N):
+        with pytest.raises(ValueError, match="N = 1 is HaarSystem"):
+            build_interval_system(N, 256, 0)
 
     def test_min_coarse_level_values(self):
         assert min_coarse_level(1) == 0

@@ -355,24 +355,16 @@ class TestWorkers:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         return made
 
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_rejects_fewer_than_one_worker(self, workers, pools):
-        with pytest.raises(ValueError, match="worker count"):
+    @pytest.mark.parametrize("workers", [0, -1, 2.5, 2.0, "2", None, True])
+    def test_rejects_a_bad_worker_count(self, workers, pools):
+        with pytest.raises(ValueError, match="worker count must be an integer >= 1"):
             run_plan(plan_of(), workers=workers)
         assert pools == []
 
-    @pytest.mark.parametrize("raw", ["two", "2.5", "", "0"])
-    def test_rejects_bad_environment_value(self, raw, monkeypatch, pools):
-        monkeypatch.setenv("WAVESHRINK_WORKERS", raw)
-        with pytest.raises(ValueError, match="WAVESHRINK_WORKERS|worker count"):
-            run_plan(plan_of())
-        assert pools == []
-
-    def test_environment_sets_the_default(self, monkeypatch, pools):
-        monkeypatch.setenv("WAVESHRINK_WORKERS", "3")
-        plan = plan_of()
+    def test_one_worker_is_the_default(self, pools):
+        plan = plan_of(ns=(256, 512), deltas=(1.0,))
         assert run_plan(plan) == run_plan(plan, workers=1)
-        assert pools == [3]
+        assert pools == []
 
     def test_pool_never_exceeds_the_task_count(self, pools):
         plan = plan_of(ns=(256, 512), deltas=(1.0,))  # one task per cell
@@ -416,21 +408,31 @@ def test_plan_without_trials_builds_nothing(store, monkeypatch):
     assert store == {}
 
 
-def test_store_keeps_the_most_recently_used_systems(store):
+def test_store_keeps_every_system_it_builds(store):
+    built = []
+
     def fake_build(fn, keys):  # stands in for the builds, in order
+        built.extend(keys)
         return [("system", key) for key in keys]
 
-    ns = [2 ** k for k in range(4, 14)]  # ten systems, two over the bound
+    ns = [2 ** k for k in range(4, 14)]  # ten systems
     got = shrinkage.wavelet_systems("interval", ns, 1.0, 2, build_map=fake_build)
     assert got == {n: ("system", (2, n, 3)) for n in ns}
-    # stored smallest first, so the two smallest went out first
-    assert sorted(store) == [(2, n, 3) for n in ns[2:]]
-    assert shrinkage.wavelet_system("interval", 2 ** 13, 1.0, 2) == \
-        ("system", (2, 2 ** 13, 3))
-    assert list(store)[-1] == (2, 2 ** 13, 3)  # a hit is used most recently
-    got = shrinkage.wavelet_systems("interval", [16], 1.0, 2, build_map=fake_build)
-    assert got == {16: ("system", (2, 16, 3))}
-    assert len(store) == shrinkage._STORE_SIZE and (2, 32, 3) not in store
+    # a later request builds only what the store lacks
+    more = ns + [2 ** 14]
+    got = shrinkage.wavelet_systems("interval", more, 1.0, 2, build_map=fake_build)
+    assert got == {n: ("system", (2, n, 3)) for n in more}
+    assert sorted(built) == sorted(store) == [(2, n, 3) for n in more]
+
+
+def test_store_builds_largest_first(store):
+    def fake_build(fn, keys):
+        assert keys == sorted(keys, key=lambda key: key[1], reverse=True)
+        return [("system", key) for key in keys]
+
+    shrinkage.wavelet_systems("interval", [256, 16, 4096, 64], 1.0, 2,
+                              build_map=fake_build)
+    assert sorted(store) == [(2, n, 3) for n in (16, 64, 256, 4096)]
 
 
 def test_run_cell_takes_the_system_it_is_given(store, monkeypatch):

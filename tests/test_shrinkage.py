@@ -25,6 +25,7 @@ from waveshrink.shrinkage import (
     system_moments,
     wavelet_system,
 )
+from waveshrink.signals import make_signal
 from waveshrink.transform import HaarSystem, haar_dwt, haar_idwt
 
 finite = st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False)
@@ -268,6 +269,36 @@ class TestShrinkDifferential:
         y[1, 9] = np.nan
         with pytest.raises(ValueError, match="finite"):
             shrink(y, cfg, system)
+
+
+class TestShrinkIsLipschitz:
+    """Soft ``shrink`` is 1-Lipschitz in l2 as a function of the noise, since
+    it is an orthogonal analysis, a coordinatewise 1-Lipschitz threshold and
+    an orthogonal synthesis.  Hard thresholding jumps at the threshold, so it
+    has no such bound and is left out."""
+
+    @pytest.mark.parametrize("kind, moments", [("haar", None), ("interval", 2),
+                                               ("interval", 3)])
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([256, 512]),
+           spread=st.floats(0.01, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_soft_shrink_is_one_lipschitz(self, kind, moments, seed, n, spread):
+        system, cfg = _pipeline(kind, n, moments, "soft")
+        lam = cfg.orthonormal_threshold
+        rng = np.random.default_rng(seed)
+        # a pair of noisy vectors whose coefficients straddle +lam and -lam:
+        # magnitudes within lam * spread of lam, or of 3 lam, where both are
+        # shrunk by the same lam; a quarter of the signs flipped
+        signs = rng.choice([-1.0, 1.0], n)
+        centers = lam * rng.choice([1.0, 3.0], n)
+        c1 = signs * (centers + lam * spread * rng.uniform(-1, 1, n))
+        c2 = np.where(rng.random(n) < 0.25, -signs, signs) \
+            * (centers + lam * spread * rng.uniform(-1, 1, n))
+        f = make_signal("sine", 1.0, 1.0).sample(n)
+        e = system.synthesize(np.stack([c1, c2])) - f
+        out = shrink(f + e, cfg, system)
+        ratio = np.linalg.norm(out[0] - out[1]) / np.linalg.norm(e[0] - e[1])
+        assert ratio <= 1 + 1e-12
 
 
 class TestShrinkSystemMatch:

@@ -28,9 +28,11 @@ class TestCertificates:
         assert chk.ok, f"{kind} alpha={alpha}: worst ratio {chk.worst_ratio}"
 
     @pytest.mark.parametrize("kind", ["linear", "sine", "ripple"])
-    def test_smooth_kinds_certified_above_one(self, kind):
-        sig = make_signal(kind, 2.0, 1.0)
-        assert check_holder(sig.sample(256), 2.0, 1.0).ok
+    @pytest.mark.parametrize("alpha", [1.5, 2.0])
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_smooth_kinds_certified_above_one(self, kind, alpha, n):
+        chk = check_holder(make_signal(kind, alpha, 1.0).sample(n), alpha, 1.0)
+        assert chk.ok, f"{kind} alpha={alpha} n={n}: worst ratio {chk.worst_ratio}"
 
     @given(st.floats(0.1, 1.0), st.floats(0.1, 10.0))
     @settings(max_examples=20, deadline=None)
@@ -99,3 +101,11 @@ class TestCheckHolderValidation:
         t = sample_grid(128)
         assert check_holder(0.5 * t ** 2, 2.0, 1.0).ok
         assert not check_holder(5.0 * t ** 2, 2.0, 1.0).ok
+
+    def test_alpha_above_one_keeps_the_grid_spacing(self):
+        # |f'| <= 0.501 and f'' = 1.002 M: the second difference quotients,
+        # taken 1/n apart, exceed M by the factor 1.002
+        t = sample_grid(256)
+        chk = check_holder(0.5 * 1.002 * (t - 0.5) ** 2, 2.0, 1.0)
+        assert not chk.ok
+        assert chk.worst_ratio == pytest.approx(1.002, rel=1e-9)
