@@ -60,6 +60,7 @@ from .noise import (
 from .shrinkage import (
     ShrinkageConfig,
     _check_alpha,
+    _threshold_in_place,
     apply_threshold,
     coarse_level_for,
     min_samples,
@@ -231,10 +232,11 @@ def _chunk_trials(n: int) -> int:
 
 def _noise_batch(family: str, b: float, seeds, n: int) -> np.ndarray:
     """(len(seeds), n) noise, row i drawn from seeds[i]; zeros for b = 0."""
-    noise = np.zeros((len(seeds), n))
-    if b != 0:  # NoiseSpec rejects any other b that is not > 0
-        for row, seed in zip(noise, seeds):
-            row[...] = sample_noise(NoiseSpec(family, b, seed), n)
+    if b == 0:  # NoiseSpec rejects any other b that is not > 0
+        return np.zeros((len(seeds), n))
+    noise = np.empty((len(seeds), n))
+    for row, seed in zip(noise, seeds):
+        row[...] = sample_noise(NoiseSpec(family, b, seed), n)
     return noise
 
 
@@ -286,7 +288,7 @@ def run_cell(plan: ExperimentPlan, cell: int, n: int, delta: float,
         exceed = by_level.sum(axis=-1)
 
         c += signal_c
-        c[:, lo:] = threshold_rule(cfg.mode)(c[:, lo:], lam)
+        _threshold_in_place(c[:, lo:], lam, cfg.mode)
         _assert_detail_contraction(c, signal_c, lam, cfg.coarse_level,
                                    exceed, cfg.mode)
 

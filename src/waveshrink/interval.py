@@ -126,15 +126,14 @@ class _Edge(NamedTuple):
     def stop(self) -> int:
         return self.start + self.rows.shape[1]
 
-    # Both products run as a loop of elementwise multiply-adds rather than a
-    # matmul: BLAS rounds a batch (gemm) differently from one vector (gemv),
-    # and each row of a batch must equal that row transformed alone.
+    # Neither product is a matmul: BLAS rounds a batch (gemm) differently
+    # from one vector (gemv), and each row of a batch must equal that row
+    # transformed alone.  Each sums its terms in column order, one after the
+    # other: np.add.reduce would sum pairwise and round differently.
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The edge rows applied to the window of x: (..., n) -> (..., rows)."""
-        acc = x[..., self.start, None] * self.rows[:, 0]
-        for s in range(1, self.rows.shape[1]):
-            acc += x[..., self.start + s, None] * self.rows[:, s]
-        return acc
+        terms = x[..., None, self.start : self.stop] * self.rows
+        return np.add.accumulate(terms, axis=-1, out=terms)[..., -1]
 
     def apply_transpose(self, c: np.ndarray) -> np.ndarray:
         """Transpose of :meth:`apply` from the stacked coefficients c:
@@ -622,13 +621,14 @@ class IntervalSystem:
     def analyze(self, samples) -> np.ndarray:
         """W applied along the last axis: (..., n) -> (..., n)."""
         s = _last_axis(samples, self.n)
-        details = []
+        coeffs = np.empty(s.shape)
         for level in reversed(self.levels):
             out = level.analyze(s)
             half = level.size // 2
-            details.append(out[..., half:])
+            coeffs[..., half : level.size] = out[..., half:]
             s = out[..., :half]
-        return np.concatenate([s, *details[::-1]], axis=-1)
+        coeffs[..., : s.shape[-1]] = s
+        return coeffs
 
     def synthesize(self, coeffs) -> np.ndarray:
         """W.T applied along the last axis: the inverse of :meth:`analyze`."""

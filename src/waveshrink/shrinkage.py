@@ -18,6 +18,8 @@ from .transform import (
     haar_dwt,
     haar_idwt,
     is_integer,
+    _block_count,
+    _run_blocks,
 )
 
 # shrink calls the systems directly; haar_dwt and haar_idwt stay bound here
@@ -46,6 +48,22 @@ def hard_threshold(x, lam: float):
 
 
 _THRESHOLD_FNS = {"soft": soft_threshold, "hard": hard_threshold}
+
+
+def _threshold_in_place(x: np.ndarray, lam: float, mode: str, scratch=None) -> None:
+    """Threshold the float array x in place under ``mode``, to the bytes that
+    :func:`soft_threshold` or :func:`hard_threshold` return.  ``scratch``, an
+    array of x's shape that is overwritten, or None to allocate one.  It runs
+    on helper threads: numpy only, and no allocation when scratch is given."""
+    mag = np.abs(x, out=scratch)
+    if mode == "soft":
+        mag -= lam
+        np.maximum(mag, 0.0, out=mag)
+        np.copysign(mag, x, out=x)
+    else:
+        np.greater(mag, lam, out=mag)  # 1.0 where x is kept, 0.0 where not
+        x *= mag
+        x += 0.0  # a killed negative's -0.0 becomes hard_threshold's 0.0
 
 
 def threshold_rule(mode: str):
@@ -274,6 +292,11 @@ def shrink(y, config: ShrinkageConfig, system=None) -> np.ndarray:
     the pipeline's system for the config (:func:`wavelet_system`); a given
     system must match the config in n, coarse level, vanishing moments and
     c_phi, else ValueError.
+
+    From 2**19 values on, on more than one usable core, the Haar transforms
+    and the thresholding run in blocks on one thread per core (see
+    :meth:`~waveshrink.transform.HaarSystem.analyze`); the output bytes do
+    not depend on the number of blocks.
     """
     if system is None:
         system = wavelet_system(config.system, config.n, config.alpha, config.moments)
@@ -286,6 +309,10 @@ def shrink(y, config: ShrinkageConfig, system=None) -> np.ndarray:
     if not np.all(np.isfinite(y)):
         raise ValueError("samples must be finite")
     coeffs = system.analyze(y)
-    details = coeffs[..., 2 ** config.coarse_level :]
-    details[...] = threshold_rule(config.mode)(details, config.orthonormal_threshold)
+    # p shares of the details along the last axis, each with its own scratch,
+    # which is freed before the synthesis
+    p = _block_count(y.size, system.finest_level - config.coarse_level)
+    shares = np.array_split(coeffs[..., 2 ** config.coarse_level :], p, axis=-1)
+    _run_blocks(_threshold_in_place, [
+        (d, config.orthonormal_threshold, config.mode, np.empty(d.shape)) for d in shares])
     return system.synthesize(coeffs)

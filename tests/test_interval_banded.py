@@ -9,6 +9,7 @@ from waveshrink.interval import (
     KINDS,
     GeometryError,
     _Band,
+    _Edge,
     _graded_right_vectors,
     _level_basis,
     _residuals,
@@ -181,3 +182,24 @@ def test_batched_rows_equal_single_rows_bit_for_bit(N, lead):
     for idx in np.ndindex(*lead):
         assert np.array_equal(coeffs[idx], system.analyze(x[idx]))
         assert np.array_equal(back[idx], system.synthesize(x[idx]))
+
+
+def _edge_by_columns(edge, x):
+    """The edge rows applied to the window of x one column at a time: the
+    reference order of the running sum that _Edge.apply must keep."""
+    acc = x[..., edge.start, None] * edge.rows[:, 0]
+    for s in range(1, edge.rows.shape[1]):
+        acc += x[..., edge.start + s, None] * edge.rows[:, s]
+    return acc
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+@pytest.mark.parametrize("lead", [(), (1,), (32,), (2, 5)])
+def test_edge_products_match_the_column_loop(N, lead):
+    system = build_interval_system(N, 1024, min_coarse_level(N))
+    x = np.random.default_rng(N).standard_normal(lead + (1024,))
+    for level in system.levels:
+        for edge in level.edges:
+            assert isinstance(edge, _Edge)
+            xs = x[..., : level.size]
+            assert edge.apply(xs).tobytes() == _edge_by_columns(edge, xs).tobytes()

@@ -14,6 +14,7 @@ from waveshrink.interval import (
 )
 from waveshrink.shrinkage import (
     ShrinkageConfig,
+    _threshold_in_place,
     apply_threshold,
     coarse_level_for,
     compute_levels,
@@ -67,6 +68,17 @@ class TestThresholdFunctions:
         x = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
         soft_threshold(x, 1.0)
         assert np.array_equal(x, [-2.0, -0.5, 0.0, 0.5, 2.0])
+
+    @given(st.lists(st.one_of(finite, st.sampled_from([0.0, -0.0])),
+                    min_size=1, max_size=40), lams, st.booleans())
+    def test_in_place_gives_the_bytes_of_the_rules(self, xs, lam, scratch):
+        """Signed zeros included: a killed negative coefficient is -0.0 under
+        soft thresholding and 0.0 under hard thresholding."""
+        x = np.array(xs + [lam, -lam])
+        for mode, fn in (("soft", soft_threshold), ("hard", hard_threshold)):
+            got = x.copy()
+            _threshold_in_place(got, lam, mode, np.empty_like(x) if scratch else None)
+            assert got.tobytes() == fn(x, lam).tobytes()
 
     def test_negative_lambda_rejected(self):
         for fn in (soft_threshold, hard_threshold):
