@@ -1,8 +1,11 @@
 """Build time, dwt+idwt time and peak RSS of the interval system over an n grid.
 
-Each n runs in a fresh interpreter, so its peak RSS is its own.  The script
-uses only ``build_interval_system``, ``interval_dwt`` and ``interval_idwt``,
-so the same file measures any checkout: point PYTHONPATH at its ``src``.
+Each n runs in a fresh interpreter, so its peak RSS is its own.  dwt+idwt
+is one ``IntervalSystem.analyze`` and one ``synthesize`` of a single signal:
+the orthonormal transform and its inverse in the flat coefficient layout,
+with no rescaling and no split into levels.  The script uses only
+``build_interval_system`` and those two methods, so the same file measures
+any checkout that has them: point PYTHONPATH at its ``src``.
 
     PYTHONPATH=src python scripts/bench_interval.py --moments 2 --max-exp 16
 """
@@ -19,12 +22,7 @@ import time
 def measure(moments: int, n: int, repeats: int) -> dict:
     import numpy as np
 
-    from waveshrink.interval import (
-        build_interval_system,
-        interval_dwt,
-        interval_idwt,
-        min_coarse_level,
-    )
+    from waveshrink.interval import build_interval_system, min_coarse_level
 
     start = time.perf_counter()
     system = build_interval_system(moments, n, min_coarse_level(moments))
@@ -33,7 +31,7 @@ def measure(moments: int, n: int, repeats: int) -> dict:
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
-        back = interval_idwt(interval_dwt(y, system), system)
+        back = system.synthesize(system.analyze(y))
         times.append(time.perf_counter() - start)
     return {"n": n, "build_s": build_s,
             "dwt_idwt_ms": 1e3 * sorted(times)[len(times) // 2],

@@ -43,7 +43,6 @@ from .noise import (
     NoiseSpec,
     hoeffding_bound,
     in_event_A,
-    noise_coeff_bound_check,
     sample_noise,
 )
 from .experiments import (
@@ -75,7 +74,7 @@ __all__ = [
     "SIGNAL_KINDS", "HolderCheck", "HolderSignal", "check_holder", "make_signal",
     "sample_grid",
     "NOISE_FAMILIES", "EventAReport", "NoiseSpec", "hoeffding_bound",
-    "in_event_A", "noise_coeff_bound_check", "sample_noise",
+    "in_event_A", "sample_noise",
     "CellSummary", "ExperimentPlan", "RateFit", "TrialReport",
     "estimate_event_probability", "fit_rate", "read_reports", "run_cell",
     "run_plan", "run_trial", "summarize", "threshold_exceedance_census", "wilson_interval",

@@ -4,10 +4,11 @@ The transform is Mallat's pyramid algorithm over level maps built as in
 Cohen, Daubechies & Vial, "Wavelets on the interval and fast wavelet
 transforms" (ACHA 1993).  A level map takes L fine coefficients to L/2
 scaling and L/2 detail coefficients.  Its interior rows carry the Daubechies
-filter pair (h, g) and are applied by strided slicing; the few boundary rows
-at each end are stored as small dense blocks, each row with its own row index
-and column window.  A system therefore stores O(N^2) numbers per level, and
-one analysis or synthesis costs O(n N).
+filter pair (h, g), applied by one strided kernel (:class:`_Band`); the few
+boundary rows at each end are stored as small dense blocks, each row with its
+own row index and column window.  A system therefore stores O(N^2) numbers
+per level, and one analysis or synthesis costs O(n N), in the flat
+coefficient layout: each level map takes the first L entries to themselves.
 
 The boundary rows are derived numerically, one level at a time, so that
 
@@ -95,11 +96,27 @@ def highpass_from_lowpass(h: np.ndarray) -> np.ndarray:
 
 class _Band(NamedTuple):
     """Interior rows lo..hi of one filter: row k holds ``taps`` at columns
-    2k .. 2k + len(taps) - 1.  Empty when hi < lo."""
+    2k .. 2k + len(taps) - 1.  Its two methods are the one interior filter
+    product; both sum their terms in tap order."""
 
     taps: np.ndarray
     lo: int
     hi: int
+
+    def analyze(self, x: np.ndarray, out: np.ndarray) -> None:
+        """out[..., k] = sum_s taps[s] x[..., 2k + s] for rows k in lo..hi."""
+        seg = out[..., self.lo : self.hi + 1]
+        stop = 2 * self.hi + 1
+        np.multiply(self.taps[0], x[..., 2 * self.lo : stop : 2], out=seg)
+        for s in range(1, len(self.taps)):
+            seg += self.taps[s] * x[..., 2 * self.lo + s : stop + s : 2]
+
+    def synthesize(self, c: np.ndarray, x: np.ndarray) -> None:
+        """Adds the transpose of :meth:`analyze`, applied to c, into x."""
+        seg = c[..., self.lo : self.hi + 1]
+        stop = 2 * self.hi + 1
+        for s, tap in enumerate(self.taps):
+            x[..., 2 * self.lo + s : stop + s : 2] += tap * seg
 
     def restrict(self, c0: int, c1: int) -> np.ndarray:
         """The rows that touch columns [c0, c1), restricted to those columns."""
@@ -169,14 +186,8 @@ class _Level:
         """(..., L) fine coefficients -> (..., L): scaling, then detail."""
         out = np.empty(x.shape)
         half = self.size // 2
-        for band, base in ((self.scaling, 0), (self.detail, half)):
-            if band.hi < band.lo:
-                continue
-            seg = out[..., base + band.lo : base + band.hi + 1]
-            stop = 2 * band.hi + 1
-            seg[...] = band.taps[0] * x[..., 2 * band.lo : stop : 2]
-            for s in range(1, len(band.taps)):
-                seg += band.taps[s] * x[..., 2 * band.lo + s : stop + s : 2]
+        self.scaling.analyze(x, out[..., :half])
+        self.detail.analyze(x, out[..., half:])
         for e in self.edges:
             out[..., e.index] = e.apply(x)
         return out
@@ -185,13 +196,8 @@ class _Level:
         """Inverse, i.e. transpose, of :meth:`analyze`."""
         x = np.zeros(c.shape)
         half = self.size // 2
-        for band, base in ((self.scaling, 0), (self.detail, half)):
-            if band.hi < band.lo:
-                continue
-            seg = c[..., base + band.lo : base + band.hi + 1]
-            stop = 2 * band.hi + 1
-            for s, tap in enumerate(band.taps):
-                x[..., 2 * band.lo + s : stop + s : 2] += tap * seg
+        self.scaling.synthesize(c[..., :half], x)
+        self.detail.synthesize(c[..., half:], x)
         for e in self.edges:
             x[..., e.start : e.stop] += e.apply_transpose(c)
         return x
@@ -214,10 +220,8 @@ class _Level:
         pieces = []
         lo, hi = max(start, band.lo), min(stop - 1, band.hi)
         if lo <= hi:
-            seg = values[lo - start : hi - start + 1]
             acc = np.zeros(2 * (hi - lo) + len(band.taps))
-            for s, tap in enumerate(band.taps):
-                acc[s : s + 2 * (hi - lo) + 1 : 2] += tap * seg
+            _Band(band.taps, 0, hi - lo).synthesize(values[lo - start :], acc)
             pieces.append((2 * lo, acc))
         for e in self.edges:
             sel = np.nonzero((e.index >= start) & (e.index < stop))[0]
@@ -325,16 +329,13 @@ def _residuals(band: _Band, vecs: np.ndarray, mid_lo: int, mid_hi: int) -> np.nd
     The residual must vanish on columns [mid_lo, mid_hi), up to rounding
     relative to the magnitudes that were summed.
     """
-    taps, lo, hi = band
-    stop = 2 * hi + 1
-    coeffs = taps[0] * vecs[:, 2 * lo : stop : 2]
-    for s in range(1, len(taps)):
-        coeffs = coeffs + taps[s] * vecs[:, 2 * lo + s : stop + s : 2]
+    coeffs = np.zeros((len(vecs), band.hi + 1))
+    band.analyze(vecs, coeffs)
     recon = np.zeros(vecs.shape)
+    band.synthesize(coeffs, recon)
+    # |tap * c| is |tap| * |c| exactly
     scale = np.abs(vecs)
-    for s, tap in enumerate(taps):
-        recon[:, 2 * lo + s : stop + s : 2] += tap * coeffs
-        scale[:, 2 * lo + s : stop + s : 2] += np.abs(tap * coeffs)
+    band._replace(taps=np.abs(band.taps)).synthesize(np.abs(coeffs), scale)
     resid = vecs - recon
     mid = slice(mid_lo, mid_hi)
     if np.any(np.abs(resid[:, mid]) > 1e-8 * np.maximum(1.0, scale[:, mid])):
@@ -620,26 +621,17 @@ class IntervalSystem:
 
     def analyze(self, samples) -> np.ndarray:
         """W applied along the last axis: (..., n) -> (..., n)."""
-        s = _last_axis(samples, self.n)
-        coeffs = np.empty(s.shape)
+        c = _last_axis(samples, self.n).copy()
         for level in reversed(self.levels):
-            out = level.analyze(s)
-            half = level.size // 2
-            coeffs[..., half : level.size] = out[..., half:]
-            s = out[..., :half]
-        coeffs[..., : s.shape[-1]] = s
-        return coeffs
+            c[..., : level.size] = level.analyze(c[..., : level.size])
+        return c
 
     def synthesize(self, coeffs) -> np.ndarray:
         """W.T applied along the last axis: the inverse of :meth:`analyze`."""
-        c = _last_axis(coeffs, self.n)
-        pos = 2 ** self.coarse_level
-        s = c[..., :pos]
+        c = _last_axis(coeffs, self.n).copy()
         for level in self.levels:
-            half = level.size // 2
-            s = level.synthesize(np.concatenate([s, c[..., pos : pos + half]], axis=-1))
-            pos += half
-        return s
+            c[..., : level.size] = level.synthesize(c[..., : level.size])
+        return c
 
     def row(self, j: int, k: int, kind: str = "detail") -> BasisRow:
         """Row of W for the level-j scaling or detail coefficient k."""

@@ -85,8 +85,7 @@ def sample_noise(spec: NoiseSpec, n: int) -> np.ndarray:
 
 
 class EventAReport(NamedTuple):
-    member: bool
-    margin: float  # max |(We)_k| / coefficient_bound; member iff <= 1
+    member: bool  # max |(We)_k| <= coefficient_bound
 
 
 def coefficient_bound(b: float, system) -> float:
@@ -129,7 +128,7 @@ def in_event_A(noise, b: float, system: System = "haar") -> EventAReport:
     check_noise_range(b)
     system = _system_at(system, len(e))
     top, bound = float(np.max(np.abs(system.analyze(e)))), coefficient_bound(b, system)
-    return EventAReport(member=top <= bound, margin=top / bound)
+    return EventAReport(member=top <= bound)
 
 
 def hoeffding_bound(m: int, t: float, lo: float, hi: float) -> float:
@@ -143,9 +142,3 @@ def hoeffding_bound(m: int, t: float, lo: float, hi: float) -> float:
     if not (math.isfinite(t) and t > 0):
         raise ValueError("need finite t > 0")
     return max(0.0, 1.0 - 2.0 * math.exp(-2.0 * t * t / (m * (hi - lo) ** 2)))
-
-
-def noise_coeff_bound_check(noise, b: float, system: System = "haar") -> bool:
-    """All noise wavelet coefficients within :func:`coefficient_bound`, which
-    is the event A: ``in_event_A(noise, b, system).member``."""
-    return in_event_A(noise, b, system).member

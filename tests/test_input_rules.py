@@ -7,7 +7,7 @@ import pytest
 
 from waveshrink.experiments import ExperimentPlan, estimate_event_probability
 from waveshrink.interval import GeometryError, build_interval_system
-from waveshrink.noise import NoiseSpec, in_event_A, noise_coeff_bound_check
+from waveshrink.noise import NoiseSpec, in_event_A
 from waveshrink.shrinkage import compute_levels, compute_threshold
 from waveshrink.signals import SIGNAL_KINDS, make_signal
 from waveshrink.transform import HaarSystem, haar_coeff_closed_form
@@ -45,7 +45,7 @@ def test_sample_count_must_be_an_integer(entry):
 NOISE_RANGE_ENTRY_POINTS = {
     "NoiseSpec": lambda b: NoiseSpec("uniform", b),
     "in_event_A": lambda b: in_event_A(np.zeros(256), b),
-    "noise_coeff_bound_check": lambda b: noise_coeff_bound_check(np.zeros(256), b),
+    "in_event_A_system": lambda b: in_event_A(np.zeros(256), b, HaarSystem(256, 0)).member,
     "compute_threshold": lambda b: compute_threshold(256, 1.0, b),
 }
 

@@ -1,10 +1,13 @@
 """The banded interval transform against the dense oracle, and at sizes the
 dense form cannot reach."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from dense_oracle import build_dense_system
 
+from waveshrink import interval
 from waveshrink.interval import (
     KINDS,
     GeometryError,
@@ -203,3 +206,166 @@ def test_edge_products_match_the_column_loop(N, lead):
             assert isinstance(edge, _Edge)
             xs = x[..., : level.size]
             assert edge.apply(xs).tobytes() == _edge_by_columns(edge, xs).tobytes()
+
+
+# The strided band loops the interval transform ran before _Band.analyze and
+# _Band.synthesize held the one interior filter product, with the drivers
+# that copied each level's details out and concatenated them back.  Under
+# _band_loops() every caller of the kernel runs this code instead, so a
+# system built and applied there is the reference for the one built and
+# applied with the kernel.
+def _loop_level_analyze(level, x):
+    out = np.empty(x.shape)
+    half = level.size // 2
+    for band, base in ((level.scaling, 0), (level.detail, half)):
+        seg = out[..., base + band.lo : base + band.hi + 1]
+        stop = 2 * band.hi + 1
+        seg[...] = band.taps[0] * x[..., 2 * band.lo : stop : 2]
+        for s in range(1, len(band.taps)):
+            seg += band.taps[s] * x[..., 2 * band.lo + s : stop + s : 2]
+    for e in level.edges:
+        out[..., e.index] = e.apply(x)
+    return out
+
+
+def _loop_level_synthesize(level, c):
+    x = np.zeros(c.shape)
+    half = level.size // 2
+    for band, base in ((level.scaling, 0), (level.detail, half)):
+        seg = c[..., base + band.lo : base + band.hi + 1]
+        stop = 2 * band.hi + 1
+        for s, tap in enumerate(band.taps):
+            x[..., 2 * band.lo + s : stop + s : 2] += tap * seg
+    for e in level.edges:
+        x[..., e.start : e.stop] += e.apply_transpose(c)
+    return x
+
+
+def _loop_lift(level, start, values):
+    stop = start + len(values)
+    band = level.scaling
+    pieces = []
+    lo, hi = max(start, band.lo), min(stop - 1, band.hi)
+    if lo <= hi:
+        seg = values[lo - start : hi - start + 1]
+        acc = np.zeros(2 * (hi - lo) + len(band.taps))
+        for s, tap in enumerate(band.taps):
+            acc[s : s + 2 * (hi - lo) + 1 : 2] += tap * seg
+        pieces.append((2 * lo, acc))
+    for e in level.edges:
+        sel = np.nonzero((e.index >= start) & (e.index < stop))[0]
+        if len(sel):
+            pieces.append((e.start, values[e.index[sel] - start] @ e.rows[sel]))
+    return interval._merge(pieces)
+
+
+def _loop_residuals(band, vecs, mid_lo, mid_hi):
+    taps, lo, hi = band
+    stop = 2 * hi + 1
+    coeffs = taps[0] * vecs[:, 2 * lo : stop : 2]
+    for s in range(1, len(taps)):
+        coeffs = coeffs + taps[s] * vecs[:, 2 * lo + s : stop + s : 2]
+    recon = np.zeros(vecs.shape)
+    scale = np.abs(vecs)
+    for s, tap in enumerate(taps):
+        recon[:, 2 * lo + s : stop + s : 2] += tap * coeffs
+        scale[:, 2 * lo + s : stop + s : 2] += np.abs(tap * coeffs)
+    resid = vecs - recon
+    mid = slice(mid_lo, mid_hi)
+    if np.any(np.abs(resid[:, mid]) > 1e-8 * np.maximum(1.0, scale[:, mid])):
+        raise GeometryError("polynomial residual leaked outside the boundary")
+    return resid
+
+
+def _loop_analyze(system, samples):
+    s = np.asarray(samples, dtype=float)
+    coeffs = np.empty(s.shape)
+    for level in reversed(system.levels):
+        out = level.analyze(s)
+        half = level.size // 2
+        coeffs[..., half : level.size] = out[..., half:]
+        s = out[..., :half]
+    coeffs[..., : s.shape[-1]] = s
+    return coeffs
+
+
+def _loop_synthesize(system, coeffs):
+    c = np.asarray(coeffs, dtype=float)
+    pos = 2 ** system.coarse_level
+    s = c[..., :pos]
+    for level in system.levels:
+        half = level.size // 2
+        s = level.synthesize(np.concatenate([s, c[..., pos : pos + half]], axis=-1))
+        pos += half
+    return s
+
+
+@contextmanager
+def _band_loops():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(interval, "_residuals", _loop_residuals)
+        mp.setattr(interval._Level, "analyze", _loop_level_analyze)
+        mp.setattr(interval._Level, "synthesize", _loop_level_synthesize)
+        mp.setattr(interval._Level, "lift", _loop_lift)
+        mp.setattr(interval.IntervalSystem, "analyze", _loop_analyze)
+        mp.setattr(interval.IntervalSystem, "synthesize", _loop_synthesize)
+        yield
+
+
+def _outputs(system, inputs):
+    """Bytes of everything a system gives out: its edges and c_phi, analysis
+    and synthesis of each input, and rows at five shifts per level."""
+    out = [system.c_phi_estimate.hex()]
+    out += [(e.index.tobytes(), e.start, e.rows.tobytes())
+            for level in system.levels for e in level.edges]
+    out += [(system.analyze(x).tobytes(), system.synthesize(x).tobytes()) for x in inputs]
+    for j in range(system.coarse_level, system.finest_level):
+        for kind in KINDS:
+            for k in sorted({0, 1, 2 ** j // 2, 2 ** j - 2, 2 ** j - 1}):
+                row = system.row(j, k, kind)
+                out.append((row.offset, row.values.tobytes()))
+    return out
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+@pytest.mark.parametrize("J", [6, 9, 12])
+def test_band_kernel_matches_the_band_loops(N, J):
+    """Built and applied with the kernel or with the loops it replaced, a
+    system gives out the same bytes, 1-D and batched."""
+    n = 2 ** J
+    rng = np.random.default_rng(J)
+    inputs = [rng.standard_normal(n), rng.standard_normal((3, n)),
+              rng.standard_normal((2, 5, n))]
+    for J0 in sorted({min_coarse_level(N), J - 1}):
+        with _band_loops():
+            expected = _outputs(build_interval_system(N, n, J0), inputs)
+        assert _outputs(build_interval_system(N, n, J0), inputs) == expected
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_residual_check_matches_the_band_loops(N):
+    """_residuals returns the same bytes as the loops, and raises exactly when
+    they do, for sampled polynomials with a bump at a middle column whose
+    size runs across the check's tolerance."""
+    L = 256
+    # the finest level's scaling band and middle columns, as _level_map has
+    # them with no margins
+    band = _Band(daubechies_filter(N), N, L // 2 - 1 - N)
+    mid = (4 * N - 2, L - 2 * N)
+    t = np.arange(1, L + 1) / L
+    base = np.vstack([(3.0 * t) ** p for p in range(N)])
+    raised = set()
+    for col in (L // 2, L // 2 + 1):
+        for size in np.geomspace(1e-9, 1e-6, 241):
+            vecs = base.copy()
+            vecs[:, col] += size
+            try:
+                expected = _loop_residuals(band, vecs, *mid)
+            except GeometryError:
+                with pytest.raises(GeometryError):
+                    _residuals(band, vecs, *mid)
+                raised.add(True)
+            else:
+                assert _residuals(band, vecs, *mid).tobytes() == expected.tobytes()
+                raised.add(False)
+    assert raised == {True, False}
