@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from typing import Optional, Sequence
 
 import numpy as np
@@ -45,13 +46,18 @@ def _fail_usage(message: str) -> int:
 
 def _read_column(path: str) -> np.ndarray:
     try:
-        values = np.loadtxt(path, delimiter=",", ndmin=1, dtype=float)
+        with warnings.catch_warnings():
+            # an input with no samples is reported below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            values = np.loadtxt(path, delimiter=",", ndmin=1, dtype=float)
     except OSError as exc:
         raise ValueError(f"cannot read {path!r}: {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"{path!r} is not a one-column numeric CSV: {exc}") from exc
     if values.ndim != 1:
         raise ValueError(f"{path!r} must contain a single column of numbers")
+    if values.size == 0:
+        raise ValueError(f"{path!r} holds no samples")
     return values
 
 
@@ -72,7 +78,7 @@ def cmd_denoise(args: argparse.Namespace) -> int:
                 "zero-pad (padding changes the level geometry, so it is never "
                 "implicit)"
             )
-        n = 2 ** max(1, math.ceil(math.log2(max(n_orig, 2))))
+        n = 2 ** max(1, math.ceil(math.log2(n_orig)))
         print(f"warning: zero-padding input from {n_orig} to {n} samples",
               file=sys.stderr)
         y = np.concatenate([y, np.zeros(n - n_orig)])

@@ -9,6 +9,8 @@ boundary rows at each end are stored as small dense blocks, each row with its
 own row index and column window.  A system therefore stores O(N^2) numbers
 per level, and one analysis or synthesis costs O(n N), in the flat
 coefficient layout: each level map takes the first L entries to themselves.
+No row is stored either: a row of the transform is its transpose applied to
+a unit vector, one level map at a time, on the window of its nonzeros.
 
 The boundary rows are derived numerically, one level at a time, so that
 
@@ -62,7 +64,8 @@ def daubechies_filter(moments: int) -> np.ndarray:
 
     Computed by spectral factorization of the binomial half-band polynomial;
     supported for 1 <= moments <= MAX_MOMENTS (larger values work but lose
-    accuracy).
+    accuracy).  Its zeros other than z = -1 lie inside the unit circle, so h
+    is minimum phase: its energy sits at the front.
     """
     if not 1 <= moments <= MAX_MOMENTS:
         raise ValueError(f"unsupported number of vanishing moments: {moments}")
@@ -82,9 +85,6 @@ def daubechies_filter(moments: int) -> np.ndarray:
         poly = np.convolve(poly, [0.5, 0.5])
     h = np.real(poly)
     h *= math.sqrt(2.0) / h.sum()
-    # minimum-phase orientation: energy concentrated at the front
-    if np.sum(h[:moments] ** 2) < np.sum(h[moments:] ** 2):
-        h = h[::-1]
     return h
 
 
@@ -202,27 +202,17 @@ class _Level:
             x[..., e.start : e.stop] += e.apply_transpose(c)
         return x
 
-    def row(self, i: int) -> tuple[int, np.ndarray]:
-        """Row i of the stacked map as (first column, values)."""
-        for e in self.edges:
-            hit = np.nonzero(e.index == i)[0]
-            if len(hit):
-                return e.start, e.rows[hit[0]]
-        half = self.size // 2
-        band, k = (self.scaling, i) if i < half else (self.detail, i - half)
-        return 2 * k, band.taps
-
     def lift(self, start: int, values: np.ndarray) -> tuple[int, np.ndarray]:
-        """Transpose of the scaling half, applied to a vector that is zero
-        outside scaling indices [start, start + len(values))."""
+        """Transpose of the stacked map, applied to a vector that is zero outside
+        stacked indices [start, start + len(values)): (first column, values)."""
         stop = start + len(values)
-        band = self.scaling
         pieces = []
-        lo, hi = max(start, band.lo), min(stop - 1, band.hi)
-        if lo <= hi:
-            acc = np.zeros(2 * (hi - lo) + len(band.taps))
-            _Band(band.taps, 0, hi - lo).synthesize(values[lo - start :], acc)
-            pieces.append((2 * lo, acc))
+        for band, base in ((self.scaling, 0), (self.detail, self.size // 2)):
+            lo, hi = max(start - base, band.lo), min(stop - 1 - base, band.hi)
+            if lo <= hi:
+                acc = np.zeros(2 * (hi - lo) + len(band.taps))
+                _Band(band.taps, 0, hi - lo).synthesize(values[base + lo - start :], acc)
+                pieces.append((2 * lo, acc))
         for e in self.edges:
             sel = np.nonzero((e.index >= start) & (e.index < stop))[0]
             if len(sel):
@@ -598,8 +588,8 @@ class IntervalSystem:
     make the orthogonal n x n transform W, which maps samples to
     sqrt(n)-scaled coefficients ordered approx block first, then detail
     levels coarse to fine.  W is never stored: :meth:`analyze` and
-    :meth:`synthesize` apply it and its transpose, :meth:`row` composes one
-    of its rows on demand.
+    :meth:`synthesize` apply it and its transpose, and :meth:`row` gives one
+    of its rows as the transpose applied to a unit vector.
     """
 
     moments: int
@@ -634,18 +624,18 @@ class IntervalSystem:
         return c
 
     def row(self, j: int, k: int, kind: str = "detail") -> BasisRow:
-        """Row of W for the level-j scaling or detail coefficient k."""
+        """Row of W for the level-j scaling or detail coefficient k: a 1 at that
+        coefficient, lifted through the level maps from level j on."""
         if not self.coarse_level <= j < self.finest_level:
             raise IndexError(f"level {j} out of range")
         if not 0 <= k < 2 ** j:
             raise IndexError(f"shift {k} out of range at level {j}")
         if kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-        i = j - self.coarse_level
-        start, values = self.levels[i].row(k if kind == "scaling" else 2 ** j + k)
-        for finer in self.levels[i + 1 :]:
-            start, values = finer.lift(start, values)
-        return BasisRow(start, np.array(values))
+        start, values = k if kind == "scaling" else 2 ** j + k, np.ones(1)
+        for level in self.levels[j - self.coarse_level :]:
+            start, values = level.lift(start, values)
+        return BasisRow(start, values)
 
     def clean_shifts(self, j: int, kind: str) -> range:
         """Shifts k whose level-j rows use interior filter rows only, at level

@@ -13,6 +13,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .transform import _as_samples
+
 # each signal kind and the largest alpha its certificate covers
 _CERTIFIED_ALPHA = {"constant": math.inf, "linear": 2, "cusp": 1, "oddcusp": 1,
                     "sine": 2, "ripple": 2, "weierstrass": 1}
@@ -128,9 +130,9 @@ def check_holder(samples, alpha: float, M: float) -> HolderCheck:
     For alpha <= 1 every grid pair is checked directly (O(n^2), fine at desk
     scale).  For alpha > 1 the first difference quotients are required to stay
     below M and their sequence must satisfy the (alpha - 1) pairwise check,
-    on the same grid spacing 1/n.
+    on the same grid spacing 1/n.  The samples must be a finite 1-d vector.
     """
-    y = np.asarray(samples, dtype=float)
+    y = _as_samples(samples)
     n = len(y)
     _check_class(alpha, M)
     need = 1 + max(1, math.ceil(alpha))  # a pair of the last quotients

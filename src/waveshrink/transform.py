@@ -47,10 +47,11 @@ def finest_level(n: int) -> int:
 
 
 def _as_samples(values) -> np.ndarray:
+    """``values`` as a finite 1-d float array.  Its length is checked where it
+    is used, by :func:`finest_level` or against a system's n."""
     y = np.asarray(values, dtype=float)
     if y.ndim != 1:
         raise ValueError(f"expected a 1-d sample vector, got shape {y.shape}")
-    finest_level(len(y))
     if not np.all(np.isfinite(y)):
         raise ValueError("samples must be finite")
     return y

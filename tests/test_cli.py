@@ -62,6 +62,16 @@ class TestDenoise:
         assert main(denoise_args(inp, out) + ["--n-pad"]) == 0
         assert len(np.loadtxt(out)) == 1000
 
+    @pytest.mark.parametrize("pad", [[], ["--n-pad"]], ids=["no-pad", "n-pad"])
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank"])
+    def test_input_with_no_samples_is_a_usage_error(self, tmp_path, capsys, pad, text):
+        inp, out = tmp_path / "empty.csv", tmp_path / "o.csv"
+        inp.write_text(text)
+        assert main(denoise_args(inp, out) + pad) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(inp) in err and "no samples" in err
+
     def test_small_n_warns_but_succeeds(self, tmp_path, capsys):
         inp, out = tmp_path / "s.csv", tmp_path / "o.csv"
         write_column(inp, np.zeros(64))

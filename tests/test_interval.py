@@ -39,6 +39,10 @@ class TestFilters:
             assert np.dot(h[: -2 * shift], h[2 * shift:]) == pytest.approx(
                 0.0, abs=1e-12)
         assert np.dot(h, h) == pytest.approx(1.0, abs=1e-12)
+        # front-loaded, since the factorization keeps the roots inside the
+        # unit circle; the Haar filter's halves are equal
+        front, back = np.sum(h[:N] ** 2), np.sum(h[N:] ** 2)
+        assert front > back if N > 1 else front == back
 
     def test_haar_filter(self):
         assert np.allclose(daubechies_filter(1), [1, 1] / np.sqrt(2))

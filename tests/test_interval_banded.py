@@ -243,15 +243,15 @@ def _loop_level_synthesize(level, c):
 
 def _loop_lift(level, start, values):
     stop = start + len(values)
-    band = level.scaling
     pieces = []
-    lo, hi = max(start, band.lo), min(stop - 1, band.hi)
-    if lo <= hi:
-        seg = values[lo - start : hi - start + 1]
-        acc = np.zeros(2 * (hi - lo) + len(band.taps))
-        for s, tap in enumerate(band.taps):
-            acc[s : s + 2 * (hi - lo) + 1 : 2] += tap * seg
-        pieces.append((2 * lo, acc))
+    for band, base in ((level.scaling, 0), (level.detail, level.size // 2)):
+        lo, hi = max(start - base, band.lo), min(stop - 1 - base, band.hi)
+        if lo <= hi:
+            seg = values[base + lo - start : base + hi - start + 1]
+            acc = np.zeros(2 * (hi - lo) + len(band.taps))
+            for s, tap in enumerate(band.taps):
+                acc[s : s + 2 * (hi - lo) + 1 : 2] += tap * seg
+            pieces.append((2 * lo, acc))
     for e in level.edges:
         sel = np.nonzero((e.index >= start) & (e.index < stop))[0]
         if len(sel):
@@ -340,6 +340,59 @@ def test_band_kernel_matches_the_band_loops(N, J):
         with _band_loops():
             expected = _outputs(build_interval_system(N, n, J0), inputs)
         assert _outputs(build_interval_system(N, n, J0), inputs) == expected
+
+
+# How IntervalSystem.row composed a row before every row came from the
+# transpose: the row was looked up at its own level (in the edges, or laid
+# out as (2k, taps) in a band) and lifted through the finer levels only.
+# The reference build in _assert_rows_match_the_looked_up_rows runs its c_phi
+# loop on this code.
+def _looked_up_level_row(level, i):
+    for e in level.edges:
+        hit = np.nonzero(e.index == i)[0]
+        if len(hit):
+            return e.start, e.rows[hit[0]]
+    half = level.size // 2
+    band, k = (level.scaling, i) if i < half else (level.detail, i - half)
+    return 2 * k, band.taps
+
+
+def _looked_up_row(system, j, k, kind="detail"):
+    i = j - system.coarse_level
+    start, values = _looked_up_level_row(system.levels[i],
+                                         k if kind == "scaling" else 2 ** j + k)
+    for finer in system.levels[i + 1 :]:
+        start, values = _loop_lift(finer, start, values)
+    return interval.BasisRow(start, np.array(values))
+
+
+def _assert_rows_match_the_looked_up_rows(system, shifts):
+    """Rows from the transpose equal the looked-up rows in offset and values
+    (np.array_equal: an edge entry looked up as -0.0 comes out of the
+    transpose as +0.0), and c_phi keeps every bit."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(interval.IntervalSystem, "row", _looked_up_row)
+        expected = build_interval_system(system.moments, system.n, system.coarse_level)
+    assert system.c_phi_estimate.hex() == expected.c_phi_estimate.hex()
+    for j in range(system.coarse_level, system.finest_level):
+        for kind in KINDS:
+            for k in shifts(j):
+                got, want = system.row(j, k, kind), _looked_up_row(system, j, k, kind)
+                assert got.offset == want.offset
+                assert np.array_equal(got.values, want.values)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+@pytest.mark.parametrize("J", [6, 9, 12])
+def test_rows_match_the_looked_up_rows(N, J):
+    for J0 in sorted({min_coarse_level(N), J - 1}):
+        system = build_interval_system(N, 2 ** J, J0)
+        _assert_rows_match_the_looked_up_rows(system, lambda j: range(2 ** j))
+
+
+def test_rows_match_the_looked_up_rows_at_large_sizes(large):
+    _assert_rows_match_the_looked_up_rows(
+        large, lambda j: sorted({0, 1, 2 ** j // 2, 2 ** j - 2, 2 ** j - 1}))
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])

@@ -97,6 +97,32 @@ class TestCheckHolderValidation:
         with pytest.raises(ValueError):
             check_holder([0.0, 1.0], 0.5, 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        y = np.linspace(0.0, 1.0, 64)
+        y[5] = bad
+        for alpha in (0.5, 1.5):
+            with pytest.raises(ValueError, match="samples must be finite"):
+                check_holder(y, alpha, 1.0)
+        with pytest.raises(ValueError, match="samples must be finite"):
+            check_holder(np.full(8, bad), 0.5, 1.0)
+
+    def test_a_nan_does_not_hide_a_violation(self):
+        # a NaN drops out of every pair it belongs to (NaN > worst is False),
+        # which would hide the spike at 40 and certify the signal
+        y = np.linspace(0.0, 1.0, 64)
+        y[40] = 1e6
+        chk = check_holder(y, 0.5, 1.0)
+        assert not chk.ok and chk.pair == (39, 40)
+        y[5] = np.nan
+        for alpha in (0.5, 1.5):
+            with pytest.raises(ValueError, match="samples must be finite"):
+                check_holder(y, alpha, 1.0)
+
+    def test_rejects_non_vector_samples(self):
+        with pytest.raises(ValueError, match="expected a 1-d sample vector"):
+            check_holder(np.zeros((2, 8)), 0.5, 1.0)
+
     def test_alpha_above_one_uses_difference_quotients(self):
         t = sample_grid(128)
         assert check_holder(0.5 * t ** 2, 2.0, 1.0).ok
