@@ -45,10 +45,10 @@ def main() -> int:
             trials=args.trials, mode="soft", system=args.system,
             moments=args.moments, master_seed=args.seed,
         )
-        reports = run_plan(plan, workers=args.workers)
+        cells = run_plan(plan, workers=args.workers)
         tag = f"{args.out_prefix}_{kind}_a{alpha:g}"
-        write_reports(f"{tag}.jsonl", reports)
-        summaries = summarize(plan, reports)
+        write_reports(f"{tag}.jsonl", cells)
+        summaries = summarize(plan, cells)
         write_summaries(f"{tag}.csv", summaries)
         medians = {s.n: s.q50_max for s in summaries}
         fit = fit_rate(plan.ns, [medians[n] for n in plan.ns], alpha)

@@ -46,18 +46,16 @@ from .noise import (
     sample_noise,
 )
 from .experiments import (
+    CellResult,
     CellSummary,
     ExperimentPlan,
     RateFit,
-    TrialReport,
     estimate_event_probability,
     fit_rate,
-    read_reports,
     run_cell,
     run_plan,
     run_trial,
     summarize,
-    threshold_exceedance_census,
     wilson_interval,
     write_reports,
     write_summaries,
@@ -75,8 +73,8 @@ __all__ = [
     "sample_grid",
     "NOISE_FAMILIES", "EventAReport", "NoiseSpec", "hoeffding_bound",
     "in_event_A", "sample_noise",
-    "CellSummary", "ExperimentPlan", "RateFit", "TrialReport",
-    "estimate_event_probability", "fit_rate", "read_reports", "run_cell",
-    "run_plan", "run_trial", "summarize", "threshold_exceedance_census", "wilson_interval",
+    "CellResult", "CellSummary", "ExperimentPlan", "RateFit",
+    "estimate_event_probability", "fit_rate", "run_cell",
+    "run_plan", "run_trial", "summarize", "wilson_interval",
     "write_reports", "write_summaries",
 ]

@@ -122,9 +122,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         plan = _load_plan(args.plan, args.seed)
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
         return _fail_usage(f"bad plan: {exc}")
-    reports = run_plan(plan, workers=args.workers)
-    write_reports(args.reports, reports)
-    write_summaries(args.summary, summarize(plan, reports))
+    cells = run_plan(plan, workers=args.workers)
+    write_reports(args.reports, cells)
+    write_summaries(args.summary, summarize(plan, cells))
     return 0
 
 
@@ -139,6 +139,10 @@ def cmd_rates(args: argparse.Namespace) -> int:
         except OSError as exc:
             return _fail_usage(f"cannot read {path!r}: {exc}")
         rows = np.atleast_1d(rows)
+        if rows.size == 0:  # a plan without trials summarizes no cell
+            print(f"warning: {path}: no summary rows to fit", file=sys.stderr)
+            status = 1
+            continue
         for delta in sorted(set(rows["delta"])):
             sel = rows[rows["delta"] == delta]
             try:

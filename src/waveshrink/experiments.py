@@ -20,7 +20,8 @@ The transforms are linear, so a batch analyzes its noise once: |We| gives
 event A and the exceedance counts, and We + Wf is thresholded and
 synthesized.  This rounds differently from analyzing f + e (at most about
 3e-14 relative in the error fields); seeds, event A and the exceedances are
-the same either way.  Reports carry event A at n in ``EVENT_A_SIZES`` only.
+the same either way.  A cell's results are one :class:`CellResult` of
+columns, which carry event A at n in ``EVENT_A_SIZES`` only.
 
 Interval systems come from one store per process
 (:func:`~waveshrink.shrinkage.wavelet_systems`).  :func:`run_plan` resolves
@@ -38,7 +39,8 @@ import math
 import numbers
 import os
 from contextlib import ExitStack
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields, replace
+from itertools import groupby, repeat
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -137,8 +139,9 @@ class ExperimentPlan:
         if not (math.isfinite(self.noise_bound) and self.noise_bound >= 0):
             raise ValueError(
                 f"noise bound must be finite and >= 0, got {self.noise_bound}")
-        if self.noise_bound == 0 and self.threshold_bound is None:
-            raise ValueError("noise-free plans need an explicit threshold_bound")
+        if (self.noise_bound == 0) != (self.threshold_bound is not None):
+            raise ValueError("threshold_bound must be set exactly when noise_bound is 0 "
+                             f"(lambda uses it then), got noise_bound={self.noise_bound}")
         if self.threshold_bound is not None and not (
                 math.isfinite(self.threshold_bound) and self.threshold_bound > 0):
             raise ValueError(
@@ -173,22 +176,27 @@ class ExperimentPlan:
                 for i, (n, d) in enumerate((n, d) for n in self.ns for d in self.deltas)]
 
 
-@dataclass(frozen=True)
-class TrialReport:
-    trial: int
+@dataclass(frozen=True, eq=False)
+class CellResult:
+    """One cell's trials as columns, in trial order: ``trial``, ``seed``
+    (uint64), ``max_sq_err`` and ``mse`` are (T,); ``in_A`` is (T,) bool, or
+    None at n outside ``EVENT_A_SIZES``; ``exceed_by_level`` is (T, levels),
+    the noise coefficients over the threshold per level from the coarse
+    level up, the approximation block counted with the coarsest level."""
+
     n: int
     delta: float
-    max_sq_err: float
-    mse: float
-    in_A: Optional[bool]
-    exceed_count: int
-    seed: int
-    exceed_by_level: Optional[dict] = field(default=None, compare=False)
+    trial: np.ndarray
+    seed: np.ndarray
+    max_sq_err: np.ndarray
+    mse: np.ndarray
+    in_A: Optional[np.ndarray]
+    exceed_by_level: np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.max_sq_err) and math.isfinite(self.mse)):
+        if not (np.all(np.isfinite(self.max_sq_err)) and np.all(np.isfinite(self.mse))):
             raise ValueError("error fields must be finite")
-        if self.mse > self.max_sq_err + 1e-15:
+        if np.any(self.mse > self.max_sq_err + 1e-15):
             raise ValueError("mean square error cannot exceed max square error")
 
 
@@ -241,16 +249,16 @@ def _noise_batch(family: str, b: float, seeds, n: int) -> np.ndarray:
 
 
 def run_cell(plan: ExperimentPlan, cell: int, n: int, delta: float,
-             trials: range, system=None) -> list[TrialReport]:
-    """Reports for a range of trials of one cell.
+             trials: range, system=None) -> CellResult:
+    """Results for a range of trials of one cell, as columns in trial order.
 
     ``system`` is the cell's wavelet system; by default it is resolved with
-    :func:`~waveshrink.shrinkage.wavelet_system` for the plan and n.
-    The signal, the config and the signal's coefficients are made once per
-    call.  The trials then run in batches of :func:`_chunk_trials` rows: each
-    trial draws its noise from its own seed, and the rows of a (trials, n)
+    :func:`~waveshrink.shrinkage.wavelet_system` for the plan and n.  The
+    signal, the config, the signal's coefficients and the columns are made
+    once per call.  Batches of :func:`_chunk_trials` rows fill the columns:
+    each trial draws its noise from its own seed, and the rows of a (trials, n)
     batch go through the same elementwise operations as a single trial would,
-    so a report does not depend on which trials share its batch or its call.
+    so a row does not depend on which trials share its batch or its call.
     """
     signal = make_signal(plan.signal_kind, plan.alpha, plan.holder_const)
     f = signal.sample(n)
@@ -268,51 +276,48 @@ def run_cell(plan: ExperimentPlan, cell: int, n: int, delta: float,
     levels = range(cfg.coarse_level, system.finest_level)
     starts = [0] + [2 ** j for j in levels[1:]]
 
-    reports = []
+    T = len(trials)
+    seed, max_sq, mse = np.empty(T, np.uint64), np.empty(T), np.empty(T)
+    in_A = np.empty(T, bool) if n in _EVENT_A_SIZES else None
+    by_level = np.empty((T, len(levels)), np.intp)
     step = _chunk_trials(n)
-    for start in range(0, len(trials), step):
-        batch = trials[start : start + step]
-        seeds = [_trial_seed(plan.master_seed, cell, t) for t in batch]
+    for start in range(0, T, step):
+        rows = slice(start, start + step)
+        seeds = [_trial_seed(plan.master_seed, cell, t) for t in trials[rows]]
         noise = _noise_batch(plan.noise_family, plan.noise_bound, seeds, n)
+        seed[rows] = [s.generate_state(1, np.uint64)[0] for s in seeds]
 
         # W(f + e) = Wf + We: the noise is analyzed once, for event A, the
         # exceedances and, with Wf added, the estimate.  |We| goes into the
         # noise buffer, not a new (trials, n) array.
         c = system.analyze(noise)
         np.abs(c, out=noise)
-        members = (np.max(noise, axis=-1) <= bound).tolist() \
-            if n in _EVENT_A_SIZES else [None] * len(seeds)
-        over = noise > lam
+        if in_A is not None:
+            in_A[rows] = np.max(noise, axis=-1) <= bound
         # the approximation block counts with the coarsest level
-        by_level = np.add.reduceat(over, starts, axis=-1, dtype=np.intp)
-        exceed = by_level.sum(axis=-1)
+        np.add.reduceat(noise > lam, starts, axis=-1, dtype=np.intp,
+                        out=by_level[rows])
 
         c += signal_c
         _threshold_in_place(c[:, lo:], lam, cfg.mode)
         _assert_detail_contraction(c, signal_c, lam, cfg.coarse_level,
-                                   exceed, cfg.mode)
+                                   by_level[rows].sum(axis=-1), cfg.mode)
 
         sq = system.synthesize(c)
         sq -= f
         np.square(sq, out=sq)
-        max_sq, mse = np.max(sq, axis=-1), np.mean(sq, axis=-1)
+        max_sq[rows], mse[rows] = np.max(sq, axis=-1), np.mean(sq, axis=-1)
         # sq would stay alive through the next batch's synthesis, one more
         # (trials, n) array at the peak
         del sq
-
-        reports += [TrialReport(trial=t, n=n, delta=delta,
-                                max_sq_err=float(max_sq[i]), mse=float(mse[i]),
-                                in_A=members[i], exceed_count=int(exceed[i]),
-                                seed=int(seeds[i].generate_state(1, np.uint64)[0]),
-                                exceed_by_level=dict(zip(levels, by_level[i].tolist())))
-                    for i, t in enumerate(batch)]
-    return reports
+    return CellResult(n, delta, np.arange(trials.start, trials.stop, trials.step),
+                      seed, max_sq, mse, in_A, by_level)
 
 
 def run_trial(plan: ExperimentPlan, cell: int, n: int, delta: float,
-              trial: int) -> TrialReport:
-    """One pure Monte Carlo trial: the one-trial case of :func:`run_cell`."""
-    return run_cell(plan, cell, n, delta, range(trial, trial + 1))[0]
+              trial: int) -> CellResult:
+    """One pure Monte Carlo trial: the one-row case of :func:`run_cell`."""
+    return run_cell(plan, cell, n, delta, range(trial, trial + 1))
 
 
 def _assert_detail_contraction(shrunk: np.ndarray, signal: np.ndarray, lam: float,
@@ -350,12 +355,12 @@ def _assert_detail_contraction(shrunk: np.ndarray, signal: np.ndarray, lam: floa
         )
 
 
-def _run_task(task) -> list[TrialReport]:
+def _run_task(task) -> CellResult:
     return run_cell(*task)
 
 
 def _plan_tasks(plan: ExperimentPlan, workers: int) -> list[tuple]:
-    """(plan, cell, n, delta, trial range) for every task, in report order.
+    """(plan, cell, n, delta, trial range) per task, in (cell, trial) order.
 
     A task is a share of one cell: ``trials / workers`` trials, rounded up,
     but never fewer than one batch of :func:`_chunk_trials`, so one worker
@@ -370,8 +375,8 @@ def _plan_tasks(plan: ExperimentPlan, workers: int) -> list[tuple]:
     return tasks
 
 
-def run_plan(plan: ExperimentPlan, workers: int = 1) -> list[TrialReport]:
-    """All trial reports for the plan, in deterministic (cell, trial) order.
+def run_plan(plan: ExperimentPlan, workers: int = 1) -> list[CellResult]:
+    """One :class:`CellResult` per cell in ``plan.cells()`` order; none without trials.
 
     ``workers`` is an integer >= 1; a pool never gets more processes than
     there are tasks.  The system of each n is resolved once, before any task
@@ -392,7 +397,14 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> list[TrialReport]:
         systems = wavelet_systems(plan.system, {t[2] for t in tasks},
                                   plan.alpha, plan.moments, build_map=run_map)
         shares = list(run_map(_run_task, [t + (systems[t[2]],) for t in tasks]))
-    return [r for share in shares for r in share]
+    return [_join(list(cell)) for _, cell in groupby(shares, lambda s: (s.n, s.delta))]
+
+
+def _join(shares: Sequence[CellResult]) -> CellResult:
+    """One cell's task shares, in trial order, as one result."""
+    columns = ("trial", "seed", "max_sq_err", "mse", "in_A", "exceed_by_level")
+    return replace(shares[0], **{k: np.concatenate([getattr(s, k) for s in shares])
+                                 for k in columns if getattr(shares[0], k) is not None})
 
 
 def wilson_interval(successes: int, trials: int,
@@ -448,52 +460,31 @@ def fit_rate(ns: Sequence[int], medians: Sequence[float], alpha: float) -> RateF
                    residual=resid, target=2 * alpha / (1 + 2 * alpha))
 
 
-def threshold_exceedance_census(reports: Iterable[TrialReport]) -> dict:
-    """Aggregate per-level exceedance counts across reports."""
-    by_level: dict[int, int] = {}
-    total = trials = trials_with_any = 0
-    for r in reports:
-        trials += 1
-        total += r.exceed_count
-        if r.exceed_count:
-            trials_with_any += 1
-        if r.exceed_by_level:
-            for j, c in r.exceed_by_level.items():
-                by_level[j] = by_level.get(j, 0) + c
-    return {"total": total, "trials": trials,
-            "trials_with_any": trials_with_any, "by_level": by_level}
-
-
-def summarize(plan: ExperimentPlan, reports: Sequence[TrialReport]) -> list[CellSummary]:
+def summarize(plan: ExperimentPlan, cells: Sequence[CellResult]) -> list[CellSummary]:
     """Per-cell summaries; the error envelope constant is calibrated at the
     smallest n (per delta) and applied as c * (log2 n / n)^(2a/(1+2a))."""
     target = 2 * plan.alpha / (1 + 2 * plan.alpha)
     rate = lambda n: (math.log2(n) / n) ** target
+    cells = {(c.n, c.delta): c for c in cells}
     out = []
     for delta in plan.deltas:
-        cells = {n: [r for r in reports if r.n == n and r.delta == delta]
-                 for n in plan.ns}
         n0 = min(plan.ns)
-        base = cells[n0]
-        envelope = float(np.percentile(
-            [r.max_sq_err / rate(n0) for r in base], _ENVELOPE_QUANTILE)) \
-            if base else math.inf
+        base = cells.get((n0, delta))
+        envelope = float(np.percentile(base.max_sq_err / rate(n0), _ENVELOPE_QUANTILE)) \
+            if base is not None else math.inf
         for n in plan.ns:
-            rs = cells[n]
-            if not rs:
+            c = cells.get((n, delta))
+            if c is None:
                 continue
-            maxes = [r.max_sq_err for r in rs]
-            mses = [r.mse for r in rs]
-            within = np.mean([m <= envelope * rate(n) for m in maxes])
-            flags = [r.in_A for r in rs if r.in_A is not None]
-            if flags:
-                p_a = float(np.mean(flags))
-                lo, hi = wilson_interval(int(np.sum(flags)), len(flags))
+            within = np.mean(c.max_sq_err <= envelope * rate(n))
+            if c.in_A is not None:
+                p_a = float(np.mean(c.in_A))
+                lo, hi = wilson_interval(int(np.sum(c.in_A)), len(c.in_A))
             else:
                 p_a, lo, hi = math.nan, math.nan, math.nan
             out.append(CellSummary(
-                n=n, delta=delta, q50_max=float(np.median(maxes)),
-                q50_mse=float(np.median(mses)), p_within_envelope=float(within),
+                n=n, delta=delta, q50_max=float(np.median(c.max_sq_err)),
+                q50_mse=float(np.median(c.mse)), p_within_envelope=float(within),
                 p_A_hat=p_a, ci_lo=lo, ci_hi=hi,
             ))
     return out
@@ -516,22 +507,16 @@ def atomic_write(path, write_fn) -> None:
             os.unlink(tmp)
 
 
-def write_reports(path, reports: Iterable[TrialReport]) -> None:
-    """JSON-lines, one report per line with the fixed field set."""
+def write_reports(path, cells: Iterable[CellResult]) -> None:
+    """JSON lines from the cells' columns, one per trial with the fixed field set."""
     def write(fh):
-        for r in reports:
-            row = {k: getattr(r, k) for k in _JSONL_FIELDS}
-            fh.write(json.dumps(row) + "\n")
+        for c in cells:
+            in_A = repeat(None) if c.in_A is None else c.in_A.tolist()
+            for row in zip(c.trial.tolist(), repeat(c.n), repeat(c.delta),
+                           c.max_sq_err.tolist(), c.mse.tolist(), in_A,
+                           c.exceed_by_level.sum(axis=-1).tolist(), c.seed.tolist()):
+                fh.write(json.dumps(dict(zip(_JSONL_FIELDS, row))) + "\n")
     atomic_write(path, write)
-
-
-def read_reports(path) -> list[TrialReport]:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                out.append(TrialReport(**json.loads(line)))
-    return out
 
 
 def write_summaries(path, summaries: Iterable[CellSummary]) -> None:

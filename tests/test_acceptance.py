@@ -221,9 +221,9 @@ def test_5a_event_probability_floor():
 def test_7_rate_recovery(rate_runs):
     ok, details = True, []
     for alpha in (0.5, 1.0):
-        plan, reports = rate_runs[alpha]
-        medians = [float(np.median([r.max_sq_err for r in reports
-                                    if r.n == n])) for n in plan.ns]
+        plan, cells = rate_runs[alpha]
+        max_sq_err = {c.n: c.max_sq_err for c in cells}
+        medians = [float(np.median(max_sq_err[n])) for n in plan.ns]
         fit = fit_rate(plan.ns, medians, alpha)
         details.append(f"alpha={alpha:g} exponent={fit.exponent:.3f} "
                        f"target={fit.target:.3f}")
@@ -243,17 +243,18 @@ def _binom_sf_at_least(k: int, n: int, p: float) -> float:
 
 
 def test_8_tail_envelope(rate_runs):
-    plan, reports = rate_runs[1.0]
+    plan, cells = rate_runs[1.0]
+    max_sq_err = {c.n: c.max_sq_err for c in cells}
     target = 2 * plan.alpha / (1 + 2 * plan.alpha)
     rate = lambda n: (math.log2(n) / n) ** target
-    base = [r.max_sq_err / rate(2 ** 8) for r in reports if r.n == 2 ** 8]
+    base = max_sq_err[2 ** 8] / rate(2 ** 8)
     envelope = float(np.percentile(base, 99.9))
-    base_frac = float(np.mean([v > envelope for v in base]))
+    base_frac = float(np.mean(base > envelope))
     p0 = max(base_frac, 1.0 / len(base))
     ok, details = True, [f"envelope={envelope:.3g} base_frac={base_frac:.4f}"]
     for n in (2 ** 12, 2 ** 14):
-        vals = [r.max_sq_err for r in reports if r.n == n]
-        k = int(np.sum(np.asarray(vals) > envelope * rate(n)))
+        vals = max_sq_err[n]
+        k = int(np.sum(vals > envelope * rate(n)))
         p_val = _binom_sf_at_least(k, len(vals), p0)
         details.append(f"n=2^{int(math.log2(n))} exceed={k} p={p_val:.3f}")
         # reject only if the exceedance fraction is significantly above the

@@ -155,5 +155,6 @@ def test_run_plan_starts_no_thread(monkeypatch, plan):
         raise AssertionError("a thread was started")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    reports = run_plan(ExperimentPlan(**plan, master_seed=11))
-    assert len(reports) == plan["trials"] * len(plan["ns"]) * len(plan["deltas"])
+    cells = run_plan(ExperimentPlan(**plan, master_seed=11))
+    assert [len(c.trial) for c in cells] == \
+        [plan["trials"]] * len(plan["ns"]) * len(plan["deltas"])

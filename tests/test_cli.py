@@ -200,6 +200,10 @@ class TestSimulate:
         ({"deltas": [1.0, "2"]}, "deltas: must be a number, got [1.0, '2']"),
         ({"noise_bound": 0.0, "threshold_bound": "1"},
          "threshold_bound: must be a number"),
+        # lambda takes its b from noise_bound > 0, so a threshold_bound
+        # would be ignored
+        ({"threshold_bound": 50}, "threshold_bound must be set exactly when "
+                                  "noise_bound is 0"),
         # a repeated n or delta would run each of its cells again and pool them
         ({"ns": [256, 256, 512]}, "ns must not repeat a value, got [256, 256, 512]"),
         ({"ns": [256, 256.0]}, "ns must not repeat a value"),
@@ -217,7 +221,7 @@ class TestSimulate:
             "ns-too-small-for-moments", "empty-deltas", "negative-delta",
             "trials-bool", "seed-bool", "moments-bool", "noise-bound-bool",
             "delta-bool", "alpha-str", "noise-bound-str", "delta-str",
-            "threshold-bound-str", "ns-repeated", "ns-repeated-as-float",
+            "threshold-bound-str", "threshold-bound-with-noise", "ns-repeated", "ns-repeated-as-float",
             "deltas-repeated", "mode-list", "system-int", "signal-kind-null",
             "noise-family-object", "ns-int", "deltas-float", "ns-str"])
     def test_bad_plan_values_rejected(self, tmp_path, capsys, override, message):
@@ -295,6 +299,21 @@ class TestRatesAndVerify:
                         "p_A_hat,ci_lo,ci_hi\n"
                         "256,1,0.1,0.05,1,nan,nan,nan\n")
         assert main(["rates", str(summ), "--alpha", "1.0"]) == 1
+
+    def test_rates_summary_without_rows(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(dict(
+            signal_kind="ripple", alpha=1.0, holder_const=1.0,
+            noise_family="uniform", noise_bound=1.0,
+            ns=[256, 1024, 4096, 16384], deltas=[1.0], trials=0)))
+        summ = tmp_path / "s.csv"
+        assert main(["simulate", str(plan), str(tmp_path / "r.jsonl"),
+                     str(summ)]) == 0
+        capsys.readouterr()
+        assert main(["rates", str(summ), "--alpha", "1.0"]) == 1
+        captured = capsys.readouterr()
+        assert f"warning: {summ}: no summary rows to fit" in captured.err
+        assert "s.csv" not in captured.out
 
     @pytest.mark.parametrize("rows, message", [
         (["256,1,0.1", "256,1,0.1", "256,1,0.1", "256,1,0.1"],

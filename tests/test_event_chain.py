@@ -64,10 +64,10 @@ def check_chain(config, mode, delta, e, b=1.0):
         mp.setattr(experiments, "sample_noise", lambda spec, size: e.copy())
         # run_cell raises when a trial with exceed_count = 0 breaks the
         # contraction
-        [report] = run_cell(plan, 0, n, delta, range(1), system)
+        result = run_cell(plan, 0, n, delta, range(1), system)
 
     event = in_event_A(e, b, system)
-    assert report.in_A == event.member
+    assert result.in_A.tolist() == [event.member]
     if not event.member:
         return False
     noise_c = system.analyze(e)
@@ -78,7 +78,7 @@ def check_chain(config, mode, delta, e, b=1.0):
                                 system_const=system.c_phi_estimate)
     lam, lo = cfg.orthonormal_threshold, 2 ** cfg.coarse_level
     assert top < lam
-    assert report.exceed_count == 0
+    assert not result.exceed_by_level.any()
     if mode == "soft":
         signal_c = system.analyze(make_signal(signal, alpha, 1.0).sample(n))
         shift = np.abs(soft_threshold((signal_c + noise_c)[lo:], lam) - signal_c[lo:])

@@ -6,21 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trial_oracle import assert_same_columns
 from waveshrink.experiments import (
+    _JSONL_FIELDS,
+    CellResult,
     ExperimentPlan,
-    TrialReport,
     estimate_event_probability,
     fit_rate,
-    read_reports,
     run_plan,
     run_trial,
     summarize,
-    threshold_exceedance_census,
     wilson_interval,
     write_reports,
     write_summaries,
 )
-from waveshrink.noise import NoiseSpec, in_event_A, sample_noise
+from waveshrink.noise import EVENT_A_SIZES, NoiseSpec, in_event_A, sample_noise
 from waveshrink.transform import HaarSystem
 
 
@@ -30,6 +30,14 @@ def tiny_plan(**overrides):
                 ns=(256, 512), deltas=(0.0, 1.0), trials=3, master_seed=9)
     base.update(overrides)
     return ExperimentPlan(**base)
+
+
+def cell_of(max_sq_err, mse, in_A=None):
+    """A CellResult with the given error columns and no exceedance."""
+    max_sq_err, mse = np.asarray(max_sq_err, float), np.asarray(mse, float)
+    T = len(max_sq_err)
+    return CellResult(8, 0.0, np.arange(T), np.arange(T, dtype=np.uint64),
+                      max_sq_err, mse, in_A, np.zeros((T, 3), np.intp))
 
 
 class TestPlan:
@@ -60,23 +68,23 @@ class TestDeterminism:
         plan = tiny_plan()
         a = run_trial(plan, 0, 256, 0.0, 2)
         b = run_trial(plan, 0, 256, 0.0, 2)
-        assert a == b
+        assert_same_columns(a, b)
 
     def test_parallel_matches_serial(self):
         plan = tiny_plan()
         serial = run_plan(plan, workers=1)
         parallel = run_plan(plan, workers=4)
-        assert serial == parallel
+        assert_same_columns(serial, parallel)
 
     def test_distinct_seeds_across_cells_and_trials(self):
         plan = tiny_plan()
-        seeds = [r.seed for r in run_plan(plan, workers=1)]
-        assert len(seeds) == len(set(seeds)) == 12
+        seeds = np.concatenate([c.seed for c in run_plan(plan, workers=1)])
+        assert len(seeds) == len(set(seeds.tolist())) == 12
 
     def test_master_seed_changes_results(self):
         a = run_trial(tiny_plan(), 0, 256, 1.0, 0)
         b = run_trial(tiny_plan(master_seed=10), 0, 256, 1.0, 0)
-        assert a.max_sq_err != b.max_sq_err
+        assert a.max_sq_err[0] != b.max_sq_err[0]
 
 
 class TestTrialSemantics:
@@ -84,28 +92,40 @@ class TestTrialSemantics:
         plan = tiny_plan(signal_kind="constant", noise_bound=0.0,
                          threshold_bound=1.0)
         rep = run_trial(plan, 0, 256, 1.0, 0)
-        assert rep.max_sq_err < 1e-20
-        assert rep.in_A is True
-        assert rep.exceed_count == 0
+        assert rep.max_sq_err[0] < 1e-20
+        assert rep.in_A.tolist() == [True]
+        assert not rep.exceed_by_level.any()
 
     def test_event_flag_only_at_supported_sizes(self):
         plan = tiny_plan()
-        assert run_trial(plan, 0, 256, 1.0, 0).in_A is not None
+        assert run_trial(plan, 0, 256, 1.0, 0).in_A.dtype == bool
         assert run_trial(plan, 2, 512, 1.0, 0).in_A is None
 
     def test_interval_system_trial(self):
         plan = tiny_plan(signal_kind="sine", alpha=1.0, system="interval",
                          moments=2, ns=(256,), deltas=(1.0,), trials=1)
         rep = run_trial(plan, 0, 256, 1.0, 0)
-        assert math.isfinite(rep.max_sq_err)
+        assert math.isfinite(rep.max_sq_err[0])
 
     def test_report_validation(self):
         with pytest.raises(ValueError):
-            TrialReport(trial=0, n=8, delta=0.0, max_sq_err=1.0, mse=2.0,
-                        in_A=None, exceed_count=0, seed=0)
+            cell_of([1.0], [2.0])
         with pytest.raises(ValueError):
-            TrialReport(trial=0, n=8, delta=0.0, max_sq_err=math.nan, mse=0.0,
-                        in_A=None, exceed_count=0, seed=0)
+            cell_of([math.nan], [0.0])
+
+    @pytest.mark.parametrize("column", ["max_sq_err", "mse"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_error_in_any_row_is_rejected(self, column, bad):
+        errors = {"max_sq_err": [1.0, 1.0, 1.0], "mse": [0.5, 0.5, 0.5]}
+        errors[column][1] = bad
+        with pytest.raises(ValueError, match="^error fields must be finite$"):
+            cell_of(**errors)
+
+    def test_mse_over_max_in_any_row_is_rejected(self):
+        cell_of([1.0, 1.0, 0.0], [0.5, 1.0 + 1e-15, 1e-15])  # within the slack
+        with pytest.raises(ValueError, match="^mean square error cannot exceed "
+                                             "max square error$"):
+            cell_of([1.0, 1.0, 1.0], [0.5, 1.0 + 1e-14, 0.5])
 
 
 class TestStatistics:
@@ -205,18 +225,9 @@ class TestStatistics:
 
 
 class TestSummaries:
-    def test_census_totals(self):
-        plan = tiny_plan()
-        reports = run_plan(plan, workers=1)
-        census = threshold_exceedance_census(reports)
-        assert census["trials"] == len(reports)
-        assert census["total"] == sum(r.exceed_count for r in reports)
-        assert census["total"] == sum(census["by_level"].values())
-
     def test_summarize_shape_and_envelope(self):
         plan = tiny_plan(trials=8)
-        reports = run_plan(plan, workers=1)
-        summaries = summarize(plan, reports)
+        summaries = summarize(plan, run_plan(plan, workers=1))
         assert {(s.n, s.delta) for s in summaries} == {
             (n, d) for n in plan.ns for d in plan.deltas}
         for s in summaries:
@@ -228,17 +239,30 @@ class TestSummaries:
 
 
 class TestSerialization:
-    def test_jsonl_round_trip(self, tmp_path):
-        plan = tiny_plan()
-        reports = run_plan(plan, workers=1)
+    def test_jsonl_lines_match_the_columns(self, tmp_path):
+        plan = tiny_plan(noise_family="rademacher", deltas=(0.0, 2.5))
+        cells = run_plan(plan, workers=1)
         path = tmp_path / "r.jsonl"
-        write_reports(path, reports)
-        loaded = read_reports(path)
-        assert len(loaded) == len(reports)
-        for a, b in zip(loaded, reports):
-            assert a == TrialReport(**{k: getattr(b, k) for k in (
+        write_reports(path, cells)
+        lines = path.read_text().splitlines()
+        assert len(lines) == plan.trials * len(plan.cells())
+        want = []
+        for c in cells:
+            for i in range(len(c.trial)):
+                in_A = None if c.n not in EVENT_A_SIZES else bool(c.in_A[i])
+                want.append([int(c.trial[i]), c.n, c.delta, float(c.max_sq_err[i]),
+                             float(c.mse[i]), in_A, int(c.exceed_by_level[i].sum()),
+                             int(c.seed[i])])
+        assert {c.n for c in cells if c.in_A is None} == {512}
+        for line, values in zip(lines, want):
+            row = json.loads(line)
+            assert tuple(row) == _JSONL_FIELDS == (
                 "trial", "n", "delta", "max_sq_err", "mse", "in_A",
-                "exceed_count", "seed")})
+                "exceed_count", "seed")
+            # a float's repr round-trips its bits, so equal reprs of equal
+            # types are the same value exactly
+            assert [(type(v), repr(v)) for v in row.values()] == \
+                [(type(v), repr(v)) for v in values]
 
     def test_csv_format(self, tmp_path):
         plan = tiny_plan(trials=2)
@@ -258,10 +282,8 @@ class TestSerialization:
         path = tmp_path / "out.jsonl"
         class Boom(Exception):
             pass
-        bad = [TrialReport(trial=0, n=8, delta=0.0, max_sq_err=1.0, mse=0.5,
-                           in_A=None, exceed_count=0, seed=0)]
         def exploding():
-            yield bad[0]
+            yield cell_of([1.0], [0.5])
             raise Boom
         with pytest.raises(Boom):
             write_reports(path, exploding())

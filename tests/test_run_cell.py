@@ -12,7 +12,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from trial_oracle import assert_same_columns, oracle_cells
 from trial_oracle import run_trial as oracle_trial
+from trial_oracle import stack, take
 from waveshrink import experiments, interval, noise, shrinkage, signals
 from waveshrink.experiments import (
     ExperimentPlan,
@@ -67,15 +69,23 @@ INTERVAL_PLANS = {
 }
 
 
-def oracle_reports(plan):
-    return [oracle_trial(plan, cell, n, delta, t)
-            for cell, n, delta in plan.cells() for t in range(plan.trials)]
+# compared exactly with the oracle; the errors only to rounding
+EXACT = ("trial", "seed", "in_A", "exceed_by_level")
+
+
+def assert_matches_oracle(plan, columns=EXACT):
+    got, want = run_plan(plan, workers=1), oracle_cells(plan)
+    assert sum(len(c.trial) for c in got) == plan.trials * len(plan.cells())
+    assert_same_columns(got, want, columns)
+    for g, w in zip(got, want):
+        assert g.max_sq_err == pytest.approx(w.max_sq_err, rel=1e-12, abs=0)
+        assert g.mse == pytest.approx(w.mse, rel=1e-12, abs=0)
 
 
 def linear_trial(plan, cell, n, delta, trial):
     """One trial as run_cell computes it, alone: the noise and the signal
     analyzed apart, W(f + e) = Wf + We, then thresholded and synthesized.
-    The other fields are the oracle's."""
+    The other columns are the oracle's."""
     want = oracle_trial(plan, cell, n, delta, trial)
     f = signals.make_signal(plan.signal_kind, plan.alpha, plan.holder_const).sample(n)
     system = wavelet_system(plan.system, n, plan.alpha, plan.moments)
@@ -92,13 +102,8 @@ def linear_trial(plan, cell, n, delta, trial):
     lo = 2 ** cfg.coarse_level
     c[lo:] = shrinkage.threshold_rule(plan.mode)(c[lo:], cfg.orthonormal_threshold)
     sq = (system.synthesize(c) - f) ** 2
-    return dataclasses.replace(want, max_sq_err=float(np.max(sq)),
-                               mse=float(np.mean(sq)))
-
-
-def linear_reports(plan):
-    return [linear_trial(plan, cell, n, delta, t)
-            for cell, n, delta in plan.cells() for t in range(plan.trials)]
+    return dataclasses.replace(want, max_sq_err=np.array([np.max(sq)]),
+                               mse=np.array([np.mean(sq)]))
 
 
 @pytest.mark.parametrize("name", sorted(HAAR_PLANS))
@@ -106,15 +111,7 @@ def test_haar_matches_per_trial_oracle_exactly(name):
     """Seeds, event A and the exceedances agree exactly.  The oracle
     analyzes f + e and run_cell adds Wf to We, so the errors agree to
     rounding."""
-    plan = HAAR_PLANS[name]
-    got, want = run_plan(plan, workers=1), oracle_reports(plan)
-    assert len(got) == len(want) == plan.trials * len(plan.cells())
-    for g, w in zip(got, want):
-        assert (g.trial, g.n, g.delta, g.seed, g.in_A, g.exceed_count,
-                g.exceed_by_level) == (w.trial, w.n, w.delta, w.seed, w.in_A,
-                                       w.exceed_count, w.exceed_by_level)
-        assert g.max_sq_err == pytest.approx(w.max_sq_err, rel=1e-12, abs=0)
-        assert g.mse == pytest.approx(w.mse, rel=1e-12, abs=0)
+    assert_matches_oracle(HAAR_PLANS[name])
 
 
 @pytest.mark.parametrize("plan", [pytest.param(p, id=f"haar-{k}")
@@ -122,25 +119,14 @@ def test_haar_matches_per_trial_oracle_exactly(name):
                          + [pytest.param(p, id=f"interval-{k}")
                             for k, p in sorted(INTERVAL_PLANS.items())])
 def test_run_cell_is_linear_per_trial_exactly(plan):
-    """Every report, errors included, is bit-equal to its trial computed
+    """Every column, errors included, is bit-equal to its trials computed
     alone as synthesize(threshold(analyze(e) + analyze(f)))."""
-    got, want = run_plan(plan, workers=1), linear_reports(plan)
-    assert len(got) == len(want) == plan.trials * len(plan.cells())
-    for g, w in zip(got, want):
-        assert (g, g.max_sq_err, g.mse, g.exceed_by_level) == \
-            (w, w.max_sq_err, w.mse, w.exceed_by_level)
+    assert_same_columns(run_plan(plan, workers=1), oracle_cells(plan, linear_trial))
 
 
 @pytest.mark.parametrize("name", sorted(INTERVAL_PLANS))
 def test_interval_matches_per_trial_oracle(name):
-    plan = INTERVAL_PLANS[name]
-    got, want = run_plan(plan, workers=1), oracle_reports(plan)
-    assert len(got) == len(want) == plan.trials * len(plan.cells())
-    for g, w in zip(got, want):
-        assert (g.trial, g.n, g.delta, g.seed, g.in_A, g.exceed_count) == \
-            (w.trial, w.n, w.delta, w.seed, w.in_A, w.exceed_count)
-        assert g.max_sq_err == pytest.approx(w.max_sq_err, rel=1e-12, abs=0)
-        assert g.mse == pytest.approx(w.mse, rel=1e-12, abs=0)
+    assert_matches_oracle(INTERVAL_PLANS[name])
 
 
 def test_haar_odd_levels_match_per_trial_oracle():
@@ -148,40 +134,27 @@ def test_haar_odd_levels_match_per_trial_oracle():
     lambda * sqrt(n) rounds differently from the oracle's pyramid passes by
     1/sqrt(n) and back.  The errors agree to rounding, everything else
     exactly."""
-    plan = plan_of(mode="hard", noise_family="mixture", ns=(512, 2048), trials=8)
-    got, want = run_plan(plan, workers=1), oracle_reports(plan)
-    assert len(got) == len(want) == plan.trials * len(plan.cells())
-    for g, w in zip(got, want):
-        assert (g.trial, g.n, g.delta, g.seed, g.in_A, g.exceed_count,
-                g.exceed_by_level) == (w.trial, w.n, w.delta, w.seed, w.in_A,
-                                       w.exceed_count, w.exceed_by_level)
-        assert g.max_sq_err == pytest.approx(w.max_sq_err, rel=1e-12, abs=0)
-        assert g.mse == pytest.approx(w.mse, rel=1e-12, abs=0)
+    assert_matches_oracle(plan_of(mode="hard", noise_family="mixture",
+                                  ns=(512, 2048), trials=8))
 
 
 @pytest.mark.parametrize("plan", [HAAR_PLANS["partial-chunk"],
                                   HAAR_PLANS["hard"],
                                   INTERVAL_PLANS["partial-chunk"]])
 def test_run_trial_equals_its_run_plan_row(plan):
-    rows = {(r.n, r.delta, r.trial): r for r in run_plan(plan, workers=1)}
-    for cell, n, delta in plan.cells():
+    cells = run_plan(plan, workers=1)
+    for (cell, n, delta), result in zip(plan.cells(), cells):
         for t in sorted({0, plan.trials // 2, plan.trials - 1}):
-            one = run_trial(plan, cell, n, delta, t)
-            row = rows[n, delta, t]
-            assert one == row
-            assert (one.max_sq_err, one.mse, one.exceed_by_level) == \
-                (row.max_sq_err, row.mse, row.exceed_by_level)
+            assert_same_columns(run_trial(plan, cell, n, delta, t), take(result, t))
 
 
 def test_reports_do_not_depend_on_chunking():
     plan = INTERVAL_PLANS["soft"]
     cell, n, delta = plan.cells()[3]
     whole = run_cell(plan, cell, n, delta, range(0, 6))
-    split = run_cell(plan, cell, n, delta, range(0, 2)) \
-        + run_cell(plan, cell, n, delta, range(2, 6))
-    for a, b in zip(whole, split):
-        assert (a, a.max_sq_err, a.mse, a.exceed_by_level) == \
-            (b, b.max_sq_err, b.mse, b.exceed_by_level)
+    split = stack([run_cell(plan, cell, n, delta, range(0, 2)),
+                   run_cell(plan, cell, n, delta, range(2, 6))])
+    assert_same_columns(whole, split)
 
 
 @pytest.fixture
@@ -204,7 +177,7 @@ def test_batches_depend_on_n_only(analyzed):
     assert _chunk_trials(2 ** 20) == 1
     plan = HAAR_PLANS["partial-chunk"]
     cell, n, delta = plan.cells()[0]
-    assert len(run_cell(plan, cell, n, delta, range(37))) == 37
+    assert run_cell(plan, cell, n, delta, range(37)).trial.tolist() == list(range(37))
     # one analysis per batch: the noise; the signal's coefficients are added
     assert [s[0] for s in analyzed if len(s) == 2] == [32, 5]
 
@@ -234,7 +207,7 @@ def test_tasks_are_cell_shares(workers):
 def test_run_cell_makes_the_signal_once(analyzed, monkeypatch):
     plan = plan_of(ns=(2 ** 14,), deltas=(1.0,), trials=9)
     cell, n, delta = plan.cells()[0]
-    want = linear_reports(plan)
+    [want] = oracle_cells(plan, linear_trial)
     analyzed.clear()
     calls = []
 
@@ -249,7 +222,7 @@ def test_run_cell_makes_the_signal_once(analyzed, monkeypatch):
 
     count(signals.HolderSignal, "sample")
     count(shrinkage.ShrinkageConfig, "build")
-    assert run_cell(plan, cell, n, delta, range(9)) == want
+    assert_same_columns(run_cell(plan, cell, n, delta, range(9)), want)
     assert sorted(calls) == ["build", "sample"]
     assert analyzed.count((n,)) == 1
     assert [s[0] for s in analyzed if len(s) == 2] == [2] * 4 + [1]
@@ -257,7 +230,8 @@ def test_run_cell_makes_the_signal_once(analyzed, monkeypatch):
 
 def test_more_batches_do_not_raise_the_peak():
     """Batches of one call do not overlap: ten batches at n = 2^14 peak within
-    half a batch array of one batch (the reports themselves take ~16 KiB)."""
+    half a batch array of one batch (the columns of 20 trials take under
+    1 KiB)."""
     plan = plan_of(ns=(2 ** 14,), deltas=(1.0,), trials=20)
     cell, n, delta = plan.cells()[0]
     run_cell(plan, cell, n, delta, range(2))  # warm the caches
@@ -363,12 +337,12 @@ class TestWorkers:
 
     def test_one_worker_is_the_default(self, pools):
         plan = plan_of(ns=(256, 512), deltas=(1.0,))
-        assert run_plan(plan) == run_plan(plan, workers=1)
+        assert_same_columns(run_plan(plan), run_plan(plan, workers=1))
         assert pools == []
 
     def test_pool_never_exceeds_the_task_count(self, pools):
         plan = plan_of(ns=(256, 512), deltas=(1.0,))  # one task per cell
-        assert run_plan(plan, workers=8) == run_plan(plan, workers=1)
+        assert_same_columns(run_plan(plan, workers=8), run_plan(plan, workers=1))
         assert pools == [2]
 
     def test_reports_do_not_depend_on_the_worker_count(self, pools):
@@ -377,11 +351,7 @@ class TestWorkers:
         plan = plan_of(ns=(16, 256, 2 ** 12, 2 ** 14), deltas=(1.0,), trials=10)
         serial = run_plan(plan, workers=1)
         for workers in (2, 3):
-            shared = run_plan(plan, workers=workers)
-            assert shared == serial
-            for a, b in zip(shared, serial):
-                assert (a.max_sq_err, a.mse, a.exceed_by_level) == \
-                    (b.max_sq_err, b.mse, b.exceed_by_level)
+            assert_same_columns(run_plan(plan, workers=workers), serial)
         assert pools == [2, 3]
 
     def test_single_task_runs_without_a_pool(self, pools):
@@ -440,10 +410,10 @@ def test_run_cell_takes_the_system_it_is_given(store, monkeypatch):
     cell, n, delta = plan.cells()[3]
     system = wavelet_system(plan.system, n, plan.alpha, plan.moments)
     shipped = pickle.loads(pickle.dumps(system))
-    want = [linear_trial(plan, cell, n, delta, t) for t in range(4)]
+    want = stack([linear_trial(plan, cell, n, delta, t) for t in range(4)])
     monkeypatch.setattr(experiments, "wavelet_system", refuse)
     monkeypatch.setattr(interval, "build_interval_system", refuse)
-    assert run_cell(plan, cell, n, delta, range(0, 4), shipped) == want
+    assert_same_columns(run_cell(plan, cell, n, delta, range(0, 4), shipped), want)
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
@@ -460,7 +430,7 @@ class TestRealPool:
         monkeypatch.setattr(interval, "build_interval_system", refuse)
         # each task carries its system, so none resolves one
         monkeypatch.setattr(experiments, "wavelet_system", refuse)
-        assert run_plan(self.PLAN, workers=2) == serial
+        assert_same_columns(run_plan(self.PLAN, workers=2), serial)
 
     def test_cold_store_builds_each_system_once(self, store, monkeypatch,
                                                 tmp_path):
@@ -482,8 +452,4 @@ class TestRealPool:
 
         monkeypatch.setattr(interval, "build_interval_system", build)
         store.clear()
-        serial = run_plan(self.PLAN, workers=1)
-        assert parallel == serial
-        for a, b in zip(parallel, serial):
-            assert (a.max_sq_err, a.mse, a.exceed_by_level) == \
-                (b.max_sq_err, b.mse, b.exceed_by_level)
+        assert_same_columns(parallel, run_plan(self.PLAN, workers=1))

@@ -6,8 +6,13 @@ One trial at a time, it rebuilds the signal and the config, analyzes the
 noise, the signal and the noisy samples through the pyramid functions, and
 walks the levels in Python.  The body is unchanged but for the imports and
 the event-A system: the run's Haar system at its coarse level, not "haar"
-(coarse level 0), since the event covers the approximation block.
+(coarse level 0), since the event covers the approximation block, and for
+the result: a one-row :class:`~waveshrink.experiments.CellResult`.
+
+The helpers at the end stack one-row results into a cell's columns and
+compare columns by their bytes, so a signed zero or a NaN cannot hide.
 """
+import dataclasses
 import math
 from typing import Optional
 
@@ -15,8 +20,8 @@ import numpy as np
 
 from waveshrink.experiments import (
     _EVENT_A_SIZES,
+    CellResult,
     ExperimentPlan,
-    TrialReport,
     _trial_seed,
 )
 from waveshrink.interval import interval_dwt, interval_idwt
@@ -27,7 +32,7 @@ from waveshrink.transform import HaarSystem, haar_dwt, haar_idwt
 
 
 def run_trial(plan: ExperimentPlan, cell: int, n: int, delta: float,
-              trial: int) -> TrialReport:
+              trial: int) -> CellResult:
     """One pure Monte Carlo trial."""
     signal = make_signal(plan.signal_kind, plan.alpha, plan.holder_const)
     f = signal.sample(n)
@@ -84,9 +89,10 @@ def run_trial(plan: ExperimentPlan, cell: int, n: int, delta: float,
     elif n in _EVENT_A_SIZES:
         member = True  # zero noise is trivially inside A
 
-    return TrialReport(trial=trial, n=n, delta=delta, max_sq_err=max_sq, mse=mse,
-                       in_A=member, exceed_count=exceed, seed=seed_id,
-                       exceed_by_level=by_level)
+    return CellResult(n, delta, np.array([trial]), np.array([seed_id], np.uint64),
+                      np.array([max_sq]), np.array([mse]),
+                      None if member is None else np.array([member]),
+                      np.array([list(by_level.values())], np.intp))
 
 
 def _assert_detail_contraction(shrunk, signal_pyr, lam: float) -> None:
@@ -101,3 +107,42 @@ def _assert_detail_contraction(shrunk, signal_pyr, lam: float) -> None:
                 f"thresholding contraction violated at level {j}"
             )
 
+
+COLUMNS = ("trial", "seed", "max_sq_err", "mse", "in_A", "exceed_by_level")
+
+
+def stack(rows):
+    """One cell's results, in order, as one result."""
+    return dataclasses.replace(rows[0], **{
+        k: np.concatenate([getattr(r, k) for r in rows])
+        for k in COLUMNS if getattr(rows[0], k) is not None})
+
+
+def take(result, i):
+    """Row i of a result, as a one-row result."""
+    return dataclasses.replace(result, **{
+        k: getattr(result, k)[i : i + 1]
+        for k in COLUMNS if getattr(result, k) is not None})
+
+
+def oracle_cells(plan, trial=run_trial):
+    """Every cell of the plan from ``trial`` (the oracle by default), one
+    call per trial; no cell when the plan has no trials."""
+    return [stack([trial(plan, cell, n, delta, t) for t in range(plan.trials)])
+            for cell, n, delta in plan.cells() if plan.trials]
+
+
+def assert_same_columns(got, want, columns=COLUMNS):
+    """The results (one or a list) have the same cells and the same bytes,
+    dtypes and shapes in ``columns``."""
+    if isinstance(got, CellResult):
+        got, want = [got], [want]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.n, float(g.delta).hex()) == (w.n, float(w.delta).hex())
+        for k in columns:
+            a, b = getattr(g, k), getattr(w, k)
+            if a is None or b is None:
+                assert a is b, k
+            else:
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), k
