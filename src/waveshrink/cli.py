@@ -135,11 +135,16 @@ def cmd_rates(args: argparse.Namespace) -> int:
     status = 0
     for path in args.summaries:
         try:
-            rows = np.genfromtxt(path, delimiter=",", names=True)
+            with warnings.catch_warnings():
+                # an empty file is reported below, as a file without rows
+                warnings.filterwarnings("ignore", "genfromtxt: Empty input file")
+                rows = np.genfromtxt(path, delimiter=",", names=True)
         except OSError as exc:
             return _fail_usage(f"cannot read {path!r}: {exc}")
+        except IndexError:  # genfromtxt's failure on a file without a header
+            rows = np.empty(0)
         rows = np.atleast_1d(rows)
-        if rows.size == 0:  # a plan without trials summarizes no cell
+        if rows.size == 0:  # an empty file, or a plan without trials' summary
             print(f"warning: {path}: no summary rows to fit", file=sys.stderr)
             status = 1
             continue

@@ -55,6 +55,7 @@ from .noise import (
     NoiseSpec,
     _system_at,
     check_family,
+    check_noise_range,
     coefficient_bound,
     in_event_A,
     sample_noise,
@@ -72,7 +73,7 @@ from .shrinkage import (
     wavelet_systems,
 )
 from .signals import make_signal
-from .transform import haar_dwt, haar_idwt, is_integer
+from .transform import _block_count, _run_blocks, haar_dwt, haar_idwt, is_integer
 
 # Trials run batched through the system objects and read event A off their
 # noise coefficients, so the pyramid functions haar_dwt, haar_idwt,
@@ -84,6 +85,12 @@ from .transform import haar_dwt, haar_idwt, is_integer
 # Batching amortizes per-call overhead; the cap keeps peak memory near that of
 # one trial at a time.
 _CHUNK_ELEMENTS = 2 ** 15
+# Sample count below which estimate_event_probability draws its trials on one
+# thread: on a 2-core x86 VM, mixture noise on Haar took 1.5x, 1.2x, 0.75x
+# and 0.63x as long on two threads as on one at n = 2**8, 2**12, 2**14 and
+# 2**16 (4000, 512, 128 and 32 trials, median of 6).  The call must also hold
+# 2**19 values, the rule of the Haar blocks (transform._block_count).
+_SHARE_MIN_N = 2 ** 14
 # Percentile of max_sq_err / rate at the smallest n that sets the envelope.
 _ENVELOPE_QUANTILE = 99.9
 # The plan's fields that are not numbers.
@@ -242,6 +249,8 @@ def _noise_batch(family: str, b: float, seeds, n: int) -> np.ndarray:
     """(len(seeds), n) noise, row i drawn from seeds[i]; zeros for b = 0."""
     if b == 0:  # NoiseSpec rejects any other b that is not > 0
         return np.zeros((len(seeds), n))
+    if len(seeds) == 1:  # the row is the batch: no copy
+        return sample_noise(NoiseSpec(family, b, seeds[0]), n)[None]
     noise = np.empty((len(seeds), n))
     for row, seed in zip(noise, seeds):
         row[...] = sample_noise(NoiseSpec(family, b, seed), n)
@@ -430,20 +439,49 @@ def estimate_event_probability(noise_family: str, b: float, n: int, trials: int,
                                system="haar") -> tuple[float, tuple[float, float]]:
     """Empirical P(A) on ``system`` (as for :func:`~waveshrink.noise.in_event_A`)
     with a Wilson 99% confidence interval.  Trial t draws its noise from
-    ``SeedSequence(master_seed, spawn_key=(0, t))``."""
+    ``SeedSequence(master_seed, spawn_key=(0, t))``, and b = 0 is noise-free.
+
+    The trials run in p = :func:`_share_count` contiguous shares, share 0 on
+    this thread and each other share on a thread of its own; the hits are
+    summed.  A trial's membership does not depend on its share, so the result
+    does not depend on p.
+    """
     if not is_integer(trials) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     check_master_seed(master_seed)
     check_family(noise_family)
+    if b != 0:
+        check_noise_range(b)
     system = _system_at(system, n)
     bound = coefficient_bound(b, system)
-    hits, step = 0, _chunk_trials(n)
-    for start in range(0, trials, step):
-        seeds = [_trial_seed(master_seed, 0, t)
-                 for t in range(start, min(start + step, trials))]
-        c = system.analyze(_noise_batch(noise_family, b, seeds, n))
-        hits += int(np.count_nonzero(np.max(np.abs(c, out=c), axis=-1) <= bound))
+    p = _share_count(n, trials)
+    hits = sum(_run_blocks(_event_hits, [
+        (noise_family, b, system, bound, master_seed,
+         range(trials * i // p, trials * (i + 1) // p)) for i in range(p)]))
     return hits / trials, wilson_interval(hits, trials)
+
+
+def _share_count(n: int, trials: int) -> int:
+    """p, the number of trial shares of :func:`estimate_event_probability`:
+    1 below n = ``_SHARE_MIN_N``, else the Haar block count of the call's
+    trials * n values, at most ``trials``."""
+    if n < _SHARE_MIN_N:
+        return 1
+    return _block_count(trials * n, trials.bit_length() - 1)
+
+
+def _event_hits(family: str, b: float, system, bound: float, master_seed: int,
+                trials: range) -> int:
+    """How many of ``trials`` draw noise in event A, in batches of
+    :func:`_chunk_trials` rows.  Runs on helper threads: numpy's draws and
+    large ufuncs release the GIL."""
+    hits, step = 0, _chunk_trials(system.n)
+    for start in range(trials.start, trials.stop, step):
+        seeds = [_trial_seed(master_seed, 0, t)
+                 for t in range(start, min(start + step, trials.stop))]
+        c = system.analyze(_noise_batch(family, b, seeds, system.n))
+        hits += int(np.count_nonzero(np.max(np.abs(c, out=c), axis=-1) <= bound))
+    return hits
 
 
 def fit_rate(ns: Sequence[int], medians: Sequence[float], alpha: float) -> RateFit:

@@ -56,11 +56,20 @@ def _truncated_gaussian(rng: np.random.Generator, half: float, n: int) -> np.nda
     """N(0, (half/2)^2) conditioned on [-half, half]; symmetric truncation
     keeps the mean exactly zero."""
     out = rng.normal(0.0, half / 2.0, n)
-    bad = np.flatnonzero(np.abs(out) > half)
+    bad = np.flatnonzero((out < -half) | (out > half))  # no float |out| temporary
     while bad.size:
         redraw = rng.normal(0.0, half / 2.0, bad.size)
         out[bad] = redraw
         bad = bad[np.abs(redraw) > half]  # only the redrawn entries can be out
+    return out
+
+
+def _signs(bits: np.ndarray, half: float) -> np.ndarray:
+    """(2 * bits - 1) * half for 0/1 ``bits``, rounded as that expression is,
+    in one float array rather than three."""
+    out = np.multiply(bits, 2.0)
+    out -= 1.0
+    out *= half
     return out
 
 
@@ -73,13 +82,13 @@ def sample_noise(spec: NoiseSpec, n: int) -> np.ndarray:
     if spec.family == "uniform":
         return rng.uniform(-half, half, n)
     if spec.family == "rademacher":
-        return (2.0 * rng.integers(0, 2, n) - 1.0) * half
+        return _signs(rng.integers(0, 2, n), half)
     if spec.family == "truncated":
         return _truncated_gaussian(rng, half, n)
     # mixture: cycle the three base families per index; each family draws n
     # values, in this order, and index i keeps family i % 3's i-th draw
     out = rng.uniform(-half, half, n)
-    out[1::3] = (2.0 * rng.integers(0, 2, n)[1::3] - 1.0) * half
+    out[1::3] = _signs(rng.integers(0, 2, n)[1::3], half)
     out[2::3] = _truncated_gaussian(rng, half, n)[2::3]
     return out
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -313,6 +314,17 @@ class TestRatesAndVerify:
         assert main(["rates", str(summ), "--alpha", "1.0"]) == 1
         captured = capsys.readouterr()
         assert f"warning: {summ}: no summary rows to fit" in captured.err
+        assert "s.csv" not in captured.out
+
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["zero-byte", "blank"])
+    def test_rates_summary_without_header(self, tmp_path, capsys, text):
+        summ = tmp_path / "s.csv"
+        summ.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["rates", str(summ), "--alpha", "1.0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"warning: {summ}: no summary rows to fit\n"
         assert "s.csv" not in captured.out
 
     @pytest.mark.parametrize("rows, message", [

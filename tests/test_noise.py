@@ -62,8 +62,10 @@ def _oracle_truncated(rng, half, n):
 
 
 def oracle_noise(spec, n):
-    """sample_noise as first written: the mixture picks from a (3, n) stack
-    and the truncated Gaussian rescans all n entries after every redraw."""
+    """sample_noise as first written: each Rademacher sign array takes three
+    temporaries, the mixture picks from a (3, n) stack and the truncated
+    Gaussian rescans all n entries, through a float |out|, after every
+    redraw."""
     rng = np.random.default_rng(spec.seed)
     half = spec.b / 2.0
     if spec.family == "uniform":
@@ -80,15 +82,16 @@ def oracle_noise(spec, n):
 
 
 @pytest.mark.parametrize("family", NOISE_FAMILIES)
-@pytest.mark.parametrize("n", [1, 2, 5, 16, 256, 65536])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 17, 256, 4096, 65536])
 def test_sampling_matches_oracle_bytes(family, n):
-    for k in range(20):
-        # integer seeds and the SeedSequence form simulate uses
-        seed = k if k % 2 else np.random.SeedSequence(7, spawn_key=(k, 3))
-        spec = NoiseSpec(family, (0.5, 1.0, 3.0)[k % 3], seed)
-        got, want = sample_noise(spec, n), oracle_noise(spec, n)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    for b in (0.3, 0.5, 1.0, 3.0, 7.0):
+        for k in range(8):
+            # integer seeds and the SeedSequence form simulate uses
+            seed = k if k % 2 else np.random.SeedSequence(7, spawn_key=(k, 3))
+            spec = NoiseSpec(family, b, seed)
+            got, want = sample_noise(spec, n), oracle_noise(spec, n)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestEventA:
