@@ -6,14 +6,15 @@ derived with a splittable scheme so results are bit-for-bit reproducible
 regardless of execution order or worker count.
 
 :func:`run_plan` runs each cell as tasks, each a share of the cell's trials:
-one task per cell with one worker, and with a pool about one share per worker,
-never smaller than one batch.  A task is one :func:`run_cell` call, which
-makes the signal, the config and the signal's coefficients Wf once and runs
-its trials through the transform, thresholding, error and exceedance
-computations in (trials, n) batches.  A batch holds at most
-``_CHUNK_ELEMENTS`` values per array, a fixed constant, so its row count
-depends on n alone.  Each row of a batch goes through the same
-floating-point operations as the trial would alone, so the output bytes
+one task per cell in the calling process, and with a pool about one share per
+process, never smaller than one batch.  A plan gets a pool for its tasks only
+when it draws enough noise values to pay for one (``_POOL_VALUES``).  A task
+is one :func:`run_cell` call, which makes the signal, the config and the
+signal's coefficients Wf once and runs its trials through the transform,
+thresholding, error and exceedance computations in (trials, n) batches.  A
+batch holds at most ``_CHUNK_ELEMENTS`` values per array, a fixed constant,
+so its row count depends on n alone.  Each row of a batch goes through the
+same floating-point operations as the trial would alone, so the output bytes
 depend neither on the batches nor on the tasks or the worker count.
 
 The transforms are linear, so a batch analyzes its noise once: |We| gives
@@ -26,10 +27,10 @@ columns, which carry event A at n in ``EVENT_A_SIZES`` only.
 Interval systems come from one store per process
 (:func:`~waveshrink.shrinkage.wavelet_systems`).  :func:`run_plan` resolves
 the system of each n before any task runs: systems missing from the
-caller's store are built once each, in the pool's workers if there is a pool,
-and kept in the caller.  Every task then carries its system, so workers
-never build one for a task, whatever the start method, and a process that
-runs several plans on the same systems builds each once.
+caller's store are built once each, in a pool's workers whenever there is
+more than one worker, and kept in the caller.  Every task then carries its
+system, so workers never build one for a task, whatever the start method,
+and a process that runs several plans on the same systems builds each once.
 """
 from __future__ import annotations
 
@@ -91,6 +92,19 @@ _CHUNK_ELEMENTS = 2 ** 15
 # 2**16 (4000, 512, 128 and 32 trials, median of 6).  The call must also hold
 # 2**19 values, the rule of the Haar blocks (transform._block_count).
 _SHARE_MIN_N = 2 ** 14
+# Noise values per task process: run_plan gives a plan that draws v values
+# (trials x deltas x sum of ns) at most v // _POOL_VALUES processes for its
+# tasks, so they run in the caller below 2 * _POOL_VALUES.  On a 2-core x86 VM
+# an empty 2-process pool took 13-60 ms per call.  run_plan time at 2 workers,
+# tasks always in the pool, over 1 worker (scripts/bench_pool.py, median of 5
+# alternating runs, one delta), by the plan's Mi (2**20) values:
+#   Haar oddcusp, n = 2^8..2^14:  0.42 1.46, 0.83 1.05, 1.66 0.78, 3.3 0.64
+#   interval N = 2, n = 2^8..2^12:  0.21 1.18, 0.41 0.87, 0.82 0.72, 3.3 0.59
+# Both cross 1 between 0.2 and 1 Mi values.  The 0.83 Mi Haar plan gets two
+# processes and the 0.41 Mi interval plan one: each is the rule's one miss on
+# its system.  Missing interval systems are built in a pool at any plan size:
+# one N = 2 build took 24, 38 and 56 ms at n = 2^8, 2^10 and 2^12.
+_POOL_VALUES = 2 ** 18
 # Percentile of max_sq_err / rate at the smallest n that sets the envelope.
 _ENVELOPE_QUANTILE = 99.9
 # The plan's fields that are not numbers.
@@ -387,26 +401,53 @@ def _plan_tasks(plan: ExperimentPlan, workers: int) -> list[tuple]:
 def run_plan(plan: ExperimentPlan, workers: int = 1) -> list[CellResult]:
     """One :class:`CellResult` per cell in ``plan.cells()`` order; none without trials.
 
-    ``workers`` is an integer >= 1; a pool never gets more processes than
-    there are tasks.  The system of each n is resolved once, before any task
-    runs, and sent with every task of that n.  Interval systems missing from
-    this process's store are built by the pool, if there is one, else here,
-    and stored here, so a later call with the same systems builds none.
+    ``workers`` is an integer >= 1, the most processes a pool gets.  The
+    tasks get :func:`_task_processes` processes; when that is 1 or less they
+    run here, one task per cell.  The system of each n is resolved once,
+    before any task runs, and sent with every task of that n.  Interval
+    systems missing from this process's store are built by a pool whenever
+    ``workers`` > 1, else here, and stored here, so a later call with the
+    same systems builds none and, if its tasks run here, starts no pool.
     """
     if not (is_integer(workers) and workers >= 1):
         raise ValueError(f"worker count must be an integer >= 1, got {workers!r}")
     tasks = _plan_tasks(plan, workers)
-    workers = min(workers, len(tasks))
+    processes = _task_processes(plan, tasks, workers)
     with ExitStack() as stack:
-        run_map = map
-        if workers > 1:
-            # imported here: multiprocessing costs a tenth of the package import
-            from concurrent.futures import ProcessPoolExecutor
-            run_map = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        if processes > 1:
+            task_map = build_map = stack.enter_context(_pool(processes)).map
+        else:
+            tasks, task_map, build_map = _plan_tasks(plan, 1), map, map
+            if workers > 1:
+                build_map = _pool_map(workers)
         systems = wavelet_systems(plan.system, {t[2] for t in tasks},
-                                  plan.alpha, plan.moments, build_map=run_map)
-        shares = list(run_map(_run_task, [t + (systems[t[2]],) for t in tasks]))
+                                  plan.alpha, plan.moments, build_map=build_map)
+        shares = list(task_map(_run_task, [t + (systems[t[2]],) for t in tasks]))
     return [_join(list(cell)) for _, cell in groupby(shares, lambda s: (s.n, s.delta))]
+
+
+def _task_processes(plan: ExperimentPlan, tasks: list, workers: int) -> int:
+    """Processes for ``tasks``, the plan's tasks for ``workers``:
+    ``min(workers, tasks, values // _POOL_VALUES)``, where ``values`` is the
+    number of noise values the plan draws."""
+    values = plan.trials * len(plan.deltas) * sum(plan.ns)
+    return min(workers, len(tasks), values // _POOL_VALUES)
+
+
+def _pool(processes: int):
+    """A process pool of ``processes`` workers."""
+    # imported here: multiprocessing costs a tenth of the package import
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=processes)
+
+
+def _pool_map(workers: int):
+    """A ``map`` that runs in a pool of its own, of at most ``workers``
+    processes and one per item, and shuts the pool down before it returns."""
+    def pool_map(fn, items: list) -> list:
+        with _pool(min(workers, len(items))) as pool:
+            return list(pool.map(fn, items))
+    return pool_map
 
 
 def _join(shares: Sequence[CellResult]) -> CellResult:

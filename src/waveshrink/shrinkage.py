@@ -190,7 +190,8 @@ def wavelet_systems(kind: str, ns, alpha: float, moments: Optional[int] = None,
     distinct key, largest first, by mapping a module-level build function
     over the keys with ``build_map``, and stored: the builtin ``map`` builds
     them here, a process pool's ``map`` builds them in its workers, in
-    parallel, and they come back here.
+    parallel, and they come back here.  ``build_map`` is not called when no
+    system is missing.
     """
     moments = system_moments(kind, alpha, moments)
     coarse = {n: coarse_level_for(n, alpha, moments) for n in ns}
@@ -199,7 +200,8 @@ def wavelet_systems(kind: str, ns, alpha: float, moments: Optional[int] = None,
     keys = {n: (moments, n, j0) for n, j0 in coarse.items()}
     # largest first, so that a pool does not start its longest build last
     missing = sorted(set(keys.values()) - _INTERVAL_SYSTEMS.keys(), reverse=True)
-    _INTERVAL_SYSTEMS.update(zip(missing, build_map(_build_system, missing)))
+    if missing:
+        _INTERVAL_SYSTEMS.update(zip(missing, build_map(_build_system, missing)))
     return {n: _INTERVAL_SYSTEMS[key] for n, key in keys.items()}
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trial_oracle import assert_same_columns
+from waveshrink import experiments
 from waveshrink.experiments import (
     _JSONL_FIELDS,
     CellResult,
@@ -70,7 +71,9 @@ class TestDeterminism:
         b = run_trial(plan, 0, 256, 0.0, 2)
         assert_same_columns(a, b)
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
+        # every plan pays for a pool, so four workers shard the tasks
+        monkeypatch.setattr(experiments, "_POOL_VALUES", 1)
         plan = tiny_plan()
         serial = run_plan(plan, workers=1)
         parallel = run_plan(plan, workers=4)

@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import pickle
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -306,16 +307,23 @@ class TestContractionCheck:
                                    np.zeros(len(shrunk), dtype=int), "soft")
 
 
+@pytest.fixture
+def pooled_tasks(monkeypatch):
+    """Every plan pays for a pool: its tasks are sharded over the workers,
+    whatever its size."""
+    monkeypatch.setattr(experiments, "_POOL_VALUES", 1)
+
+
 class TestWorkers:
     @pytest.fixture
     def pools(self, monkeypatch):
         """Replace the process pool with an in-process one that records the
-        processes it was asked for."""
-        made = []
+        processes each pool was asked for, and the functions it mapped."""
+        made = types.SimpleNamespace(sizes=[], mapped=[])
 
         class FakePool:
             def __init__(self, max_workers):
-                made.append(max_workers)
+                made.sizes.append(max_workers)
 
             def __enter__(self):
                 return self
@@ -324,6 +332,7 @@ class TestWorkers:
                 return False
 
             def map(self, fn, tasks):
+                made.mapped.append(fn.__name__)
                 return map(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
@@ -333,31 +342,66 @@ class TestWorkers:
     def test_rejects_a_bad_worker_count(self, workers, pools):
         with pytest.raises(ValueError, match="worker count must be an integer >= 1"):
             run_plan(plan_of(), workers=workers)
-        assert pools == []
+        assert pools.sizes == []
 
     def test_one_worker_is_the_default(self, pools):
         plan = plan_of(ns=(256, 512), deltas=(1.0,))
         assert_same_columns(run_plan(plan), run_plan(plan, workers=1))
-        assert pools == []
+        assert pools.sizes == []
 
-    def test_pool_never_exceeds_the_task_count(self, pools):
+    def test_pool_never_exceeds_the_task_count(self, pools, pooled_tasks):
         plan = plan_of(ns=(256, 512), deltas=(1.0,))  # one task per cell
         assert_same_columns(run_plan(plan, workers=8), run_plan(plan, workers=1))
-        assert pools == [2]
+        assert pools.sizes == [2]
 
-    def test_reports_do_not_depend_on_the_worker_count(self, pools):
+    def test_reports_do_not_depend_on_the_worker_count(self, pools, pooled_tasks):
         # two and three workers split the cells at n = 2^12 and 2^14 into
         # shares of different sizes
         plan = plan_of(ns=(16, 256, 2 ** 12, 2 ** 14), deltas=(1.0,), trials=10)
         serial = run_plan(plan, workers=1)
         for workers in (2, 3):
             assert_same_columns(run_plan(plan, workers=workers), serial)
-        assert pools == [2, 3]
+        assert pools.sizes == [2, 3]
 
-    def test_single_task_runs_without_a_pool(self, pools):
+    def test_single_task_runs_without_a_pool(self, pools, pooled_tasks):
         plan = plan_of(ns=(256,), deltas=(1.0,))
         run_plan(plan, workers=4)
-        assert pools == []
+        assert pools.sizes == []
+
+    # a cell at n = 2^14 holds 2^18 values per 16 trials; four workers cut
+    # each cell into four tasks, two workers into two
+    @pytest.mark.parametrize("workers, deltas, trials, sizes", [
+        (4, (1.0,), 31, []), (4, (1.0,), 32, [2]), (4, (1.0,), 47, [2]),
+        (4, (1.0,), 48, [3]), (2, (1.0,), 48, [2]),
+        (4, (0.0, 1.0), 15, []), (4, (0.0, 1.0), 16, [2]),
+    ])
+    def test_tasks_get_a_process_per_pool_values(self, pools, workers, deltas,
+                                                 trials, sizes):
+        plan = plan_of(ns=(2 ** 14,), deltas=deltas, trials=trials)
+        assert experiments._POOL_VALUES == 2 ** 18
+        assert_same_columns(run_plan(plan, workers=workers), run_plan(plan))
+        assert pools.sizes == sizes
+        assert pools.mapped == ["_run_task"] * len(sizes)
+
+    def test_warm_store_under_the_rule_starts_no_pool(self, pools, store):
+        plan = interval_plan()
+        serial = run_plan(plan)  # fills the store here
+        assert_same_columns(run_plan(plan, workers=2), serial)
+        assert pools.sizes == []
+
+    def test_cold_store_under_the_rule_builds_in_a_pool(self, pools, store,
+                                                        monkeypatch):
+        plan = interval_plan()  # three systems, tasks under the rule
+        ran = []
+        monkeypatch.setattr(experiments, "_run_task",
+                            lambda task: ran.append(task) or run_cell(*task))
+        got = run_plan(plan, workers=2)
+        assert pools.sizes == [2] and pools.mapped == ["_build_system"]
+        # one task per cell, run here
+        assert [t[1] for t in ran] == list(range(len(plan.cells())))
+        assert sorted(store) == [(2, 16, 3), (2, 256, 3), (2, 512, 3)]
+        store.clear()
+        assert_same_columns(got, run_plan(plan))
 
 
 @pytest.fixture
@@ -416,6 +460,24 @@ def test_run_cell_takes_the_system_it_is_given(store, monkeypatch):
     assert_same_columns(run_cell(plan, cell, n, delta, range(0, 4), shipped), want)
 
 
+def log_calls(monkeypatch, module, name, log):
+    """Wrap ``module.name`` so that each call appends "pid args" to ``log``,
+    in whichever process makes it."""
+    fn = getattr(module, name)
+
+    def logged(*args):
+        with open(log, "a") as fh:  # one short append per call
+            fh.write(f"{os.getpid()} {args}\n")
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, logged)
+    return fn
+
+
+def logged_pids(log):
+    return [int(line.split()[0]) for line in log.read_text().splitlines()]
+
+
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="workers must inherit the patched build function")
 class TestRealPool:
@@ -424,6 +486,7 @@ class TestRealPool:
 
     PLAN = interval_plan(ns=(256, 1024), deltas=(0.5, 1.0), trials=40)
 
+    @pytest.mark.usefixtures("pooled_tasks")
     def test_warm_store_builds_nothing(self, store, monkeypatch):
         serial = run_plan(self.PLAN, workers=1)  # fills the store here
         assert sorted(store) == [(2, 256, 3), (2, 1024, 3)]
@@ -432,24 +495,29 @@ class TestRealPool:
         monkeypatch.setattr(experiments, "wavelet_system", refuse)
         assert_same_columns(run_plan(self.PLAN, workers=2), serial)
 
+    @pytest.mark.usefixtures("pooled_tasks")
     def test_cold_store_builds_each_system_once(self, store, monkeypatch,
                                                 tmp_path):
         log = tmp_path / "builds"
-        build = interval.build_interval_system
-
-        def logged(*args):
-            with open(log, "a") as fh:  # one short append per build
-                fh.write(f"{os.getpid()} {args}\n")
-            return build(*args)
-
-        monkeypatch.setattr(interval, "build_interval_system", logged)
+        build = log_calls(monkeypatch, interval, "build_interval_system", log)
         parallel = run_plan(self.PLAN, workers=2)
         lines = log.read_text().splitlines()
         assert sorted(line.split(" ", 1)[1] for line in lines) == \
             ["(2, 1024, 3)", "(2, 256, 3)"]
-        assert all(int(line.split()[0]) != os.getpid() for line in lines)
+        assert os.getpid() not in logged_pids(log)
         assert sorted(store) == [(2, 256, 3), (2, 1024, 3)]
 
         monkeypatch.setattr(interval, "build_interval_system", build)
         store.clear()
         assert_same_columns(parallel, run_plan(self.PLAN, workers=1))
+
+    def test_cold_store_under_the_rule_runs_the_tasks_here(self, store,
+                                                           monkeypatch, tmp_path):
+        builds, tasks = tmp_path / "builds", tmp_path / "tasks"
+        log_calls(monkeypatch, interval, "build_interval_system", builds)
+        log_calls(monkeypatch, experiments, "_run_task", tasks)
+        got = run_plan(self.PLAN, workers=2)
+        assert len(logged_pids(builds)) == 2
+        assert os.getpid() not in logged_pids(builds)
+        assert logged_pids(tasks) == [os.getpid()] * len(self.PLAN.cells())
+        assert_same_columns(got, run_plan(self.PLAN, workers=1))
