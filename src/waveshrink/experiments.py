@@ -99,10 +99,10 @@ _SHARE_MIN_N = 2 ** 14
 # tasks always in the pool, over 1 worker (scripts/bench_pool.py, median of 5
 # alternating runs, one delta), by the plan's Mi (2**20) values:
 #   Haar oddcusp, n = 2^8..2^14:  0.42 1.46, 0.83 1.05, 1.66 0.78, 3.3 0.64
-#   interval N = 2, n = 2^8..2^12:  0.21 1.18, 0.41 0.87, 0.82 0.72, 3.3 0.59
-# Both cross 1 between 0.2 and 1 Mi values.  The 0.83 Mi Haar plan gets two
-# processes and the 0.41 Mi interval plan one: each is the rule's one miss on
-# its system.  Missing interval systems are built in a pool at any plan size:
+#   interval N = 2, n = 2^8..2^12:  0.21 1.85, 0.41 1.17, 0.82 0.98, 3.3 0.61
+# Both cross 1 between 0.4 and 1 Mi values.  The 0.83 Mi Haar plan gets two
+# processes, the rule's one miss; the 0.82 Mi interval plan gets two at a tie.
+# Missing interval systems are built in a pool at any plan size:
 # one N = 2 build took 24, 38 and 56 ms at n = 2^8, 2^10 and 2^12.
 _POOL_VALUES = 2 ** 18
 # Percentile of max_sq_err / rate at the smallest n that sets the envelope.

@@ -5,10 +5,19 @@ Cohen, Daubechies & Vial, "Wavelets on the interval and fast wavelet
 transforms" (ACHA 1993).  A level map takes L fine coefficients to L/2
 scaling and L/2 detail coefficients.  Its interior rows carry the Daubechies
 filter pair (h, g), applied by one strided kernel (:class:`_Band`); the few
-boundary rows at each end are stored as small dense blocks, each row with its
-own row index and column window.  A system therefore stores O(N^2) numbers
-per level, and one analysis or synthesis costs O(n N), in the flat
-coefficient layout: each level map takes the first L entries to themselves.
+boundary rows at each end are stored as one small dense block per end (an
+edge, :class:`_Edge`) on the columns they reach, with each row's index.  A
+system therefore stores O(N^2) numbers per level, and one analysis or
+synthesis costs O(n N), in the flat coefficient layout: each level map takes
+the first L entries to themselves.
+
+A batch of rows goes through each level as one flat stream: the kernel runs
+both filters over all rows laid end to end, one product and one add per tap,
+on contiguous scratch; the entries the bands do not own (boundary rows, and
+rows whose taps straddle two batch rows) are overwritten by the edges in
+analysis and zeroed before synthesis.  So a row of a batch goes through the
+same operations as the row alone.
+
 No row is stored either: a row of the transform is its transpose applied to
 a unit vector, one level map at a time, on the window of its nonzeros.
 
@@ -95,28 +104,51 @@ def highpass_from_lowpass(h: np.ndarray) -> np.ndarray:
 
 
 class _Band(NamedTuple):
-    """Interior rows lo..hi of one filter: row k holds ``taps`` at columns
-    2k .. 2k + len(taps) - 1.  Its two methods are the one interior filter
-    product; both sum their terms in tap order."""
+    """Interior rows lo..hi of one filter, or of several filters with the
+    same rows: row k holds ``taps`` at columns 2k .. 2k + width - 1, width =
+    taps.shape[-1].  Its two methods are the one interior filter product, on
+    1-D streams x with one stream of coefficients per filter.  Both sum their
+    terms in tap order; synthesis adds one filter's terms after the other's."""
 
     taps: np.ndarray
     lo: int
     hi: int
 
-    def analyze(self, x: np.ndarray, out: np.ndarray) -> None:
-        """out[..., k] = sum_s taps[s] x[..., 2k + s] for rows k in lo..hi."""
-        seg = out[..., self.lo : self.hi + 1]
-        stop = 2 * self.hi + 1
-        np.multiply(self.taps[0], x[..., 2 * self.lo : stop : 2], out=seg)
-        for s in range(1, len(self.taps)):
-            seg += self.taps[s] * x[..., 2 * self.lo + s : stop + s : 2]
+    def across(self, rows: int, half: int) -> _Band:
+        """The band of a batch laid end to end: ``rows`` rows of ``half``
+        outputs each, as one stream from row 0's first band row to the last
+        row's last.  The stream also runs over the rows between, boundary
+        rows and rows whose taps straddle two batch rows; their outputs are
+        junk in analysis, and in synthesis their coefficients must be zero."""
+        return self if rows == 1 else _Band(self.taps, self.lo, self.hi + (rows - 1) * half)
 
-    def synthesize(self, c: np.ndarray, x: np.ndarray) -> None:
-        """Adds the transpose of :meth:`analyze`, applied to c, into x."""
-        seg = c[..., self.lo : self.hi + 1]
-        stop = 2 * self.hi + 1
-        for s, tap in enumerate(self.taps):
-            x[..., 2 * self.lo + s : stop + s : 2] += tap * seg
+    def analyze(self, x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+        """out[..., k] = sum_s taps[..., s] x[2k + s] for rows k in lo..hi;
+        ``tmp`` has the leading shape of ``out`` and at least hi - lo + 1
+        columns.  Each tap is one product into tmp and one add."""
+        lo, stop = self.lo, 2 * self.hi + 1
+        taps = self.taps.T[..., None]  # taps[s]: tap s of each filter, as a column
+        seg, t = out[..., lo : self.hi + 1], tmp[..., : self.hi + 1 - lo]
+        np.multiply(taps[0], x[2 * lo : stop : 2], seg)
+        for s in range(1, len(taps)):
+            np.multiply(taps[s], x[2 * lo + s : stop + s : 2], t)
+            seg += t
+
+    def synthesize(self, c: np.ndarray, x: np.ndarray, tmp: np.ndarray) -> None:
+        """Adds the transpose of :meth:`analyze`, applied to c, into x: each
+        filter's terms after the previous filter's.  ``tmp`` holds at least
+        hi - lo + 1 values."""
+        lo, stop = self.lo, 2 * self.hi + 1
+        width = self.taps.shape[-1]
+        t = tmp[: self.hi + 1 - lo]
+        # taps as Python floats: the products are the same, and one level's
+        # took 32 us with them against 51 us with numpy scalars (L = 4096,
+        # one row, 2-core x86 VM)
+        for taps, seg in zip(self.taps.reshape(-1, width).tolist(),
+                             c.reshape(-1, c.shape[-1])[:, lo : self.hi + 1]):
+            for s, tap in enumerate(taps):
+                np.multiply(tap, seg, t)
+                x[2 * lo + s : stop + s : 2] += t
 
     def restrict(self, c0: int, c1: int) -> np.ndarray:
         """The rows that touch columns [c0, c1), restricted to those columns."""
@@ -133,11 +165,15 @@ class _Band(NamedTuple):
 
 
 class _Edge(NamedTuple):
-    """Boundary rows of one level map that share a column window."""
+    """Boundary rows of one level map that share a column window: the rows
+    of one end, or all of them where the two ends share columns."""
 
     index: np.ndarray  # row in the stacked map: scaling k -> k, detail k -> L/2 + k
     start: int         # first column of the window
     rows: np.ndarray   # (len(index), window width)
+    # (kind, k) of each row, kind 0 scaling and 1 detail: its place in a
+    # level's coefficients laid out as (kind, batch row, k)
+    slot: tuple[np.ndarray, np.ndarray]
 
     @property
     def stop(self) -> int:
@@ -153,11 +189,12 @@ class _Edge(NamedTuple):
         return np.add.accumulate(terms, axis=-1, out=terms)[..., -1]
 
     def apply_transpose(self, c: np.ndarray) -> np.ndarray:
-        """Transpose of :meth:`apply` from the stacked coefficients c:
-        (..., L) -> (..., window width)."""
-        acc = c[..., self.index[0], None] * self.rows[0]
-        for r in range(1, len(self.index)):
-            acc += c[..., self.index[r], None] * self.rows[r]
+        """Transpose of :meth:`apply`, from a level's coefficients c laid out
+        as (..., kind, k): (..., 2, L/2) -> (..., window width)."""
+        terms = c[..., self.slot[0], self.slot[1], None] * self.rows
+        acc = terms[..., 0, :]
+        for r in range(1, len(self.rows)):
+            acc += terms[..., r, :]
         return acc
 
 
@@ -181,26 +218,10 @@ class _Level:
     scaling: _Band
     detail: _Band
     edges: tuple[_Edge, ...]
-
-    def analyze(self, x: np.ndarray) -> np.ndarray:
-        """(..., L) fine coefficients -> (..., L): scaling, then detail."""
-        out = np.empty(x.shape)
-        half = self.size // 2
-        self.scaling.analyze(x, out[..., :half])
-        self.detail.analyze(x, out[..., half:])
-        for e in self.edges:
-            out[..., e.index] = e.apply(x)
-        return out
-
-    def synthesize(self, c: np.ndarray) -> np.ndarray:
-        """Inverse, i.e. transpose, of :meth:`analyze`."""
-        x = np.zeros(c.shape)
-        half = self.size // 2
-        self.scaling.synthesize(c[..., :half], x)
-        self.detail.synthesize(c[..., half:], x)
-        for e in self.edges:
-            x[..., e.start : e.stop] += e.apply_transpose(c)
-        return x
+    # both bands as one, for the transforms: their taps stacked (scaling and
+    # detail are its rows), their rows from the lower lo to their common hi;
+    # the rows below the higher lo are boundary rows
+    pair: _Band
 
     def lift(self, start: int, values: np.ndarray) -> tuple[int, np.ndarray]:
         """Transpose of the stacked map, applied to a vector that is zero outside
@@ -211,7 +232,8 @@ class _Level:
             lo, hi = max(start - base, band.lo), min(stop - 1 - base, band.hi)
             if lo <= hi:
                 acc = np.zeros(2 * (hi - lo) + len(band.taps))
-                _Band(band.taps, 0, hi - lo).synthesize(values[base + lo - start :], acc)
+                _Band(band.taps, 0, hi - lo).synthesize(values[base + lo - start :], acc,
+                                                        np.empty(hi - lo + 1))
                 pieces.append((2 * lo, acc))
         for e in self.edges:
             sel = np.nonzero((e.index >= start) & (e.index < stop))[0]
@@ -319,14 +341,19 @@ def _residuals(band: _Band, vecs: np.ndarray, mid_lo: int, mid_hi: int) -> np.nd
     The residual must vanish on columns [mid_lo, mid_hi), up to rounding
     relative to the magnitudes that were summed.
     """
-    coeffs = np.zeros((len(vecs), band.hi + 1))
-    band.analyze(vecs, coeffs)
-    recon = np.zeros(vecs.shape)
-    band.synthesize(coeffs, recon)
+    rows, half = len(vecs), vecs.shape[1] // 2
+    stream, tmp = band.across(rows, half), np.empty(rows * half)
+    coeffs = np.empty(rows * half)
+    stream.analyze(vecs.reshape(-1), coeffs, tmp)
+    c2 = coeffs.reshape(rows, half)
+    c2[:, : band.lo] = c2[:, band.hi + 1 :] = 0.0
+    recon = np.zeros(vecs.size)
+    stream.synthesize(coeffs, recon, tmp)
     # |tap * c| is |tap| * |c| exactly
-    scale = np.abs(vecs)
-    band._replace(taps=np.abs(band.taps)).synthesize(np.abs(coeffs), scale)
-    resid = vecs - recon
+    scale = np.abs(vecs).reshape(-1)
+    stream._replace(taps=np.abs(band.taps)).synthesize(np.abs(coeffs), scale, tmp)
+    scale = scale.reshape(vecs.shape)
+    resid = vecs - recon.reshape(vecs.shape)
     mid = slice(mid_lo, mid_hi)
     if np.any(np.abs(resid[:, mid]) > 1e-8 * np.maximum(1.0, scale[:, mid])):
         raise GeometryError("polynomial residual leaked outside the boundary")
@@ -459,19 +486,22 @@ def _end_cols(L: int, moments: int) -> tuple[slice, slice]:
     return slice(0, width), slice(L - width, L)
 
 
-def _level_map(h: np.ndarray, g: np.ndarray, L: int, left: _EndBasis,
+def _level_map(taps: np.ndarray, L: int, left: _EndBasis,
                right: _EndBasis, margin_left: int,
-               margin_right: int) -> tuple[_Level, int]:
+               margin_right: int) -> tuple[_Level, _Edge | None, int]:
     """One analysis step: L fine coefficients -> L/2 scaling + L/2 detail.
 
-    ``left``/``right`` are bases of the polynomial-like vectors, well scaled
-    near the left and right end, with their factors.  ``margin_left`` and
+    ``taps`` holds the filter pair (h, g) as rows.  ``left``/``right`` are
+    bases of the polynomial-like vectors, well scaled near the left and right
+    end, with their factors.  ``margin_left`` and
     ``margin_right`` count the entries at each end that are no longer
     polynomial samples (boundary coordinates produced by earlier levels).
     Interior filter rows must not touch them, otherwise the exact-cancellation
-    arguments below break down.  Returns the map and the right margin it
-    leaves for the next coarser level.
+    arguments below break down.  Returns the map, the one edge of all its
+    boundary rows if the level is built in one frame (else None), and the
+    right margin it leaves for the next coarser level.
     """
+    h, g = taps
     N = len(h) // 2
     half = L // 2
 
@@ -485,6 +515,7 @@ def _level_map(h: np.ndarray, g: np.ndarray, L: int, left: _EndBasis,
     if k_hi < k_lo or k_hi < kd_lo or win_l + win_r > L:
         raise GeometryError(f"block of {half} coefficients too small for N={N}")
     S, D = _Band(h, k_lo, k_hi), _Band(g, kd_lo, k_hi)
+    pair = _Band(taps, min(k_lo, kd_lo), k_hi)
 
     res_left = _residuals(S, left.vecs, win_l, L - win_r)[:, :win_l]
     res_right = _residuals(S, right.vecs, win_l, L - win_r)[:, L - win_r :]
@@ -522,28 +553,29 @@ def _level_map(h: np.ndarray, g: np.ndarray, L: int, left: _EndBasis,
     # marginal singular values
     if whole:
         comp = _refine(np.vstack([left_part, right_part]), base_l)
-        comp = [(fl, r) for r in comp]
     else:
-        comp = [(fl, r) for r in _refine(left_part, base_l)] \
-            + [(fr, r) for r in _refine(right_part, base_r)]
+        comp = np.vstack([_refine(left_part, base_l), _refine(right_part, base_r)])
+    comp = [(int(i >= len(left_part)), r) for i, r in enumerate(comp)]
 
-    # (stacked row index, frame, row): the last n_extra complement rows go
-    # to the scaling side, the others fill the free detail indices in order
+    # (stacked row index, end, row), end 0 at the left and 1 at the right:
+    # the last n_extra complement rows go to the scaling side, the others
+    # fill the free detail indices in order
     n_extra = n_right - N
     to_scaling, to_detail = comp[len(comp) - n_extra :], comp[: len(comp) - n_extra]
     free = np.concatenate([np.arange(kd_lo), np.arange(k_hi + 1, half)])
-    placed = ([(i, fl, r) for i, r in enumerate(left_rows)]
-              + [(half - n_right + i, f, r) for i, (f, r) in enumerate(to_scaling)]
-              + [(half - N + i, fr, r) for i, r in enumerate(right_rows)]
-              + [(half + i, f, r) for i, (f, r) in zip(free, to_detail, strict=True)])
+    placed = ([(i, 0, r) for i, r in enumerate(left_rows)]
+              + [(half - n_right + i, e, r) for i, (e, r) in enumerate(to_scaling)]
+              + [(half - N + i, 1, r) for i, r in enumerate(right_rows)]
+              + [(half + i, e, r) for i, (e, r) in zip(free, to_detail, strict=True)])
 
     # orthogonality, checked locally: boundary rows against every row they
     # overlap, interior rows through the filters' shift-orthogonality.  A
     # boundary row must end 2N columns short of its frame's inner side, so
     # that every interior row it overlaps lies whole inside the frame.
     err = _filter_ortho_err(h, g)
+    ends = (fl, fr)
     for frame in frames:
-        rows = np.array([r for _, f, r in placed if f == frame])
+        rows = np.array([r for _, e, r in placed if ends[e] == frame])
         reach = np.nonzero(np.any(rows != 0.0, axis=0))[0]
         if not whole and (reach[0] < 2 * N if frame == fr
                           else reach[-1] >= width - 2 * N):
@@ -554,14 +586,28 @@ def _level_map(h: np.ndarray, g: np.ndarray, L: int, left: _EndBasis,
     if err > _ORTHO_TOL:
         raise GeometryError(f"level map failed orthogonality check ({err:.2e})")
 
-    edges = []
-    for frame in frames:
-        idx = np.array([i for i, f, _ in placed if f == frame])
-        rows = np.array([r for _, f, r in placed if f == frame])
-        cols = np.nonzero(np.any(rows != 0.0, axis=0))[0]
-        edges.append(_Edge(_frozen(idx), frame[0] + int(cols[0]),
-                           _frozen(rows[:, cols[0] : cols[-1] + 1])))
-    return _Level(L, S, D, tuple(edges)), n_right
+    # one edge per end, on the columns its rows reach.  Where the two ends
+    # share columns, in the smallest levels, one edge of all the boundary
+    # rows, so that a synthesis adds each column's boundary terms in one sum.
+    # A level built in one frame also gives that edge for c_phi (see
+    # build_interval_system).
+    one = _edge(placed, 0, half) if whole else None
+    edges = tuple(_edge([p for p in placed if p[1] == end], ends[end][0], half)
+                  for end in (0, 1))
+    if edges[0].stop > edges[1].start:
+        edges = (one,)
+    return _Level(L, S, D, edges, pair), one, n_right
+
+
+def _edge(placed: list, offset: int, half: int) -> _Edge:
+    """The edge of (stacked row index, end, frame row) triples, in their
+    order, whose frame starts at column ``offset``."""
+    idx = np.array([i for i, _, _ in placed])
+    rows = np.array([r for _, _, r in placed])
+    cols = np.nonzero(np.any(rows != 0.0, axis=0))[0]
+    return _Edge(_frozen(idx), offset + int(cols[0]),
+                 _frozen(rows[:, cols[0] : cols[-1] + 1]),
+                 tuple(_frozen(a) for a in np.divmod(idx, half)))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -605,23 +651,95 @@ class IntervalSystem:
     @property
     def nbytes(self) -> int:
         """Bytes held by the level maps."""
-        taps = self.levels[0].scaling.taps.nbytes * 2 if self.levels else 0
-        return taps + sum(e.index.nbytes + e.rows.nbytes
+        taps = self.levels[0].pair.taps.nbytes if self.levels else 0
+        return taps + sum(e.index.nbytes + e.rows.nbytes + e.slot[0].nbytes + e.slot[1].nbytes
                           for level in self.levels for e in level.edges)
 
+    def _scratch(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """One call's scratch for ``rows`` rows: two buffers, n and n/2 per
+        row, that hold a level's coefficients in turn; the tap products go to
+        whatever part of them or of the output is free at that level.  Never
+        kept on the system: threads share one."""
+        size = rows * self.n
+        buf = np.empty(3 * size // 2)
+        return buf[:size], buf[size:]
+
     def analyze(self, samples) -> np.ndarray:
-        """W applied along the last axis: (..., n) -> (..., n)."""
-        c = _last_axis(samples, self.n).copy()
-        for level in reversed(self.levels):
-            c[..., : level.size] = level.analyze(c[..., : level.size])
-        return c
+        """W applied along the last axis: (..., n) -> (..., n).
+
+        Each level runs over all rows of the batch as one stream (see
+        :meth:`_Band.across`), from the input itself at the finest level.  Its
+        scaling and detail outputs go to a scratch buffer laid out as (kind,
+        row, k); the edges overwrite the boundary entries there, and the
+        details are copied into place once."""
+        x = _last_axis(samples, self.n)
+        out = np.empty(x.shape)
+        rows = out.size // self.n
+        if not self.levels or rows == 0:
+            out[...] = x
+            return out
+        src = x.reshape(-1)  # a copy only if x is not contiguous
+        flat = out.reshape(rows, self.n)
+        bufs = self._scratch(rows)
+        # the finest level's tap products go to the output, which is written
+        # only after them; each coarser level's go where the details of the
+        # level before were, once they are copied out
+        tmp = out.reshape(2, -1)
+        for i, level in enumerate(reversed(self.levels)):
+            half = level.size // 2
+            m = rows * half
+            y = bufs[i % 2][: 2 * m].reshape(2, m)
+            level.pair.across(rows, half).analyze(src, y, tmp)
+            x2, y3 = src.reshape(rows, level.size), y.reshape(2, rows, half)
+            for e in level.edges:
+                y3[e.slot[0], :, e.slot[1]] = e.apply(x2).T
+            flat[:, half : level.size] = y3[1]
+            src, tmp = y[0], y[1].reshape(2, -1)
+        flat[:, :half] = y3[0]
+        return out
 
     def synthesize(self, coeffs) -> np.ndarray:
-        """W.T applied along the last axis: the inverse of :meth:`analyze`."""
-        c = _last_axis(coeffs, self.n).copy()
-        for level in self.levels:
-            c[..., : level.size] = level.synthesize(c[..., : level.size])
-        return c
+        """W.T applied along the last axis: the inverse of :meth:`analyze`.
+
+        Each level copies its details beside the scaling coefficients of the
+        coarser level, in a scratch buffer laid out as (kind, row, k), takes
+        the boundary entries out for the edges and zeroes them there, then
+        runs the bands over all rows as one stream into zeros.  The zeroed
+        entries add +-0 to sums that start at +0, which changes no bit."""
+        c = _last_axis(coeffs, self.n)
+        out = np.empty(c.shape)
+        rows = out.size // self.n
+        if not self.levels or rows == 0:
+            out[...] = c
+            return out
+        flat = c.reshape(rows, self.n)
+        bufs = self._scratch(rows)
+        last = len(self.levels) - 1
+        for i, level in enumerate(self.levels):
+            half = level.size // 2
+            m = rows * half
+            # level i fills bufs[(last - i) % 2]; its output is the front of
+            # the next level's buffer, whose next m entries take the tap
+            # products.  The finest level's output is out, and its products
+            # go to the other buffer.
+            y = bufs[(last - i) % 2][: 2 * m].reshape(2, m)
+            y3 = y.reshape(2, rows, half)
+            if i == 0:
+                y3[0] = flat[:, :half]
+            y3[1] = flat[:, half : level.size]
+            yv = y3.transpose(1, 0, 2)
+            parts = [e.apply_transpose(yv) for e in level.edges]
+            yv[..., level.pair.hi + 1 :] = 0.0
+            yv[:, 0, : level.scaling.lo] = 0.0
+            yv[:, 1, : level.detail.lo] = 0.0
+            nxt = bufs[(last - i - 1) % 2]
+            x, tmp = (out.reshape(-1), bufs[1]) if i == last else (nxt[: 2 * m], nxt[2 * m :])
+            x[...] = 0.0
+            level.pair.across(rows, half).synthesize(y, x, tmp)
+            x2 = x.reshape(rows, level.size)
+            for e, part in zip(level.edges, parts):
+                x2[:, e.start : e.stop] += part
+        return out
 
     def row(self, j: int, k: int, kind: str = "detail") -> BasisRow:
         """Row of W for the level-j scaling or detail coefficient k: a 1 at that
@@ -672,19 +790,21 @@ def build_interval_system(moments: int, n: int, coarse_level: int) -> IntervalSy
             f"coarse level {coarse_level} out of range "
             f"[{min_coarse_level(moments)}, {J}] for N={moments}"
         )
-    h = _frozen(daubechies_filter(moments))
-    g = _frozen(highpass_from_lowpass(h))
+    h = daubechies_filter(moments)
+    taps = _frozen(np.vstack([h, highpass_from_lowpass(h)]))
     left, right = _sample_bases(n, moments)
 
-    levels = []
+    levels, c_phi_levels = [], []
     margin_left = margin_right = 0
     for m in range(J - 1, coarse_level - 1, -1):
         L = 2 ** (m + 1)
-        level, margin_right = _level_map(h, g, L, left, right,
-                                         margin_left, margin_right)
+        level, one, margin_right = _level_map(taps, L, left, right,
+                                              margin_left, margin_right)
         levels.append(level)
+        c_phi_levels.append(level if one is None else replace(level, edges=(one,)))
         # propagate the polynomial span
-        coarse = level.analyze(np.vstack([left.vecs, right.vecs]))[:, : L // 2]
+        coarse = IntervalSystem(moments, m, L, (level,)).analyze(
+            np.vstack([left.vecs, right.vecs]))[:, : L // 2]
         left_cols, right_cols = _end_cols(L // 2, moments)
         left = _level_basis(coarse[:moments], left_cols)
         right = _level_basis(coarse[moments:], right_cols)
@@ -692,16 +812,26 @@ def build_interval_system(moments: int, n: int, coarse_level: int) -> IntervalSy
     system = IntervalSystem(moments=moments, coarse_level=coarse_level, n=n,
                             levels=tuple(reversed(levels)))
 
-    # c_phi: the largest scaled entry of any row.  Rows at clean shifts are
-    # translates of the first one, so one of them stands for all.
+    # c_phi is read off rows lifted through each level built in one frame as
+    # one edge: BLAS rounds a product over the rows of both ends, on the
+    # whole level's columns, differently from one product per end, and c_phi
+    # sets every threshold, so its bits do not depend on how edges are split
+    c_phi = _c_phi(replace(system, levels=tuple(reversed(c_phi_levels))))
+    return replace(system, c_phi_estimate=c_phi)
+
+
+def _c_phi(system: IntervalSystem) -> float:
+    """The largest scaled entry of any row.  Rows at clean shifts are
+    translates of the first one, so one of them stands for all."""
+    J = system.finest_level
     c_phi = 1.0
-    for j in range(coarse_level, J):
+    for j in range(system.coarse_level, J):
         f = 2.0 ** ((J - j) / 2.0)
         for kind in KINDS:
             clean = system.clean_shifts(j, kind)
             for k in chain(range(clean.start), range(clean.stop, 2 ** j), clean[:1]):
                 c_phi = max(c_phi, f * float(np.max(np.abs(system.row(j, k, kind).values))))
-    return replace(system, c_phi_estimate=c_phi)
+    return c_phi
 
 
 def interval_dwt(samples, system: IntervalSystem) -> CoefficientPyramid:

@@ -2,6 +2,7 @@
 dense form cannot reach."""
 
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from dense_oracle import build_dense_system
 
 from waveshrink import interval
 from waveshrink.interval import (
+    _FRAME,
     KINDS,
     GeometryError,
+    IntervalSystem,
     _Band,
     _Edge,
     _graded_right_vectors,
@@ -24,7 +27,7 @@ from waveshrink.interval import (
     min_coarse_level,
 )
 from waveshrink.shrinkage import wavelet_system
-from waveshrink.transform import HaarSystem
+from waveshrink.transform import HaarSystem, finest_level
 
 TOL = 1e-8
 
@@ -96,7 +99,8 @@ def test_boundary_rule_matches_direct_residuals(N, n):
     compare(legendre, left, n)
 
     level = build_interval_system(N, n, min_coarse_level(N)).levels[-1]
-    coarse = level.analyze(left.vecs)[:, : n // 2]
+    finest = IntervalSystem(N, finest_level(n) - 1, n, (level,))
+    coarse = finest.analyze(left.vecs)[:, : n // 2]
     orthonormal = np.linalg.qr(coarse.T)[0].T
     compare(orthonormal, _level_basis(coarse, slice(0, 4 * N)), n // 2)
 
@@ -196,9 +200,20 @@ def _edge_by_columns(edge, x):
     return acc
 
 
+def _edge_transpose_by_rows(edge, c):
+    """The transpose of the edge rows applied to the stacked coefficients c
+    one row at a time: the reference for _Edge.apply_transpose."""
+    acc = c[..., edge.index[0], None] * edge.rows[0]
+    for r in range(1, len(edge.index)):
+        acc += c[..., edge.index[r], None] * edge.rows[r]
+    return acc
+
+
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
 @pytest.mark.parametrize("lead", [(), (1,), (32,), (2, 5)])
 def test_edge_products_match_the_column_loop(N, lead):
+    """apply keeps the column loop's bytes, and apply_transpose, on the
+    coefficients laid out by kind, the row loop's."""
     system = build_interval_system(N, 1024, min_coarse_level(N))
     x = np.random.default_rng(N).standard_normal(lead + (1024,))
     for level in system.levels:
@@ -206,6 +221,9 @@ def test_edge_products_match_the_column_loop(N, lead):
             assert isinstance(edge, _Edge)
             xs = x[..., : level.size]
             assert edge.apply(xs).tobytes() == _edge_by_columns(edge, xs).tobytes()
+            by_kind = xs.reshape(lead + (2, level.size // 2))
+            assert (edge.apply_transpose(by_kind).tobytes()
+                    == _edge_transpose_by_rows(edge, xs).tobytes())
 
 
 # The strided band loops the interval transform ran before _Band.analyze and
@@ -213,7 +231,9 @@ def test_edge_products_match_the_column_loop(N, lead):
 # that copied each level's details out and concatenated them back.  Under
 # _band_loops() every caller of the kernel runs this code instead, so a
 # system built and applied there is the reference for the one built and
-# applied with the kernel.
+# applied with the kernel.  Applied to a system whose small levels keep one
+# edge (_whole_frame_edges), they are also the transform as it ran before
+# each level became one stream over the batch with one edge per end.
 def _loop_level_analyze(level, x):
     out = np.empty(x.shape)
     half = level.size // 2
@@ -237,7 +257,7 @@ def _loop_level_synthesize(level, c):
         for s, tap in enumerate(band.taps):
             x[..., 2 * band.lo + s : stop + s : 2] += tap * seg
     for e in level.edges:
-        x[..., e.start : e.stop] += e.apply_transpose(c)
+        x[..., e.start : e.stop] += _edge_transpose_by_rows(e, c)
     return x
 
 
@@ -281,7 +301,7 @@ def _loop_analyze(system, samples):
     s = np.asarray(samples, dtype=float)
     coeffs = np.empty(s.shape)
     for level in reversed(system.levels):
-        out = level.analyze(s)
+        out = _loop_level_analyze(level, s)
         half = level.size // 2
         coeffs[..., half : level.size] = out[..., half:]
         s = out[..., :half]
@@ -295,7 +315,7 @@ def _loop_synthesize(system, coeffs):
     s = c[..., :pos]
     for level in system.levels:
         half = level.size // 2
-        s = level.synthesize(np.concatenate([s, c[..., pos : pos + half]], axis=-1))
+        s = _loop_level_synthesize(level, np.concatenate([s, c[..., pos : pos + half]], axis=-1))
         pos += half
     return s
 
@@ -304,8 +324,6 @@ def _loop_synthesize(system, coeffs):
 def _band_loops():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(interval, "_residuals", _loop_residuals)
-        mp.setattr(interval._Level, "analyze", _loop_level_analyze)
-        mp.setattr(interval._Level, "synthesize", _loop_level_synthesize)
         mp.setattr(interval._Level, "lift", _loop_lift)
         mp.setattr(interval.IntervalSystem, "analyze", _loop_analyze)
         mp.setattr(interval.IntervalSystem, "synthesize", _loop_synthesize)
@@ -422,3 +440,88 @@ def test_residual_check_matches_the_band_loops(N):
                 assert _residuals(band, vecs, *mid).tobytes() == expected.tobytes()
                 raised.add(False)
     assert raised == {True, False}
+
+
+def _whole_frame_edges(system):
+    """``system`` with every level of one frame (L <= 2 _FRAME N) holding its
+    boundary rows in one edge, in row order, over the columns they reach: the
+    edges such levels had before each end got its own."""
+    levels = []
+    for level in system.levels:
+        if level.size > 2 * _FRAME * system.moments or len(level.edges) == 1:
+            levels.append(level)
+            continue
+        start = min(e.start for e in level.edges)
+        rows = np.zeros((0, max(e.stop for e in level.edges) - start))
+        for e in level.edges:
+            block = np.zeros((len(e.index), rows.shape[1]))
+            block[:, e.start - start : e.stop - start] = e.rows
+            rows = np.vstack([rows, block])
+        index = np.concatenate([e.index for e in level.edges])
+        order = np.argsort(index)
+        edge = _Edge(index[order], start, rows[order], np.divmod(index[order], level.size // 2))
+        levels.append(replace(level, edges=(edge,)))
+    return replace(system, levels=tuple(levels))
+
+
+def _coarse_levels(N, J):
+    J0s = [J0 for J0 in sorted({min_coarse_level(N), J - 1}) if min_coarse_level(N) <= J0 <= J]
+    if not J0s:
+        pytest.skip(f"no coarse level fits n = 2^{J} at N = {N}")
+    return J0s
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+@pytest.mark.parametrize("J", [3, 6, 9, 10, 12])
+def test_flat_stream_matches_the_strided_levels(N, J):
+    """One stream per level over the whole batch, with one edge per end,
+    gives the bytes of the strided per-row levels with whole-frame edges:
+    every leading shape, a non-contiguous view, and zeros of both signs
+    (signbits included).  c_phi keeps every bit of the whole-frame edges'."""
+    n = 2 ** J
+    rng = np.random.default_rng(J)
+    for J0 in _coarse_levels(N, J):
+        system = build_interval_system(N, n, J0)
+        reference = _whole_frame_edges(system)
+        assert interval._c_phi(reference).hex() == system.c_phi_estimate.hex()
+        inputs = [rng.standard_normal(lead + (n,))
+                  for lead in [(), (1,), (3,), (40,), (2, 5), (0,)]]
+        inputs += [rng.standard_normal((3, 2 * n))[:, ::2], np.zeros((3, n)),
+                   np.full((3, n), -0.0), np.full(n, -0.0)]
+        for x in inputs:
+            for got, want in ((system.analyze(x), _loop_analyze(reference, x)),
+                              (system.synthesize(x), _loop_synthesize(reference, x))):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("N", [2, 5])
+@pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
+def test_inputs_stay_untouched(N, lead):
+    """analyze and synthesize read their input and write only their output,
+    which shares no memory with it; a read-only input, contiguous or a
+    view, is accepted."""
+    n = 256
+    system = build_interval_system(N, n, min_coarse_level(N))
+    rng = np.random.default_rng(N)
+    for x in (rng.standard_normal(lead + (n,)), rng.standard_normal(lead + (2 * n,))[..., 1::2]):
+        before = x.copy()
+        x.flags.writeable = False
+        for transform in (system.analyze, system.synthesize):
+            out = transform(x)
+            assert out.shape == x.shape and not np.shares_memory(out, x)
+            assert x.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_edges_fit_a_frame(N):
+    """Every edge spans at most one frame of columns, at every level, and
+    the system holds fewer bytes than with whole-frame edges."""
+    for J in range(min_coarse_level(N) + 1, 13):
+        for J0 in _coarse_levels(N, J):
+            system = build_interval_system(N, 2 ** J, J0)
+            for level in system.levels:
+                assert all(e.rows.shape[1] <= _FRAME * N for e in level.edges)
+            if any(_FRAME * N < level.size <= 2 * _FRAME * N for level in system.levels):
+                assert system.nbytes < _whole_frame_edges(system).nbytes
