@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -226,7 +227,10 @@ def cmd_verify(_args: argparse.Namespace) -> int:
     return 2 if problems else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: every parse starts
+    from a fresh namespace, so calls share no parsed value."""
     parser = argparse.ArgumentParser(
         prog="waveshrink",
         description="Wavelet-shrinkage denoising and Monte Carlo experiments.",

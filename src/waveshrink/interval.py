@@ -53,6 +53,7 @@ from .transform import (
     CoefficientPyramid,
     GeometryError,
     _as_samples,
+    _check_buffer,
     _last_axis,
     finest_level,
     is_integer,
@@ -635,7 +636,10 @@ class IntervalSystem:
     sqrt(n)-scaled coefficients ordered approx block first, then detail
     levels coarse to fine.  W is never stored: :meth:`analyze` and
     :meth:`synthesize` apply it and its transpose, and :meth:`row` gives one
-    of its rows as the transpose applied to a unit vector.
+    of its rows as the transpose applied to a unit vector.  Both take the
+    optional ``out`` and ``scratch`` of
+    :class:`~waveshrink.transform.HaarSystem`'s transforms, under the same
+    rules.
     """
 
     moments: int
@@ -655,16 +659,23 @@ class IntervalSystem:
         return taps + sum(e.index.nbytes + e.rows.nbytes + e.slot[0].nbytes + e.slot[1].nbytes
                           for level in self.levels for e in level.edges)
 
-    def _scratch(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """One call's scratch for ``rows`` rows: two buffers, n and n/2 per
-        row, that hold a level's coefficients in turn; the tap products go to
-        whatever part of them or of the output is free at that level.  Never
-        kept on the system: threads share one."""
+    @property
+    def scratch_per_row(self) -> int:
+        """Scratch values per row of :meth:`analyze` and :meth:`synthesize`:
+        3n/2, which also holds a shrink's thresholding."""
+        return 3 * self.n // 2
+
+    def _scratch(self, rows: int, scratch) -> tuple[np.ndarray, np.ndarray]:
+        """One call's scratch for ``rows`` rows, from ``scratch`` or, where
+        that is None, allocated: two buffers, n and n/2 per row, that hold a
+        level's coefficients in turn; the tap products go to whatever part
+        of them or of the output is free at that level.  Never kept on the
+        system: threads share one."""
         size = rows * self.n
-        buf = np.empty(3 * size // 2)
+        buf = np.empty(3 * size // 2) if scratch is None else scratch.reshape(-1)
         return buf[:size], buf[size:]
 
-    def analyze(self, samples) -> np.ndarray:
+    def analyze(self, samples, out=None, scratch=None) -> np.ndarray:
         """W applied along the last axis: (..., n) -> (..., n).
 
         Each level runs over all rows of the batch as one stream (see
@@ -673,14 +684,17 @@ class IntervalSystem:
         row, k); the edges overwrite the boundary entries there, and the
         details are copied into place once."""
         x = _last_axis(samples, self.n)
-        out = np.empty(x.shape)
+        _check_buffer("out", out, x.shape, x)
+        _check_buffer("scratch", scratch, x.shape[:-1] + (self.scratch_per_row,), x, out)
+        if out is None:
+            out = np.empty(x.shape)
         rows = out.size // self.n
         if not self.levels or rows == 0:
             out[...] = x
             return out
         src = x.reshape(-1)  # a copy only if x is not contiguous
         flat = out.reshape(rows, self.n)
-        bufs = self._scratch(rows)
+        bufs = self._scratch(rows, scratch)
         # the finest level's tap products go to the output, which is written
         # only after them; each coarser level's go where the details of the
         # level before were, once they are copied out
@@ -698,7 +712,7 @@ class IntervalSystem:
         flat[:, :half] = y3[0]
         return out
 
-    def synthesize(self, coeffs) -> np.ndarray:
+    def synthesize(self, coeffs, out=None, scratch=None) -> np.ndarray:
         """W.T applied along the last axis: the inverse of :meth:`analyze`.
 
         Each level copies its details beside the scaling coefficients of the
@@ -707,13 +721,16 @@ class IntervalSystem:
         runs the bands over all rows as one stream into zeros.  The zeroed
         entries add +-0 to sums that start at +0, which changes no bit."""
         c = _last_axis(coeffs, self.n)
-        out = np.empty(c.shape)
+        _check_buffer("out", out, c.shape, c)
+        _check_buffer("scratch", scratch, c.shape[:-1] + (self.scratch_per_row,), c, out)
+        if out is None:
+            out = np.empty(c.shape)
         rows = out.size // self.n
         if not self.levels or rows == 0:
             out[...] = c
             return out
         flat = c.reshape(rows, self.n)
-        bufs = self._scratch(rows)
+        bufs = self._scratch(rows, scratch)
         last = len(self.levels) - 1
         for i, level in enumerate(self.levels):
             half = level.size // 2

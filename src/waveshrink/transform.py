@@ -12,6 +12,7 @@ and :func:`haar_coeff_closed_form` keep the integral convention.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 from typing import ClassVar
@@ -46,13 +47,23 @@ def finest_level(n: int) -> int:
     return int(n).bit_length() - 1
 
 
+def _all_finite(x: np.ndarray) -> bool:
+    """``np.all(np.isfinite(x))``, in one pass where the sum of x is finite:
+    an infinite or NaN term makes the sum infinite or NaN, so a finite sum
+    has finite terms.  A sum that overflows from finite terms falls back to
+    the exact test."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduce(x, axis=None)
+    return math.isfinite(total) or bool(np.all(np.isfinite(x)))
+
+
 def _as_samples(values) -> np.ndarray:
     """``values`` as a finite 1-d float array.  Its length is checked where it
     is used, by :func:`finest_level` or against a system's n."""
     y = np.asarray(values, dtype=float)
     if y.ndim != 1:
         raise ValueError(f"expected a 1-d sample vector, got shape {y.shape}")
-    if not np.all(np.isfinite(y)):
+    if not _all_finite(y):
         raise ValueError("samples must be finite")
     return y
 
@@ -138,13 +149,38 @@ def _last_axis(values, n: int) -> np.ndarray:
     return x
 
 
+def _check_buffer(name: str, buf, shape: tuple, *others) -> None:
+    """ValueError unless ``buf`` is None or a writeable C-contiguous float64
+    array of ``shape`` whose memory lies apart from every array of
+    ``others`` (None skipped): a transform's ``out`` or ``scratch``."""
+    if buf is None:
+        return
+    if not (isinstance(buf, np.ndarray) and buf.dtype == np.float64 and buf.shape == shape):
+        got = (buf.dtype, buf.shape) if isinstance(buf, np.ndarray) else type(buf).__name__
+        raise ValueError(f"{name} must be a float64 array of shape {shape}, got {got}")
+    if not (buf.flags.c_contiguous and buf.flags.writeable):
+        raise ValueError(f"{name} must be C-contiguous and writeable")
+    for other in others:
+        if other is not None and np.may_share_memory(buf, other):
+            raise ValueError(f"{name} must not share memory with the input or another buffer")
+
+
 @dataclass(frozen=True)
 class HaarSystem:
     """The Haar system on [0,1] with the interface of
     :class:`~waveshrink.interval.IntervalSystem`: :meth:`analyze` and
     :meth:`synthesize` apply the orthonormal transform and its inverse along
     the last axis, in the same flat layout.  Its functions are bounded by 1
-    (scaled), so c_phi is exact."""
+    (scaled), so c_phi is exact.
+
+    Both transforms take an optional ``out`` (the result, of the input's
+    shape) and ``scratch`` (of the input's leading shape plus
+    (:attr:`scratch_per_row`,)): writeable C-contiguous float64 arrays apart
+    from the input and from each other, else ValueError.  Given both, a
+    transform allocates only for the levels below its blocks, at most
+    2**max(J0, log2 p) values per row; left None, each is allocated per
+    call.  The input is never written, and the bytes do not depend on which
+    buffers are given."""
 
     n: int
     coarse_level: int
@@ -160,7 +196,13 @@ class HaarSystem:
     def finest_level(self) -> int:
         return finest_level(self.n)
 
-    def analyze(self, samples) -> np.ndarray:
+    @property
+    def scratch_per_row(self) -> int:
+        """Scratch values per row: n, the most any stage of a shrink needs
+        (analysis 3n/4, synthesis n/2, the thresholding up to n)."""
+        return self.n
+
+    def analyze(self, samples, out=None, scratch=None) -> np.ndarray:
         """The orthonormal transform along the last axis, (..., n) -> (..., n):
         sqrt(n)-scaled coefficients, the approximation block first, then the
         detail levels coarse to fine (level j at [2**j, 2**(j+1))).  A batched
@@ -172,59 +214,74 @@ class HaarSystem:
         thread of its own and this thread joins the p approximations for the
         levels below s = max(J0, log2 p).  Every coefficient goes through the
         same operations whatever p is, so the output bytes do not depend on it.
+        The levels' approximations take 3n/4 values of scratch per row; at
+        p = 1 with no scratch given, each level allocates its own.
         """
         s = _last_axis(samples, self.n)
+        _check_buffer("out", out, s.shape, s)
+        _check_buffer("scratch", scratch, s.shape[:-1] + (self.scratch_per_row,), s, out)
         J, J0 = self.finest_level, self.coarse_level
         p, split = _split(s.size, J, J0)
         levels = range(J - 1, split - 1, -1)
-        lead, m = s.shape[:-1], self.n // p
-        out = np.empty(s.shape)
-        if p == 1:
-            bufs = [[None] * len(levels)]
+        m = self.n // p
+        if out is None:
+            out = np.empty(s.shape)
+        if p == 1 and scratch is None:
+            bufs = [None]
         else:
-            # each level's approximation, taken in turn from two regions of
-            # the block's scratch: a level reads one while it writes the other
-            rows = s.size // self.n
-            scratch = np.empty((p, rows * (m // 2 + m // 4)))
-            bufs = [[scratch[b, (J - 1 - j) % 2 * rows * (m // 2) :][: rows * 2 ** j // p]
-                     .reshape(lead + (2 ** j // p,)) for j in levels] for b in range(p)]
+            # two regions of each block's scratch, n/2p and n/4p values per
+            # row: a level reads one while it writes the other
+            half = s.size // p // 2
+            bufs = [(block[:half], block[half:])
+                    for block in _block_scratch(scratch, p, half + half // 2)]
         approx = _run_blocks(_analyze_levels, [
             (s[..., b * m : (b + 1) * m], out, levels, b, p, bufs[b]) for b in range(p)])
         s = approx[0] if p == 1 else np.concatenate(approx, axis=-1)
-        coarse = range(split - 1, J0 - 1, -1)
-        s = _analyze_levels(s, out, coarse, 0, 1, [None] * len(coarse))
+        s = _analyze_levels(s, out, range(split - 1, J0 - 1, -1), 0, 1, None)
         out[..., : 2 ** J0] = s
         return out
 
-    def synthesize(self, coeffs) -> np.ndarray:
+    def synthesize(self, coeffs, out=None, scratch=None) -> np.ndarray:
         """Inverse of :meth:`analyze` along the last axis, split into the same
         p blocks: this thread runs the levels below s, then block b writes
         the samples [b n/p, (b+1) n/p) straight into the output, and the
-        output bytes do not depend on p."""
+        output bytes do not depend on p.  The levels between take n/2 values
+        of scratch per row; at p = 1 with neither buffer given, each level
+        allocates its own."""
         c = _last_axis(coeffs, self.n)
+        _check_buffer("out", out, c.shape, c)
+        _check_buffer("scratch", scratch, c.shape[:-1] + (self.scratch_per_row,), c, out)
         J, J0 = self.finest_level, self.coarse_level
         p, split = _split(c.size, J, J0)
-        coarse = range(J0, split)
-        s = _synthesize_levels(c[..., : 2 ** J0].copy(), c, coarse, 0, 1,
-                               [None] * len(coarse))
+        s = _synthesize_levels(c[..., : 2 ** J0].copy(), c, range(J0, split), 0, 1, None)
         levels = range(split, J)
         lead, m = c.shape[:-1], self.n // p
-        if p == 1:
-            out, bufs = None, [[None] * len(levels)]
+        if p == 1 and out is None and scratch is None:
+            bufs = [None]
         else:
-            # level J-1 writes the block's share of the output, level J-2 its
-            # scratch, level J-3 the output share again, and so on
-            out = np.empty(c.shape)
+            # each block's share of the output, as pairs, and n/2p values
+            # per row of scratch
+            if out is None:
+                out = np.empty(c.shape)
             pairs = out.reshape(lead + (p, m // 2, 2))
-            rows = c.size // self.n
-            scratch = np.empty((p, rows * (m // 2)))
-            bufs = [[pairs[..., b, : 2 ** j // p, :] if (J - 1 - j) % 2 == 0 else
-                     scratch[b, : rows * 2 ** (j + 1) // p].reshape(lead + (2 ** j // p, 2))
-                     for j in levels] for b in range(p)]
+            bufs = [(pairs[..., b, :, :], block)
+                    for b, block in enumerate(_block_scratch(scratch, p, c.size // p // 2))]
         w = 2 ** split // p
         fine = _run_blocks(_synthesize_levels, [
             (s[..., b * w : (b + 1) * w], c, levels, b, p, bufs[b]) for b in range(p)])
-        return fine[0] if p == 1 else out
+        if out is None:
+            return fine[0]
+        if not levels:  # J0 = J: the coefficients are the samples
+            out[...] = fine[0]
+        return out
+
+
+def _block_scratch(scratch, p: int, size: int) -> np.ndarray:
+    """p regions of ``size`` values each, as a (p, size) view of the front
+    of ``scratch``, or a new array where scratch is None."""
+    if scratch is None:
+        return np.empty((p, size))
+    return scratch.reshape(-1)[: p * size].reshape(p, size)
 
 
 def _usable_cores() -> int:
@@ -284,21 +341,23 @@ def _run_blocks(fn, blocks: list[tuple]) -> list:
 
 
 # The level loops below run on helper threads: they call numpy only, and
-# allocate no array when every buffer is given.
+# allocate no array when their buffers are given.
 
 def _analyze_levels(s, out, levels, block: int, p: int, bufs):
     """Haar levels ``levels`` (fine to coarse) of block ``block`` of p.  s
     holds the block's share of the approximation above the first level;
-    level j's details go to the block's share of out's level j and its
-    approximation to the next buffer of ``bufs`` (None allocates).  Returns
-    the last approximation."""
-    for j, buf in zip(levels, bufs):
+    level j's details go to the block's share of out's level j.  The
+    approximations go to the fronts of the two flat regions ``bufs`` in
+    turn, or, where bufs is None, each to a new array.  Returns the last
+    approximation."""
+    for i, j in enumerate(levels):
         w = (1 << j) // p
         lo = (1 << j) + block * w
         even, odd = s[..., 0::2], s[..., 1::2]
         detail = out[..., lo : lo + w]
         np.subtract(even, odd, out=detail)
         detail /= _SQRT2
+        buf = None if bufs is None else bufs[i % 2][: even.size].reshape(even.shape)
         s = np.add(even, odd, out=buf)
         s /= _SQRT2
     return s
@@ -307,16 +366,23 @@ def _analyze_levels(s, out, levels, block: int, p: int, bufs):
 def _synthesize_levels(s, c, levels, block: int, p: int, bufs):
     """Inverse of :func:`_analyze_levels` for ``levels`` (coarse to fine)
     from s, the block's share of the approximation below the first level,
-    and its shares of c's details.  Each level's approximation goes to the
-    next buffer of ``bufs``, as (..., 2**j // p, 2) pairs (None allocates).
-    Returns the last approximation."""
+    and its shares of c's details.  Each level writes its approximation as
+    (..., 2**j // p, 2) pairs: with ``bufs`` = (pairs, scratch), the last
+    level and every second level before it to the front of pairs, a
+    (..., m/2, 2) view, and the others to the front of the flat scratch;
+    with bufs None, each to a new array.  Returns the last approximation."""
     lead = c.shape[:-1]
-    for j, buf in zip(levels, bufs):
+    for j in levels:
         w = (1 << j) // p
         lo = (1 << j) + block * w
         d = c[..., lo : lo + w]
         # (s ± d) / sqrt(2) written as pairs, one division for both
-        out = np.empty(lead + (w, 2)) if buf is None else buf
+        if bufs is None:
+            out = np.empty(lead + (w, 2))
+        elif (levels[-1] - j) % 2 == 0:
+            out = bufs[0][..., :w, :]
+        else:
+            out = bufs[1][: 2 * d.size].reshape(lead + (w, 2))
         np.add(s, d, out=out[..., 0])
         np.subtract(s, d, out=out[..., 1])
         out /= _SQRT2

@@ -1,6 +1,6 @@
 """Large Haar transforms and shrink split into dyadic blocks, one thread
 each: the bytes must not depend on the block count, and no thread may
-outlive a call."""
+outlive a call.  The ``blocks`` fixture is in conftest.py."""
 import os
 import threading
 import time
@@ -8,37 +8,13 @@ import time
 import numpy as np
 import pytest
 
-from waveshrink import shrinkage, transform
+from waveshrink import transform
 from waveshrink.experiments import ExperimentPlan, run_plan
 from waveshrink.shrinkage import ShrinkageConfig, shrink
 from waveshrink.signals import make_signal
 from waveshrink.transform import HaarSystem, _block_count, _run_blocks
 
 SIZES = [2 ** 3, 2 ** 10, 2 ** 19, 2 ** 20]
-
-
-@pytest.fixture
-def blocks(monkeypatch):
-    """``blocks(p)`` makes every transform and shrink split into at most p
-    blocks, whatever the input size and the cores; returns the block counts
-    that calls then use."""
-    used = []
-    real_run = transform._run_blocks
-
-    def recording_run(fn, args):
-        used.append(len(args))
-        return real_run(fn, args)
-
-    monkeypatch.setattr(transform, "_run_blocks", recording_run)
-
-    def force(p):
-        def count(size, levels):
-            return min(p, 2 ** levels)
-        monkeypatch.setattr(transform, "_block_count", count)
-        monkeypatch.setattr(shrinkage, "_block_count", count)
-        used.clear()
-        return used
-    return force
 
 
 def _coarse_levels(J, p):

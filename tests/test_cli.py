@@ -166,6 +166,25 @@ class TestSimulate:
                      str(tmp_path / "sb.csv")]) == 0
         assert base.read_text() == out[0]  # plan's master_seed is 3
 
+    def test_calls_share_no_parsed_state(self, tmp_path, monkeypatch):
+        # the parser is built once per process; each call parses afresh, so
+        # an option left out falls back to its default, not to the last value
+        from waveshrink import cli
+        seen = []
+
+        def recording_run_plan(plan, workers):
+            seen.append((plan.master_seed, workers))
+            return run_plan(plan, workers=workers)
+
+        run_plan = cli.run_plan
+        monkeypatch.setattr(cli, "run_plan", recording_run_plan)
+        plan = self.plan(tmp_path)
+        args = ["simulate", str(plan), str(tmp_path / "r.jsonl"), str(tmp_path / "s.csv")]
+        assert main(args + ["--seed", "4", "--workers", "2"]) == 0
+        assert main(args) == 0
+        assert seen == [(4, 2), (3, 1)]
+        assert cli.build_parser() is cli.build_parser()
+
     def test_workers_must_be_positive(self, tmp_path, capsys):
         plan = self.plan(tmp_path)
         rep, summ = tmp_path / "r.jsonl", tmp_path / "s.csv"
