@@ -53,7 +53,6 @@ from .transform import (
     CoefficientPyramid,
     GeometryError,
     _as_samples,
-    _check_buffer,
     _last_axis,
     finest_level,
     is_integer,
@@ -636,10 +635,10 @@ class IntervalSystem:
     sqrt(n)-scaled coefficients ordered approx block first, then detail
     levels coarse to fine.  W is never stored: :meth:`analyze` and
     :meth:`synthesize` apply it and its transpose, and :meth:`row` gives one
-    of its rows as the transpose applied to a unit vector.  Both take the
-    optional ``out`` and ``scratch`` of
-    :class:`~waveshrink.transform.HaarSystem`'s transforms, under the same
-    rules.
+    of its rows as the transpose applied to a unit vector.  As on
+    :class:`~waveshrink.transform.HaarSystem`, ``_analyze_into`` and
+    ``_synthesize_into`` write the same bytes into a given output with a
+    given scratch.
     """
 
     moments: int
@@ -660,9 +659,10 @@ class IntervalSystem:
                           for level in self.levels for e in level.edges)
 
     @property
-    def scratch_per_row(self) -> int:
-        """Scratch values per row of :meth:`analyze` and :meth:`synthesize`:
-        3n/2, which also holds a shrink's thresholding."""
+    def _scratch_per_row(self) -> int:
+        """Scratch values per row of :meth:`_analyze_into` and
+        :meth:`_synthesize_into`: 3n/2, which also holds a shrink's
+        thresholding."""
         return 3 * self.n // 2
 
     def _scratch(self, rows: int, scratch) -> tuple[np.ndarray, np.ndarray]:
@@ -675,7 +675,7 @@ class IntervalSystem:
         buf = np.empty(3 * size // 2) if scratch is None else scratch.reshape(-1)
         return buf[:size], buf[size:]
 
-    def analyze(self, samples, out=None, scratch=None) -> np.ndarray:
+    def analyze(self, samples) -> np.ndarray:
         """W applied along the last axis: (..., n) -> (..., n).
 
         Each level runs over all rows of the batch as one stream (see
@@ -684,8 +684,11 @@ class IntervalSystem:
         row, k); the edges overwrite the boundary entries there, and the
         details are copied into place once."""
         x = _last_axis(samples, self.n)
-        _check_buffer("out", out, x.shape, x)
-        _check_buffer("scratch", scratch, x.shape[:-1] + (self.scratch_per_row,), x, out)
+        return self._analyze_into(x, None, None)
+
+    def _analyze_into(self, x: np.ndarray, out, scratch) -> np.ndarray:
+        """:meth:`analyze` of the float array x into ``out``, with
+        ``scratch`` (see :meth:`_scratch`); each None is allocated."""
         if out is None:
             out = np.empty(x.shape)
         rows = out.size // self.n
@@ -712,7 +715,7 @@ class IntervalSystem:
         flat[:, :half] = y3[0]
         return out
 
-    def synthesize(self, coeffs, out=None, scratch=None) -> np.ndarray:
+    def synthesize(self, coeffs) -> np.ndarray:
         """W.T applied along the last axis: the inverse of :meth:`analyze`.
 
         Each level copies its details beside the scaling coefficients of the
@@ -721,8 +724,11 @@ class IntervalSystem:
         runs the bands over all rows as one stream into zeros.  The zeroed
         entries add +-0 to sums that start at +0, which changes no bit."""
         c = _last_axis(coeffs, self.n)
-        _check_buffer("out", out, c.shape, c)
-        _check_buffer("scratch", scratch, c.shape[:-1] + (self.scratch_per_row,), c, out)
+        return self._synthesize_into(c, None, None)
+
+    def _synthesize_into(self, c: np.ndarray, out, scratch) -> np.ndarray:
+        """:meth:`synthesize` of the float array c into ``out``, with
+        ``scratch`` (see :meth:`_scratch`); each None is allocated."""
         if out is None:
             out = np.empty(c.shape)
         rows = out.size // self.n

@@ -28,6 +28,11 @@ from .transform import (
 # because perfbench/tracer.py wraps them by name.
 
 SYSTEM_KINDS = ("haar", "interval")
+# shrink's inputs of this many values or more go through one work buffer.  In
+# loops of fresh inputs on a 2-core x86 VM, Haar calls of 2**19 and 2**20
+# values ran 8-13% faster through it; at 2**18 values and below, Haar and
+# interval calls ran even or slower.
+_WORK_VALUES = 2 ** 19
 # shrink's scratch starts this many values (one 64-byte cache line) past the
 # coefficients, so that the two streams never sit at the same offset mod 4 KiB
 _STAGGER = 8
@@ -300,15 +305,16 @@ def shrink(y, config: ShrinkageConfig, system=None) -> np.ndarray:
     (:func:`wavelet_system`); a given system must match the config in n,
     coarse level, vanishing moments and c_phi, else ValueError.
 
-    A call makes two large allocations: the returned samples, then one work
-    buffer of rows * (n + s) values plus a stagger, s the system's
-    ``scratch_per_row``.  Its first rows * n values hold the coefficients;
-    the scratch that every stage uses in turn (the analysis, the
-    thresholding, the synthesis) starts one cache line past them, so that
-    the coefficient and scratch streams do not alias mod 4 KiB.  One buffer
-    in place of one per stage cuts the memory a call takes afresh (24 MiB
-    in place of 34 for Haar at n = 2**20), and with it the page faults;
-    nothing is kept after the call.
+    From :data:`_WORK_VALUES` (2**19) values on, a call makes two large
+    allocations: the returned samples, and one work buffer of rows * (n + s)
+    values plus a stagger, s the system's ``_scratch_per_row``.  Its first
+    rows * n values hold the coefficients; the scratch that every stage uses
+    in turn (the analysis, the thresholding, the synthesis) starts one cache
+    line past them, so that the coefficient and scratch streams do not sit
+    at the same offset mod 4 KiB.  This takes 24 MiB of fresh memory for
+    Haar at n = 2**20, where one buffer per stage took 34, and with it fewer
+    page faults.  Smaller inputs, whose arrays are cheap to allocate, let
+    each stage allocate its own.  Nothing is kept after the call.
 
     From 2**19 values on, on more than one usable core, the Haar transforms
     and the thresholding run in blocks on one thread per core (see
@@ -325,23 +331,22 @@ def shrink(y, config: ShrinkageConfig, system=None) -> np.ndarray:
     y = _last_axis(y, system.n)
     if not _all_finite(y):
         raise ValueError("samples must be finite")
-    lead, n, s = y.shape[:-1], system.n, system.scratch_per_row
-    rows = y.size // n
-    # the output first, the work buffer last: freed on return, the work
-    # buffer then goes back to the top of the heap, where it came from,
-    # instead of leaving a hole below the live output.  In long loops of
-    # 2**20 Haar calls the other order faulted in fresh pages more often.
-    out = np.empty(y.shape)
-    work = np.empty(rows * (n + s) + _STAGGER)
-    coeffs = work[: rows * n].reshape(y.shape)
-    scratch = work[rows * n + _STAGGER :].reshape(lead + (s,))
-    system.analyze(y, out=coeffs, scratch=scratch)
+    n, size = system.n, y.size
+    if size < _WORK_VALUES:
+        out = coeffs = scratch = None
+    else:
+        out = np.empty(y.shape)  # before the work buffer, which is freed first
+        work = np.empty(size + _STAGGER + size // n * system._scratch_per_row)
+        coeffs = work[:size].reshape(y.shape)
+        scratch = work[size + _STAGGER :].reshape(y.shape[:-1] + (-1,))
+    coeffs = system._analyze_into(y, coeffs, scratch)
     # p shares of the details along the last axis, each with the same columns
     # of the scratch
-    p = _block_count(y.size, system.finest_level - config.coarse_level)
+    p = _block_count(size, system.finest_level - config.coarse_level)
     lo = 2 ** config.coarse_level
     cuts = [lo + k * (n - lo) // p for k in range(p + 1)]
     _run_blocks(_threshold_in_place, [
-        (coeffs[..., a:b], config.orthonormal_threshold, config.mode, scratch[..., a:b])
+        (coeffs[..., a:b], config.orthonormal_threshold, config.mode,
+         None if scratch is None else scratch[..., a:b])
         for a, b in zip(cuts, cuts[1:])])
-    return system.synthesize(coeffs, out=out, scratch=scratch)
+    return system._synthesize_into(coeffs, out, scratch)

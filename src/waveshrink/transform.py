@@ -149,22 +149,6 @@ def _last_axis(values, n: int) -> np.ndarray:
     return x
 
 
-def _check_buffer(name: str, buf, shape: tuple, *others) -> None:
-    """ValueError unless ``buf`` is None or a writeable C-contiguous float64
-    array of ``shape`` whose memory lies apart from every array of
-    ``others`` (None skipped): a transform's ``out`` or ``scratch``."""
-    if buf is None:
-        return
-    if not (isinstance(buf, np.ndarray) and buf.dtype == np.float64 and buf.shape == shape):
-        got = (buf.dtype, buf.shape) if isinstance(buf, np.ndarray) else type(buf).__name__
-        raise ValueError(f"{name} must be a float64 array of shape {shape}, got {got}")
-    if not (buf.flags.c_contiguous and buf.flags.writeable):
-        raise ValueError(f"{name} must be C-contiguous and writeable")
-    for other in others:
-        if other is not None and np.may_share_memory(buf, other):
-            raise ValueError(f"{name} must not share memory with the input or another buffer")
-
-
 @dataclass(frozen=True)
 class HaarSystem:
     """The Haar system on [0,1] with the interface of
@@ -173,14 +157,12 @@ class HaarSystem:
     the last axis, in the same flat layout.  Its functions are bounded by 1
     (scaled), so c_phi is exact.
 
-    Both transforms take an optional ``out`` (the result, of the input's
-    shape) and ``scratch`` (of the input's leading shape plus
-    (:attr:`scratch_per_row`,)): writeable C-contiguous float64 arrays apart
-    from the input and from each other, else ValueError.  Given both, a
-    transform allocates only for the levels below its blocks, at most
-    2**max(J0, log2 p) values per row; left None, each is allocated per
-    call.  The input is never written, and the bytes do not depend on which
-    buffers are given."""
+    :meth:`analyze` and :meth:`synthesize` allocate their result and scratch
+    per call.  :meth:`_analyze_into` and :meth:`_synthesize_into` write the
+    same bytes into a given output with a given scratch (of the input's
+    leading shape plus (:attr:`_scratch_per_row`,) values), for
+    :func:`~waveshrink.shrinkage.shrink`; they check neither, and allocate
+    each that is None."""
 
     n: int
     coarse_level: int
@@ -197,12 +179,12 @@ class HaarSystem:
         return finest_level(self.n)
 
     @property
-    def scratch_per_row(self) -> int:
+    def _scratch_per_row(self) -> int:
         """Scratch values per row: n, the most any stage of a shrink needs
         (analysis 3n/4, synthesis n/2, the thresholding up to n)."""
         return self.n
 
-    def analyze(self, samples, out=None, scratch=None) -> np.ndarray:
+    def analyze(self, samples) -> np.ndarray:
         """The orthonormal transform along the last axis, (..., n) -> (..., n):
         sqrt(n)-scaled coefficients, the approximation block first, then the
         detail levels coarse to fine (level j at [2**j, 2**(j+1))).  A batched
@@ -214,18 +196,21 @@ class HaarSystem:
         thread of its own and this thread joins the p approximations for the
         levels below s = max(J0, log2 p).  Every coefficient goes through the
         same operations whatever p is, so the output bytes do not depend on it.
-        The levels' approximations take 3n/4 values of scratch per row; at
-        p = 1 with no scratch given, each level allocates its own.
         """
         s = _last_axis(samples, self.n)
-        _check_buffer("out", out, s.shape, s)
-        _check_buffer("scratch", scratch, s.shape[:-1] + (self.scratch_per_row,), s, out)
+        return self._analyze_into(s, None, None)
+
+    def _analyze_into(self, s: np.ndarray, out, scratch) -> np.ndarray:
+        """:meth:`analyze` of the float array s into ``out``, allocated where
+        None.  The levels' approximations take 3n/4 values of ``scratch`` per
+        row; where scratch is None, the blocks' scratch is allocated, or at
+        p = 1 each level's approximation."""
+        if out is None:
+            out = np.empty(s.shape)
         J, J0 = self.finest_level, self.coarse_level
         p, split = _split(s.size, J, J0)
         levels = range(J - 1, split - 1, -1)
         m = self.n // p
-        if out is None:
-            out = np.empty(s.shape)
         if p == 1 and scratch is None:
             bufs = [None]
         else:
@@ -241,16 +226,18 @@ class HaarSystem:
         out[..., : 2 ** J0] = s
         return out
 
-    def synthesize(self, coeffs, out=None, scratch=None) -> np.ndarray:
+    def synthesize(self, coeffs) -> np.ndarray:
         """Inverse of :meth:`analyze` along the last axis, split into the same
         p blocks: this thread runs the levels below s, then block b writes
         the samples [b n/p, (b+1) n/p) straight into the output, and the
-        output bytes do not depend on p.  The levels between take n/2 values
-        of scratch per row; at p = 1 with neither buffer given, each level
-        allocates its own."""
-        c = _last_axis(coeffs, self.n)
-        _check_buffer("out", out, c.shape, c)
-        _check_buffer("scratch", scratch, c.shape[:-1] + (self.scratch_per_row,), c, out)
+        output bytes do not depend on p."""
+        return self._synthesize_into(_last_axis(coeffs, self.n), None, None)
+
+    def _synthesize_into(self, c: np.ndarray, out, scratch) -> np.ndarray:
+        """:meth:`synthesize` of the float array c into ``out``, allocated where
+        None.  The levels between take n/2 values of ``scratch`` per row;
+        where scratch is None, the blocks' scratch is allocated, or at p = 1
+        with out None too, each level's approximation and the result."""
         J, J0 = self.finest_level, self.coarse_level
         p, split = _split(c.size, J, J0)
         s = _synthesize_levels(c[..., : 2 ** J0].copy(), c, range(J0, split), 0, 1, None)
