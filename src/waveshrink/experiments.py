@@ -17,11 +17,12 @@ so its row count depends on n alone.  Each row of a batch goes through the
 same floating-point operations as the trial would alone, so the output bytes
 depend neither on the batches nor on the tasks or the worker count.
 
-The transforms are linear, so a batch analyzes its noise once: |We| gives
-event A and the exceedance counts, and We + Wf is thresholded and
-synthesized.  This rounds differently from analyzing f + e (at most about
-3e-14 relative in the error fields); seeds, event A and the exceedances are
-the same either way.  A cell's results are one :class:`CellResult` of
+The transforms are linear, so a batch analyzes its noise once: each row's
+max |We| gives event A, the exceedances are counted in the rows where it
+passes the threshold, and We + Wf is thresholded and synthesized.  This
+rounds differently from analyzing f + e (at most about 3e-14 relative in
+the error fields); seeds, event A and the exceedances are the same either
+way.  A cell's results are one :class:`CellResult` of
 columns, which carry event A at n in ``EVENT_A_SIZES`` only.
 
 Interval systems come from one store per process
@@ -54,6 +55,7 @@ from .interval import (
 from .noise import EVENT_A_SIZES as _EVENT_A_SIZES
 from .noise import (
     NoiseSpec,
+    _SeedWords,
     _system_at,
     check_family,
     check_noise_range,
@@ -277,11 +279,18 @@ def run_cell(plan: ExperimentPlan, cell: int, n: int, delta: float,
 
     ``system`` is the cell's wavelet system; by default it is resolved with
     :func:`~waveshrink.shrinkage.wavelet_system` for the plan and n.  The
-    signal, the config, the signal's coefficients and the columns are made
-    once per call.  Batches of :func:`_chunk_trials` rows fill the columns:
-    each trial draws its noise from its own seed, and the rows of a (trials, n)
-    batch go through the same elementwise operations as a single trial would,
-    so a row does not depend on which trials share its batch or its call.
+    signal, the config, the signal's coefficients, the contraction bound and
+    the columns are made once per call.  Batches of :func:`_chunk_trials`
+    rows fill the columns: each trial draws its noise from its own seed, and
+    the rows of a (trials, n) batch go through the same elementwise
+    operations as a single trial would, so a row does not depend on which
+    trials share its batch or its call.
+
+    A batch allocates three float (trials, n) arrays: the noise, its
+    coefficients and the synthesis output.  Once each row's max |We| is
+    read, the noise array is the thresholding's scratch and then holds the
+    contraction check's differences.  Exceedances are counted only for rows
+    whose max |We| passes lambda; the others count zero on every level.
     """
     signal = make_signal(plan.signal_kind, plan.alpha, plan.holder_const)
     f = signal.sample(n)
@@ -296,43 +305,55 @@ def run_cell(plan: ExperimentPlan, cell: int, n: int, delta: float,
     lam, lo = cfg.orthonormal_threshold, 2 ** cfg.coarse_level
     bound = coefficient_bound(plan.noise_bound, system)
     signal_c = system.analyze(f)
+    contraction = _contraction_bound(signal_c, lam, cfg.coarse_level)
     levels = range(cfg.coarse_level, system.finest_level)
     starts = [0] + [2 ** j for j in levels[1:]]
 
     T = len(trials)
     seed, max_sq, mse = np.empty(T, np.uint64), np.empty(T), np.empty(T)
     in_A = np.empty(T, bool) if n in _EVENT_A_SIZES else None
-    by_level = np.empty((T, len(levels)), np.intp)
+    by_level = np.zeros((T, len(levels)), np.intp)
     step = _chunk_trials(n)
     for start in range(0, T, step):
         rows = slice(start, start + step)
-        seeds = [_trial_seed(plan.master_seed, cell, t) for t in trials[rows]]
-        noise = _noise_batch(plan.noise_family, plan.noise_bound, seeds, n)
-        seed[rows] = [s.generate_state(1, np.uint64)[0] for s in seeds]
+        # one PCG64 state per trial: its first word is the seed column's
+        # generate_state(1, uint64)[0]
+        states = [_trial_seed(plan.master_seed, cell, t).generate_state(4, np.uint64)
+                  for t in trials[rows]]
+        seed[rows] = [words[0] for words in states]
+        noise = _noise_batch(plan.noise_family, plan.noise_bound,
+                             [_SeedWords(words) for words in states], n)
 
         # W(f + e) = Wf + We: the noise is analyzed once, for event A, the
-        # exceedances and, with Wf added, the estimate.  |We| goes into the
-        # noise buffer, not a new (trials, n) array.
+        # exceedances and, with Wf added, the estimate.  The noise is dead
+        # once analyzed: |We| goes into its buffer, and then the scratch of
+        # the thresholding and of the contraction check.
         c = system.analyze(noise)
-        np.abs(c, out=noise)
+        top = np.max(np.abs(c, out=noise), axis=-1)
         if in_A is not None:
-            in_A[rows] = np.max(noise, axis=-1) <= bound
-        # the approximation block counts with the coarsest level
-        np.add.reduceat(noise > lam, starts, axis=-1, dtype=np.intp,
-                        out=by_level[rows])
+            in_A[rows] = top <= bound
+        exceeds = top > lam
+        over = np.flatnonzero(exceeds)
+        if over.size:  # the approximation block counts with the coarsest level
+            by_level[start + over] = np.add.reduceat(noise[over] > lam, starts,
+                                                     axis=-1, dtype=np.intp)
 
         c += signal_c
-        _threshold_in_place(c[:, lo:], lam, cfg.mode)
-        _assert_detail_contraction(c, signal_c, lam, cfg.coarse_level,
-                                   by_level[rows].sum(axis=-1), cfg.mode)
+        # packed from the buffer's start: as noise[:, lo:], the same scratch
+        # ran up to twice as slow at 32 and 128 rows
+        details = (len(noise), n - lo)
+        scratch = noise.reshape(-1)[: math.prod(details)].reshape(details)
+        _threshold_in_place(c[:, lo:], lam, cfg.mode, scratch)
+        _assert_detail_contraction(c, signal_c, contraction, cfg.coarse_level,
+                                   exceeds, cfg.mode, scratch)
 
         sq = system.synthesize(c)
         sq -= f
         np.square(sq, out=sq)
         max_sq[rows], mse[rows] = np.max(sq, axis=-1), np.mean(sq, axis=-1)
-        # sq would stay alive through the next batch's synthesis, one more
-        # (trials, n) array at the peak
-        del sq
+        # either would stay alive through the next batch's analysis or
+        # synthesis, one more (trials, n) array at the peak
+        del sq, scratch
     return CellResult(n, delta, np.arange(trials.start, trials.stop, trials.step),
                       seed, max_sq, mse, in_A, by_level)
 
@@ -343,32 +364,42 @@ def run_trial(plan: ExperimentPlan, cell: int, n: int, delta: float,
     return run_cell(plan, cell, n, delta, range(trial, trial + 1))
 
 
-def _assert_detail_contraction(shrunk: np.ndarray, signal: np.ndarray, lam: float,
-                               coarse_level: int, exceed: np.ndarray,
-                               mode: str) -> None:
+def _contraction_bound(signal: np.ndarray, lam: float, coarse_level: int) -> np.ndarray:
+    """min(|d_f|, 2 lambda) + tol over the detail coefficients of ``signal``,
+    the noise-free signal's flat orthonormal coefficients (n,), at the
+    threshold ``lam``, lambda * sqrt(n).  The slack tol is 1e-12 in the
+    integral convention, so 1e-12 * sqrt(n) here."""
+    tol = 1e-12 * math.sqrt(signal.shape[-1])
+    # rounding is monotone, so this is exactly min(|d_f| + tol, 2 lambda + tol)
+    bound = np.abs(signal[2 ** coarse_level :])
+    np.minimum(bound, 2 * lam, out=bound)
+    bound += tol
+    return bound
+
+
+def _assert_detail_contraction(shrunk: np.ndarray, signal: np.ndarray,
+                               bound: np.ndarray, coarse_level: int,
+                               exceed: np.ndarray, mode: str,
+                               scratch: np.ndarray) -> None:
     """When every noise coefficient of a trial is under lambda, soft
     thresholding must move each of its detail coefficients by at most
     min(|d_f|, 2 lambda).
 
     ``shrunk`` holds the thresholded coefficients of a batch (trials, n) and
     ``signal`` those of the noise-free signal (n,), both flat and orthonormal,
-    and ``lam`` is their threshold, lambda * sqrt(n).  The slack is 1e-12 in
-    the integral convention, so 1e-12 * sqrt(n) here.  Trials with
-    ``exceed`` > 0 and hard thresholding are not checked.
+    and ``bound`` is :func:`_contraction_bound` of ``signal``.  Trials with
+    nonzero ``exceed`` (trials,) and hard thresholding are not checked.
+    ``scratch``, an array of the shape of the detail columns
+    ``shrunk[:, lo:]``, is overwritten with the differences.
     """
     if mode != "soft":
         return
     lo = 2 ** coarse_level
-    tol = 1e-12 * math.sqrt(shrunk.shape[-1])
-    # one comparison over the batch: rounding is monotone, so
-    # min(|d_f|, 2 lambda) + tol is exactly min(|d_f| + tol, 2 lambda + tol)
-    bound = np.abs(signal[lo:])
-    np.minimum(bound, 2 * lam, out=bound)
-    bound += tol
-    diff = np.subtract(shrunk[:, lo:], signal[lo:])
+    diff = np.subtract(shrunk[:, lo:], signal[lo:], out=scratch)
     np.abs(diff, out=diff)
     bad = diff > bound
-    bad &= (np.asarray(exceed) == 0)[:, None]
+    if exceed.any():
+        bad &= (exceed == 0)[:, None]
     if np.any(bad):
         row, i = np.argwhere(bad)[0]
         level = (lo + int(i)).bit_length() - 1

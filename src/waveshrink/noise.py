@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .interval import IntervalSystem
 from .transform import HaarSystem, _as_samples
@@ -23,7 +24,7 @@ NOISE_FAMILIES = ("uniform", "rademacher", "truncated", "mixture")
 # the event A itself is defined at every n
 EVENT_A_SIZES = (16, 256, 65536)
 
-Seed = Union[int, np.random.SeedSequence]
+Seed = Union[int, np.random.SeedSequence, "_SeedWords"]
 System = Union[str, HaarSystem, IntervalSystem]
 
 
@@ -38,6 +39,24 @@ class NoiseSpec:
     def __post_init__(self):
         check_family(self.family)
         check_noise_range(self.b)
+
+
+class _SeedWords(ISeedSequence):
+    """A PCG64 seed given as its four uint64 words, those that
+    ``SeedSequence.generate_state(4, np.uint64)`` returns: ``default_rng``
+    on it draws what ``default_rng`` on that SeedSequence draws, without
+    mixing the state again.  Any other request raises, so that a bit
+    generator that asks for another state fails rather than draws another
+    stream."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"holds 4 uint64 words, asked for {n_words} "
+                             f"{np.dtype(dtype)}")
+        return self.words
 
 
 def check_family(family: str) -> None:

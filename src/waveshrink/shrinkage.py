@@ -310,11 +310,8 @@ def shrink(y, config: ShrinkageConfig, system=None) -> np.ndarray:
     values plus a stagger, s the system's ``_scratch_per_row``.  Its first
     rows * n values hold the coefficients; the scratch that every stage uses
     in turn (the analysis, the thresholding, the synthesis) starts one cache
-    line past them, so that the coefficient and scratch streams do not sit
-    at the same offset mod 4 KiB.  This takes 24 MiB of fresh memory for
-    Haar at n = 2**20, where one buffer per stage took 34, and with it fewer
-    page faults.  Smaller inputs, whose arrays are cheap to allocate, let
-    each stage allocate its own.  Nothing is kept after the call.
+    line past them.  Smaller inputs let each stage allocate its own.
+    Nothing is kept after the call.
 
     From 2**19 values on, on more than one usable core, the Haar transforms
     and the thresholding run in blocks on one thread per core (see
@@ -335,7 +332,7 @@ def shrink(y, config: ShrinkageConfig, system=None) -> np.ndarray:
     if size < _WORK_VALUES:
         out = coeffs = scratch = None
     else:
-        out = np.empty(y.shape)  # before the work buffer, which is freed first
+        out = np.empty(y.shape)
         work = np.empty(size + _STAGGER + size // n * system._scratch_per_row)
         coeffs = work[:size].reshape(y.shape)
         scratch = work[size + _STAGGER :].reshape(y.shape[:-1] + (-1,))

@@ -21,6 +21,7 @@ from waveshrink.experiments import (
     ExperimentPlan,
     _assert_detail_contraction,
     _chunk_trials,
+    _contraction_bound,
     run_cell,
     run_plan,
     run_trial,
@@ -258,17 +259,29 @@ class TestContractionCheck:
         shrunk[:, 2 ** coarse :] = soft_threshold(signal[2 ** coarse :], lam)
         return shrunk, signal, coarse, lam
 
+    @staticmethod
+    def check(shrunk, signal, coarse, lam, exceed=None, mode="soft", scratch=None):
+        if exceed is None:
+            exceed = np.zeros(len(shrunk), dtype=bool)
+        if scratch is None:
+            scratch = np.empty(shrunk[:, 2 ** coarse :].shape)
+        bound = _contraction_bound(signal, lam, coarse)
+        _assert_detail_contraction(shrunk, signal, bound, coarse, exceed, mode, scratch)
+
+    def test_bound_is_min_of_signal_and_two_lambda_plus_slack(self):
+        _, signal, coarse, lam = self.batch()
+        d = np.abs(signal[2 ** coarse :])
+        want = np.minimum(d + 8e-12, 2 * lam + 8e-12)  # slack 1e-12 * sqrt(64)
+        assert _contraction_bound(signal, lam, coarse).tobytes() == want.tobytes()
+
     def test_passes_on_soft_thresholded_signal(self):
-        shrunk, signal, coarse, lam = self.batch()
-        _assert_detail_contraction(shrunk, signal, lam, coarse,
-                                   np.zeros(len(shrunk), dtype=int), "soft")
+        self.check(*self.batch())
 
     def test_raises_on_violation_in_one_trial(self):
         shrunk, signal, coarse, lam = self.batch()
         shrunk[3, 40] = signal[40] + 2.5 * lam  # level 5: [32, 64)
         with pytest.raises(RuntimeError, match="level 5 .batch row 3"):
-            _assert_detail_contraction(shrunk, signal, lam, coarse,
-                                       np.zeros(len(shrunk), dtype=int), "soft")
+            self.check(shrunk, signal, coarse, lam)
 
     def test_raises_when_move_exceeds_the_signal_coefficient(self):
         shrunk, signal, coarse, lam = self.batch()
@@ -276,16 +289,33 @@ class TestContractionCheck:
         shrunk[0, k] = signal[k] + math.copysign(abs(signal[k]) + 1e-6, signal[k])
         assert abs(shrunk[0, k] - signal[k]) < 2 * lam
         with pytest.raises(RuntimeError):
-            _assert_detail_contraction(shrunk, signal, lam, coarse,
-                                       np.zeros(len(shrunk), dtype=int), "soft")
+            self.check(shrunk, signal, coarse, lam)
 
-    def test_skips_trials_with_exceedance_and_hard_mode(self):
+    @pytest.mark.parametrize("exceed", [np.array([0, 0, 0, 1, 0]),
+                                        np.array([False, False, False, True, False])])
+    def test_skips_only_trials_with_exceedance(self, exceed):
         shrunk, signal, coarse, lam = self.batch()
         shrunk[3, 40] = signal[40] + 2.5 * lam
-        exceed = np.array([0, 0, 0, 1, 0])
-        _assert_detail_contraction(shrunk, signal, lam, coarse, exceed, "soft")
-        _assert_detail_contraction(shrunk, signal, lam, coarse,
-                                   np.zeros(5, dtype=int), "hard")
+        self.check(shrunk, signal, coarse, lam, exceed)
+        # a row without exceedance is checked while another row exceeds
+        shrunk[1, 20] = signal[20] + 2.5 * lam  # level 4: [16, 32)
+        with pytest.raises(RuntimeError, match="level 4 .batch row 1"):
+            self.check(shrunk, signal, coarse, lam, exceed)
+
+    def test_hard_mode_is_not_checked(self):
+        shrunk, signal, coarse, lam = self.batch()
+        shrunk[3, 40] = signal[40] + 2.5 * lam
+        self.check(shrunk, signal, coarse, lam, mode="hard")
+
+    def test_differences_go_to_the_scratch(self):
+        shrunk, signal, coarse, lam = self.batch()
+        shrunk[2, 40] = signal[40] + 2.5 * lam
+        lo = 2 ** coarse
+        kept, scratch = shrunk.copy(), np.full(shrunk[:, lo:].shape, np.nan)
+        with pytest.raises(RuntimeError, match="batch row 2"):
+            self.check(shrunk, signal, coarse, lam, scratch=scratch)
+        assert shrunk.tobytes() == kept.tobytes()
+        assert np.array_equal(scratch, np.abs(shrunk[:, lo:] - signal[lo:]))
 
     def test_slack_is_1e_12_on_the_integral_scale(self):
         # orthonormal coefficients at n = 64 are 8 times the integral ones,
@@ -293,18 +323,97 @@ class TestContractionCheck:
         shrunk, signal, coarse, lam = self.batch()
         k = 2 ** coarse + int(np.argmax(np.abs(signal[2 ** coarse :])))
         assert abs(signal[k]) > 2 * lam + 1e-9
-        exceed = np.zeros(len(shrunk), dtype=int)
         shrunk[0, k] = signal[k] + 2 * lam + 4e-12
-        _assert_detail_contraction(shrunk, signal, lam, coarse, exceed, "soft")
+        self.check(shrunk, signal, coarse, lam)
         shrunk[0, k] = signal[k] + 2 * lam + 16e-12
         with pytest.raises(RuntimeError):
-            _assert_detail_contraction(shrunk, signal, lam, coarse, exceed, "soft")
+            self.check(shrunk, signal, coarse, lam)
 
     def test_approximation_block_is_not_checked(self):
         shrunk, signal, coarse, lam = self.batch()
         shrunk[1, 0] = signal[0] + 10.0
-        _assert_detail_contraction(shrunk, signal, lam, coarse,
-                                   np.zeros(len(shrunk), dtype=int), "soft")
+        self.check(shrunk, signal, coarse, lam)
+
+
+# lambda scaled down, on both sides, so that in a batch some rows have a
+# noise coefficient over it and others do not; no plan at the paper's lambda
+# reaches one.  The factors put about half the rows over at n = 256 and 2^14.
+EXCEEDING = {
+    "haar-soft": (plan_of(), 0.08),
+    "haar-hard": (plan_of(mode="hard"), 0.08),
+    "interval": (interval_plan(), 0.048),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXCEEDING))
+@pytest.mark.parametrize("n, trials", [(256, 129), (2 ** 14, 8)])
+def test_exceedance_path_matches_per_trial_oracle(name, n, trials, monkeypatch):
+    """Rows over lambda are counted per level, and the others count zero; in
+    soft mode the contraction check passes over the rows that exceed."""
+    plan, factor = EXCEEDING[name]
+    plan = dataclasses.replace(plan, ns=(n,), deltas=(1.0,), trials=trials)
+    threshold = shrinkage.compute_threshold
+    monkeypatch.setattr(shrinkage, "compute_threshold",
+                        lambda *args: factor * threshold(*args))
+    assert_matches_oracle(plan)
+    [got] = run_plan(plan)
+    assert_same_columns(got, oracle_cells(plan, linear_trial)[0])
+    for start in range(0, trials, _chunk_trials(n)):  # 128 rows, or pairs
+        over = got.exceed_by_level[start : start + _chunk_trials(n)].any(axis=-1)
+        if len(over) > 1 and over.any() and not over.all():
+            break
+    else:
+        pytest.fail("no batch mixes rows over lambda with rows under it")
+
+
+class TestSeedWords:
+    """Each trial's PCG64 is seeded from the four words of its SeedSequence,
+    through noise._SeedWords: the seed column is word 0, and each row is the
+    row that the SeedSequence itself draws."""
+
+    MASTERS = [0, 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1, 10 ** 30]
+
+    @pytest.mark.parametrize("master", MASTERS)
+    @pytest.mark.parametrize("cell", [0, 3])
+    @pytest.mark.parametrize("family", noise.NOISE_FAMILIES)
+    def test_rows_and_seeds_are_the_seed_sequences(self, master, cell, family,
+                                                   monkeypatch):
+        n, b = 2 ** 14, 0.75
+        plan = plan_of(noise_family=family, noise_bound=b, ns=(n,), deltas=(1.0,),
+                       master_seed=master)
+        rows = []
+        sample = experiments.sample_noise
+
+        def recording(spec, size):
+            row = sample(spec, size)
+            rows.append(row.copy())  # a one-row batch becomes the scratch
+            return row
+
+        monkeypatch.setattr(experiments, "sample_noise", recording)
+        trials = range(5, 8)  # batches [5, 6] and [7]
+        assert _chunk_trials(n) == 2
+        got = run_cell(plan, cell, n, 1.0, trials)
+        seqs = [np.random.SeedSequence(master, spawn_key=(cell, t)) for t in trials]
+        assert got.seed.tolist() == [s.generate_state(1, np.uint64)[0] for s in seqs]
+        assert len(rows) == len(seqs)
+        for row, seq in zip(rows, seqs):
+            want = noise.sample_noise(noise.NoiseSpec(family, b, seq), n)
+            assert row.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (2, np.uint64),
+                                                (3, np.uint64), (8, np.uint32),
+                                                (624, np.uint32), (5, np.uint64)])
+    def test_any_other_request_raises(self, n_words, dtype):
+        words = np.random.SeedSequence(7).generate_state(4, np.uint64)
+        with pytest.raises(ValueError, match="holds 4 uint64 words"):
+            noise._SeedWords(words).generate_state(n_words, dtype)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64,
+                                               np.random.Philox])
+    def test_another_bit_generator_fails_loudly(self, bit_generator):
+        words = np.random.SeedSequence(7).generate_state(4, np.uint64)
+        with pytest.raises(ValueError, match="holds 4 uint64 words"):
+            bit_generator(noise._SeedWords(words))
 
 
 @pytest.fixture
