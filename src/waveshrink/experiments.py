@@ -23,7 +23,8 @@ passes the threshold, and We + Wf is thresholded and synthesized.  This
 rounds differently from analyzing f + e (at most about 3e-14 relative in
 the error fields); seeds, event A and the exceedances are the same either
 way.  A cell's results are one :class:`CellResult` of
-columns, which carry event A at n in ``EVENT_A_SIZES`` only.
+columns, event A among them at every n; the writers print it only at n in
+``EVENT_A_SIZES``.
 
 Interval systems come from one store per process
 (:func:`~waveshrink.shrinkage.wavelet_systems`).  :func:`run_plan` resolves
@@ -202,8 +203,8 @@ class ExperimentPlan:
 @dataclass(frozen=True, eq=False)
 class CellResult:
     """One cell's trials as columns, in trial order: ``trial``, ``seed``
-    (uint64), ``max_sq_err`` and ``mse`` are (T,); ``in_A`` is (T,) bool, or
-    None at n outside ``EVENT_A_SIZES``; ``exceed_by_level`` is (T, levels),
+    (uint64), ``max_sq_err`` and ``mse`` are (T,); ``in_A`` is (T,) bool,
+    event A at every n; ``exceed_by_level`` is (T, levels),
     the noise coefficients over the threshold per level from the coarse
     level up, the approximation block counted with the coarsest level."""
 
@@ -213,7 +214,7 @@ class CellResult:
     seed: np.ndarray
     max_sq_err: np.ndarray
     mse: np.ndarray
-    in_A: Optional[np.ndarray]
+    in_A: np.ndarray
     exceed_by_level: np.ndarray
 
     def __post_init__(self):
@@ -251,26 +252,29 @@ def check_master_seed(master_seed) -> None:
                          f"got {master_seed!r}")
 
 
-def _trial_seed(master_seed: int, cell: int, trial: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(master_seed, spawn_key=(cell, trial))
-
-
 def _chunk_trials(n: int) -> int:
     """Rows per batch at sample count n.  Depends on n alone, so the batches
     never depend on the worker count."""
     return max(1, _CHUNK_ELEMENTS // n)
 
 
-def _noise_batch(family: str, b: float, seeds, n: int) -> np.ndarray:
-    """(len(seeds), n) noise, row i drawn from seeds[i]; zeros for b = 0."""
+def _noise_batch(family: str, b: float, master_seed: int, cell: int,
+                 trials: range, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The seed column and the (len(trials), n) noise, zeros for b = 0, of a
+    batch of one cell's trials.  Trial t's PCG64 takes the four words of
+    ``SeedSequence(master_seed, spawn_key=(cell, t)).generate_state(4, uint64)``,
+    and its seed is word 0."""
+    states = [np.random.SeedSequence(master_seed, spawn_key=(cell, t))
+              .generate_state(4, np.uint64) for t in trials]
+    seeds = np.array([words[0] for words in states], np.uint64)
     if b == 0:  # NoiseSpec rejects any other b that is not > 0
-        return np.zeros((len(seeds), n))
-    if len(seeds) == 1:  # the row is the batch: no copy
-        return sample_noise(NoiseSpec(family, b, seeds[0]), n)[None]
-    noise = np.empty((len(seeds), n))
-    for row, seed in zip(noise, seeds):
-        row[...] = sample_noise(NoiseSpec(family, b, seed), n)
-    return noise
+        return seeds, np.zeros((len(states), n))
+    if len(states) == 1:  # the row is the batch: no copy
+        return seeds, sample_noise(NoiseSpec(family, b, _SeedWords(states[0])), n)[None]
+    noise = np.empty((len(states), n))
+    for row, words in zip(noise, states):
+        row[...] = sample_noise(NoiseSpec(family, b, _SeedWords(words)), n)
+    return seeds, noise
 
 
 def run_cell(plan: ExperimentPlan, cell: int, n: int, delta: float,
@@ -311,18 +315,13 @@ def run_cell(plan: ExperimentPlan, cell: int, n: int, delta: float,
 
     T = len(trials)
     seed, max_sq, mse = np.empty(T, np.uint64), np.empty(T), np.empty(T)
-    in_A = np.empty(T, bool) if n in _EVENT_A_SIZES else None
+    in_A = np.empty(T, bool)
     by_level = np.zeros((T, len(levels)), np.intp)
     step = _chunk_trials(n)
     for start in range(0, T, step):
         rows = slice(start, start + step)
-        # one PCG64 state per trial: its first word is the seed column's
-        # generate_state(1, uint64)[0]
-        states = [_trial_seed(plan.master_seed, cell, t).generate_state(4, np.uint64)
-                  for t in trials[rows]]
-        seed[rows] = [words[0] for words in states]
-        noise = _noise_batch(plan.noise_family, plan.noise_bound,
-                             [_SeedWords(words) for words in states], n)
+        seed[rows], noise = _noise_batch(plan.noise_family, plan.noise_bound,
+                                         plan.master_seed, cell, trials[rows], n)
 
         # W(f + e) = Wf + We: the noise is analyzed once, for event A, the
         # exceedances and, with Wf added, the estimate.  The noise is dead
@@ -330,8 +329,7 @@ def run_cell(plan: ExperimentPlan, cell: int, n: int, delta: float,
         # the thresholding and of the contraction check.
         c = system.analyze(noise)
         top = np.max(np.abs(c, out=noise), axis=-1)
-        if in_A is not None:
-            in_A[rows] = top <= bound
+        in_A[rows] = top <= bound
         exceeds = top > lam
         over = np.flatnonzero(exceeds)
         if over.size:  # the approximation block counts with the coarsest level
@@ -485,7 +483,7 @@ def _join(shares: Sequence[CellResult]) -> CellResult:
     """One cell's task shares, in trial order, as one result."""
     columns = ("trial", "seed", "max_sq_err", "mse", "in_A", "exceed_by_level")
     return replace(shares[0], **{k: np.concatenate([getattr(s, k) for s in shares])
-                                 for k in columns if getattr(shares[0], k) is not None})
+                                 for k in columns})
 
 
 def wilson_interval(successes: int, trials: int,
@@ -510,8 +508,10 @@ def estimate_event_probability(noise_family: str, b: float, n: int, trials: int,
                                master_seed: int = 0,
                                system="haar") -> tuple[float, tuple[float, float]]:
     """Empirical P(A) on ``system`` (as for :func:`~waveshrink.noise.in_event_A`)
-    with a Wilson 99% confidence interval.  Trial t draws its noise from
-    ``SeedSequence(master_seed, spawn_key=(0, t))``, and b = 0 is noise-free.
+    with a Wilson 99% confidence interval.  Trial t draws the noise of
+    :func:`run_cell`'s trial t of cell 0, and b = 0 is noise-free: for a plan
+    of this family, b and master seed, the hits over ``trials`` trials are
+    ``run_cell(plan, 0, n, delta, range(trials), system).in_A.sum()``.
 
     The trials run in p = :func:`_share_count` contiguous shares, share 0 on
     this thread and each other share on a thread of its own; the hits are
@@ -548,10 +548,9 @@ def _event_hits(family: str, b: float, system, bound: float, master_seed: int,
     :func:`_chunk_trials` rows.  Runs on helper threads: numpy's draws and
     large ufuncs release the GIL."""
     hits, step = 0, _chunk_trials(system.n)
-    for start in range(trials.start, trials.stop, step):
-        seeds = [_trial_seed(master_seed, 0, t)
-                 for t in range(start, min(start + step, trials.stop))]
-        c = system.analyze(_noise_batch(family, b, seeds, system.n))
+    for start in range(0, len(trials), step):
+        c = system.analyze(_noise_batch(family, b, master_seed, 0,
+                                        trials[start : start + step], system.n)[1])
         hits += int(np.count_nonzero(np.max(np.abs(c, out=c), axis=-1) <= bound))
     return hits
 
@@ -587,7 +586,7 @@ def summarize(plan: ExperimentPlan, cells: Sequence[CellResult]) -> list[CellSum
             if c is None:
                 continue
             within = np.mean(c.max_sq_err <= envelope * rate(n))
-            if c.in_A is not None:
+            if n in _EVENT_A_SIZES:
                 p_a = float(np.mean(c.in_A))
                 lo, hi = wilson_interval(int(np.sum(c.in_A)), len(c.in_A))
             else:
@@ -621,7 +620,7 @@ def write_reports(path, cells: Iterable[CellResult]) -> None:
     """JSON lines from the cells' columns, one per trial with the fixed field set."""
     def write(fh):
         for c in cells:
-            in_A = repeat(None) if c.in_A is None else c.in_A.tolist()
+            in_A = c.in_A.tolist() if c.n in _EVENT_A_SIZES else repeat(None)
             for row in zip(c.trial.tolist(), repeat(c.n), repeat(c.delta),
                            c.max_sq_err.tolist(), c.mse.tolist(), in_A,
                            c.exceed_by_level.sum(axis=-1).tolist(), c.seed.tolist()):

@@ -20,8 +20,8 @@ from .interval import IntervalSystem
 from .transform import HaarSystem, _as_samples
 
 NOISE_FAMILIES = ("uniform", "rademacher", "truncated", "mixture")
-# the sample counts at which simulate reports carry in_A (null elsewhere);
-# the event A itself is defined at every n
+# the sample counts at which simulate's writers print event A (in_A, and
+# p_A_hat; null and NaN elsewhere); the library gives it at every n
 EVENT_A_SIZES = (16, 256, 65536)
 
 Seed = Union[int, np.random.SeedSequence, "_SeedWords"]

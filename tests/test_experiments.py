@@ -99,10 +99,20 @@ class TestTrialSemantics:
         assert rep.in_A.tolist() == [True]
         assert not rep.exceed_by_level.any()
 
-    def test_event_flag_only_at_supported_sizes(self):
+    def test_event_flag_written_only_at_supported_sizes(self, tmp_path):
+        # the columns carry event A at every n; the reports print it, and
+        # the summaries estimate P(A), only at n in EVENT_A_SIZES
         plan = tiny_plan()
-        assert run_trial(plan, 0, 256, 1.0, 0).in_A.dtype == bool
-        assert run_trial(plan, 2, 512, 1.0, 0).in_A is None
+        cells = run_plan(plan, workers=1)
+        assert [(c.n, c.in_A.dtype, c.in_A.shape) for c in cells] == \
+            [(n, bool, (3,)) for n in (256, 256, 512, 512)]
+        write_reports(tmp_path / "r.jsonl", cells)
+        rows = [json.loads(line) for line in open(tmp_path / "r.jsonl")]
+        assert {(r["n"], type(r["in_A"])) for r in rows} == \
+            {(256, bool), (512, type(None))}
+        for s in summarize(plan, cells):
+            p = (s.p_A_hat, s.ci_lo, s.ci_hi)
+            assert all(map(math.isnan, p)) == (s.n == 512)
 
     def test_interval_system_trial(self):
         plan = tiny_plan(signal_kind="sine", alpha=1.0, system="interval",
@@ -256,7 +266,7 @@ class TestSerialization:
                 want.append([int(c.trial[i]), c.n, c.delta, float(c.max_sq_err[i]),
                              float(c.mse[i]), in_A, int(c.exceed_by_level[i].sum()),
                              int(c.seed[i])])
-        assert {c.n for c in cells if c.in_A is None} == {512}
+        assert {c.n for c in cells} - set(EVENT_A_SIZES) == {512}
         for line, values in zip(lines, want):
             row = json.loads(line)
             assert tuple(row) == _JSONL_FIELDS == (

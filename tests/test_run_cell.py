@@ -99,7 +99,7 @@ def linear_trial(plan, cell, n, delta, trial):
     if plan.noise_bound > 0:
         e = noise.sample_noise(noise.NoiseSpec(
             plan.noise_family, plan.noise_bound,
-            experiments._trial_seed(plan.master_seed, cell, trial)), n)
+            np.random.SeedSequence(plan.master_seed, spawn_key=(cell, trial))), n)
     c = system.analyze(e) + system.analyze(f)
     lo = 2 ** cfg.coarse_level
     c[lo:] = shrinkage.threshold_rule(plan.mode)(c[lo:], cfg.orthonormal_threshold)

@@ -4,26 +4,21 @@ This is ``run_trial`` and ``_assert_detail_contraction`` as the package had
 them before trials ran batched, cell by cell (:func:`waveshrink.experiments.run_cell`).
 One trial at a time, it rebuilds the signal and the config, analyzes the
 noise, the signal and the noisy samples through the pyramid functions, and
-walks the levels in Python.  The body is unchanged but for the imports and
-the event-A system: the run's Haar system at its coarse level, not "haar"
-(coarse level 0), since the event covers the approximation block, and for
-the result: a one-row :class:`~waveshrink.experiments.CellResult`.
+walks the levels in Python.  The body is unchanged but for the imports, the
+seed stream, built here from ``SeedSequence(master_seed, spawn_key=(cell,
+trial))``, and the event-A test: at every n, on the run's Haar system at its
+coarse level, not "haar" (coarse level 0), since the event covers the
+approximation block; and for the result: a one-row
+:class:`~waveshrink.experiments.CellResult`.
 
 The helpers at the end stack one-row results into a cell's columns and
 compare columns by their bytes, so a signed zero or a NaN cannot hide.
 """
 import dataclasses
 import math
-from typing import Optional
-
 import numpy as np
 
-from waveshrink.experiments import (
-    _EVENT_A_SIZES,
-    CellResult,
-    ExperimentPlan,
-    _trial_seed,
-)
+from waveshrink.experiments import CellResult, ExperimentPlan
 from waveshrink.interval import interval_dwt, interval_idwt
 from waveshrink.noise import NoiseSpec, in_event_A, sample_noise
 from waveshrink.shrinkage import ShrinkageConfig, apply_threshold, wavelet_system
@@ -36,7 +31,7 @@ def run_trial(plan: ExperimentPlan, cell: int, n: int, delta: float,
     """One pure Monte Carlo trial."""
     signal = make_signal(plan.signal_kind, plan.alpha, plan.holder_const)
     f = signal.sample(n)
-    seed_seq = _trial_seed(plan.master_seed, cell, trial)
+    seed_seq = np.random.SeedSequence(plan.master_seed, spawn_key=(cell, trial))
     seed_id = int(seed_seq.generate_state(1, np.uint64)[0])
 
     b_threshold = plan.noise_bound if plan.noise_bound > 0 else plan.threshold_bound
@@ -81,17 +76,16 @@ def run_trial(plan: ExperimentPlan, cell: int, n: int, delta: float,
     if exceed == 0 and plan.mode == "soft":
         _assert_detail_contraction(shrunk, signal_pyr, cfg.threshold)
 
-    member: Optional[bool] = None
-    if n in _EVENT_A_SIZES and plan.noise_bound > 0:
+    if plan.noise_bound > 0:
         member = in_event_A(e, plan.noise_bound,
                             system if system is not None
                             else HaarSystem(n, cfg.coarse_level)).member
-    elif n in _EVENT_A_SIZES:
+    else:
         member = True  # zero noise is trivially inside A
 
     return CellResult(n, delta, np.array([trial]), np.array([seed_id], np.uint64),
                       np.array([max_sq]), np.array([mse]),
-                      None if member is None else np.array([member]),
+                      np.array([member]),
                       np.array([list(by_level.values())], np.intp))
 
 
@@ -114,15 +108,13 @@ COLUMNS = ("trial", "seed", "max_sq_err", "mse", "in_A", "exceed_by_level")
 def stack(rows):
     """One cell's results, in order, as one result."""
     return dataclasses.replace(rows[0], **{
-        k: np.concatenate([getattr(r, k) for r in rows])
-        for k in COLUMNS if getattr(rows[0], k) is not None})
+        k: np.concatenate([getattr(r, k) for r in rows]) for k in COLUMNS})
 
 
 def take(result, i):
     """Row i of a result, as a one-row result."""
     return dataclasses.replace(result, **{
-        k: getattr(result, k)[i : i + 1]
-        for k in COLUMNS if getattr(result, k) is not None})
+        k: getattr(result, k)[i : i + 1] for k in COLUMNS})
 
 
 def oracle_cells(plan, trial=run_trial):
@@ -142,7 +134,4 @@ def assert_same_columns(got, want, columns=COLUMNS):
         assert (g.n, float(g.delta).hex()) == (w.n, float(w.delta).hex())
         for k in columns:
             a, b = getattr(g, k), getattr(w, k)
-            if a is None or b is None:
-                assert a is b, k
-            else:
-                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), k
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), k
