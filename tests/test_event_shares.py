@@ -1,6 +1,6 @@
 """estimate_event_probability splits its trials into contiguous shares, one
 thread each: the estimate must not depend on the share count, and no thread
-may outlive a call."""
+may outlive a call.  Its hits are cell 0's event-A column of run_cell."""
 import os
 import threading
 
@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from waveshrink import experiments
-from waveshrink.experiments import _share_count, estimate_event_probability
+from waveshrink.experiments import (
+    ExperimentPlan,
+    _chunk_trials,
+    _share_count,
+    estimate_event_probability,
+    run_cell,
+)
 from waveshrink.noise import NOISE_FAMILIES, NoiseSpec, sample_noise
 from waveshrink.shrinkage import wavelet_system
 from waveshrink.transform import HaarSystem
@@ -155,3 +161,35 @@ def test_bad_range_is_caught_before_any_share(shares, monkeypatch, b):
     with pytest.raises(ValueError, match="noise range b must be finite and > 0"):
         estimate_event_probability("uniform", b, 2 ** 14, 8)
     assert used == []
+
+
+# (system, plan fields) at which run_cell runs on the system the estimate
+# gets: Haar at coarse level 0, and interval N = 2
+CELL_SYSTEMS = {
+    "haar": (lambda n: HaarSystem(n, 0), dict(signal_kind="oddcusp", alpha=0.5)),
+    "interval-N2": (lambda n: wavelet_system("interval", n, 1.0, 2),
+                    dict(signal_kind="sine", alpha=1.0, system="interval", moments=2)),
+}
+
+
+@pytest.mark.parametrize("family", NOISE_FAMILIES)
+@pytest.mark.parametrize("name, n", [("haar", 16), ("haar", 256), ("haar", 2 ** 10),
+                                     ("haar", 2 ** 14), ("interval-N2", 256),
+                                     ("interval-N2", 2 ** 10), ("interval-N2", 2 ** 14)])
+@pytest.mark.parametrize("b", [1.0, 0.0])
+def test_estimate_is_cell_0_of_run_cell(monkeypatch, name, n, family, b):
+    """With a partial last batch and the bound at the median trial, so that
+    a trial drawn from another stream or counted in no batch changes the
+    count; b = 0 against a noise-free plan."""
+    make_system, fields = CELL_SYSTEMS[name]
+    system, trials, seed = make_system(n), 2 * _chunk_trials(n) + 1, 13
+    if b:
+        members = _tight_bound(monkeypatch, family, system, trials, seed)
+        assert 0 < members < trials
+    plan = ExperimentPlan(holder_const=1.0, noise_family=family, noise_bound=b,
+                          threshold_bound=None if b else 1.0, ns=(n,), deltas=(1.0,),
+                          trials=trials, master_seed=seed, **fields)
+    hits = int(run_cell(plan, 0, n, 1.0, range(trials), system).in_A.sum())
+    assert hits == (members if b else trials)
+    assert estimate_event_probability(family, b, n, trials, seed, system) == \
+        (hits / trials, experiments.wilson_interval(hits, trials))
