@@ -77,7 +77,14 @@ from .shrinkage import (
     wavelet_systems,
 )
 from .signals import make_signal
-from .transform import _block_count, _run_blocks, haar_dwt, haar_idwt, is_integer
+from .transform import (
+    _block_count,
+    _run_blocks,
+    haar_dwt,
+    haar_idwt,
+    is_boolean,
+    is_integer,
+)
 
 # Trials run batched through the system objects and read event A off their
 # noise coefficients, so the pyramid functions haar_dwt, haar_idwt,
@@ -149,7 +156,7 @@ class ExperimentPlan:
             if f.name in _TEXT_FIELDS or (value is None and f.default is None):
                 continue
             for v in {"ns": ns, "deltas": deltas}.get(f.name, (value,)):
-                if isinstance(v, (bool, np.bool_)):
+                if is_boolean(v):
                     raise ValueError(f"{f.name}: a boolean is not a number, got {value!r}")
                 # ns entries have their own rule, whole numbers, below
                 if f.name != "ns" and not isinstance(v, numbers.Real):
@@ -522,7 +529,7 @@ def estimate_event_probability(noise_family: str, b: float, n: int, trials: int,
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     check_master_seed(master_seed)
     check_family(noise_family)
-    if b != 0:
+    if b != 0 or is_boolean(b):  # False is not the noise-free b = 0
         check_noise_range(b)
     system = _system_at(system, n)
     bound = coefficient_bound(b, system)

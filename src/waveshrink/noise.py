@@ -17,7 +17,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .interval import IntervalSystem
-from .transform import HaarSystem, _as_samples
+from .transform import HaarSystem, _as_samples, is_boolean
 
 NOISE_FAMILIES = ("uniform", "rademacher", "truncated", "mixture")
 # the sample counts at which simulate's writers print event A (in_A, and
@@ -67,7 +67,7 @@ def check_family(family: str) -> None:
 
 def check_noise_range(b: float) -> None:
     """The one check of a total noise range b."""
-    if not (math.isfinite(b) and b > 0):
+    if is_boolean(b) or not (math.isfinite(b) and b > 0):
         raise ValueError(f"noise range b must be finite and > 0, got {b}")
 
 

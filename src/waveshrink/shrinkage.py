@@ -17,6 +17,7 @@ from .transform import (
     finest_level,
     haar_dwt,
     haar_idwt,
+    is_boolean,
     is_integer,
     _all_finite,
     _block_count,
@@ -94,10 +95,10 @@ def apply_threshold(pyramid: CoefficientPyramid, lam: float, mode: str = "soft")
 def compute_threshold(n: int, delta: float, b: float, c_phi: float = 1.0) -> float:
     """Shrinkage threshold c_phi * b * (1 + 2*sqrt((1+delta)*ln 2)) * sqrt(log2(n)/n)."""
     finest_level(n)
-    if not (math.isfinite(delta) and delta >= 0):
+    if is_boolean(delta) or not (math.isfinite(delta) and delta >= 0):
         raise ValueError(f"delta must be finite and >= 0, got {delta}")
     check_noise_range(b)
-    if not (math.isfinite(c_phi) and c_phi >= 1):
+    if is_boolean(c_phi) or not (math.isfinite(c_phi) and c_phi >= 1):
         raise ValueError(f"wavelet-system constant must be finite and >= 1, got {c_phi}")
     return c_phi * b * (1.0 + 2.0 * math.sqrt((1.0 + delta) * math.log(2.0))) \
         * math.sqrt(math.log2(n) / n)
@@ -109,7 +110,7 @@ class MinSamples(NamedTuple):
 
 
 def _check_alpha(alpha: float) -> None:
-    if not (math.isfinite(alpha) and alpha > 0):
+    if is_boolean(alpha) or not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")
 
 
@@ -250,7 +251,8 @@ class ShrinkageConfig:
         object.__setattr__(self, "moments",
                            system_moments(self.system, self.alpha, self.moments))
         threshold_rule(self.mode)
-        if not (math.isfinite(self.holder_const) and self.holder_const > 0):
+        if is_boolean(self.holder_const) or not (
+                math.isfinite(self.holder_const) and self.holder_const > 0):
             raise ValueError(
                 f"smoothness-class constant M must be finite and > 0, "
                 f"got {self.holder_const}")

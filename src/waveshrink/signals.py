@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .transform import _as_samples
+from .transform import _as_samples, is_boolean
 
 # each signal kind and the largest alpha its certificate covers
 _CERTIFIED_ALPHA = {"constant": math.inf, "linear": 2, "cusp": 1, "oddcusp": 1,
@@ -70,7 +70,8 @@ def _weierstrass_evaluator(alpha: float, M: float):
 
 def _check_class(alpha: float, M: float) -> None:
     """The one check of a Hölder class (alpha, M)."""
-    if not (math.isfinite(alpha) and alpha > 0 and math.isfinite(M) and M > 0):
+    if is_boolean(alpha) or is_boolean(M) or not (
+            math.isfinite(alpha) and alpha > 0 and math.isfinite(M) and M > 0):
         raise ValueError(f"need finite alpha > 0 and M > 0, got alpha={alpha}, M={M}")
 
 

@@ -39,6 +39,12 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_boolean(value) -> bool:
+    """A Python or numpy bool (JSON true/false): never a number to the input
+    rules, though it passes as 1 or 0 in arithmetic."""
+    return isinstance(value, (bool, np.bool_))
+
+
 def finest_level(n: int) -> int:
     """J with n = 2**J: the one check of a sample count, an integer power of
     two >= 2."""

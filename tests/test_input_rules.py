@@ -5,10 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from waveshrink.experiments import ExperimentPlan, estimate_event_probability
+from waveshrink.experiments import ExperimentPlan, estimate_event_probability, fit_rate
 from waveshrink.interval import GeometryError, build_interval_system
 from waveshrink.noise import NoiseSpec, in_event_A
-from waveshrink.shrinkage import compute_levels, compute_threshold
+from waveshrink.shrinkage import (
+    ShrinkageConfig,
+    compute_levels,
+    compute_threshold,
+    min_samples,
+)
 from waveshrink.signals import SIGNAL_KINDS, make_signal
 from waveshrink.transform import HaarSystem, haar_coeff_closed_form
 
@@ -50,11 +55,62 @@ NOISE_RANGE_ENTRY_POINTS = {
 }
 
 
+# a bool passes as the number 1 or 0, and JSON true and false load as bools
+BOOLEANS = [True, False, np.True_, np.False_]
+
+
 @pytest.mark.parametrize("entry", NOISE_RANGE_ENTRY_POINTS)
-@pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf, 0.0, -1.0] + BOOLEANS)
 def test_noise_range_rule(entry, b):
     with pytest.raises(ValueError, match=NOISE_RANGE_MESSAGE):
         NOISE_RANGE_ENTRY_POINTS[entry](b)
+
+
+@pytest.mark.parametrize("b", BOOLEANS)
+def test_event_estimate_takes_no_boolean_range(b):
+    # b = 0 is the estimate's noise-free case, and False must not pass as it
+    with pytest.raises(ValueError, match=NOISE_RANGE_MESSAGE):
+        estimate_event_probability("uniform", b, 16, 2)
+
+
+def config(**overrides):
+    base = dict(n=512, alpha=1.0, holder_const=1.0, noise_bound=1.0, delta=1.0)
+    return ShrinkageConfig.build(**{**base, **overrides})
+
+
+# (entry point, message) per number that a rule owns, for the bool cases
+NUMBER_ENTRY_POINTS = {
+    "compute_threshold-delta": (lambda v: compute_threshold(256, v, 1.0),
+                                "delta must be finite and >= 0"),
+    "compute_threshold-c_phi": (lambda v: compute_threshold(256, 1.0, 1.0, v),
+                                "wavelet-system constant must be finite and >= 1"),
+    "ShrinkageConfig-delta": (lambda v: config(delta=v), "delta must be finite and >= 0"),
+    "ShrinkageConfig-b": (lambda v: config(noise_bound=v), NOISE_RANGE_MESSAGE),
+    "ShrinkageConfig-M": (lambda v: config(holder_const=v),
+                          "smoothness-class constant M must be finite and > 0"),
+    "ShrinkageConfig-alpha": (lambda v: config(alpha=v), "alpha must be finite and > 0"),
+    "compute_levels-alpha": (lambda v: compute_levels(256, v), "alpha must be finite and > 0"),
+    "min_samples-alpha": (min_samples, "alpha must be finite and > 0"),
+    "fit_rate-alpha": (lambda v: fit_rate([16, 32, 64, 128], [1.0, 0.5, 0.25, 0.125], v),
+                       "alpha must be finite and > 0"),
+    "make_signal-alpha": (lambda v: make_signal("sine", v, 1.0),
+                          "need finite alpha > 0 and M > 0"),
+    "make_signal-M": (lambda v: make_signal("sine", 1.0, v), "need finite alpha > 0 and M > 0"),
+}
+
+
+@pytest.mark.parametrize("entry", NUMBER_ENTRY_POINTS)
+@pytest.mark.parametrize("value", BOOLEANS)
+def test_booleans_are_not_numbers(entry, value):
+    call, message = NUMBER_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=message):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", NUMBER_ENTRY_POINTS)
+def test_number_entry_points_take_numbers(entry):
+    # the valid value that the bool True would pass as
+    NUMBER_ENTRY_POINTS[entry][0](1)
 
 
 # entry points that take a master seed
