@@ -63,10 +63,18 @@ def _all_finite(x: np.ndarray) -> bool:
     return math.isfinite(total) or bool(np.all(np.isfinite(x)))
 
 
+def _real_array(values) -> np.ndarray:
+    """``values`` as a float array, without a copy of a float64 array.
+    Complex values raise: the cast would drop their imaginary parts."""
+    if np.iscomplexobj(values):
+        raise ValueError("samples must be real, got complex values")
+    return np.asarray(values, dtype=float)
+
+
 def _as_samples(values) -> np.ndarray:
     """``values`` as a finite 1-d float array.  Its length is checked where it
     is used, by :func:`finest_level` or against a system's n."""
-    y = np.asarray(values, dtype=float)
+    y = _real_array(values)
     if y.ndim != 1:
         raise ValueError(f"expected a 1-d sample vector, got shape {y.shape}")
     if not _all_finite(y):
@@ -149,7 +157,7 @@ class CoefficientPyramid:
 
 def _last_axis(values, n: int) -> np.ndarray:
     """``values`` as a float array of length n along the last axis."""
-    x = np.asarray(values, dtype=float)
+    x = _real_array(values)
     if x.shape[-1:] != (n,):
         raise ValueError(f"expected length {n} along the last axis, got shape {x.shape}")
     return x

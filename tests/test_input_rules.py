@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 
 from waveshrink.experiments import ExperimentPlan, estimate_event_probability, fit_rate
-from waveshrink.interval import GeometryError, build_interval_system
+from waveshrink.interval import GeometryError, build_interval_system, interval_dwt
 from waveshrink.noise import NoiseSpec, in_event_A
 from waveshrink.shrinkage import (
     ShrinkageConfig,
     compute_levels,
     compute_threshold,
     min_samples,
+    shrink,
+    wavelet_system,
 )
-from waveshrink.signals import SIGNAL_KINDS, make_signal
-from waveshrink.transform import HaarSystem, haar_coeff_closed_form
+from waveshrink.signals import SIGNAL_KINDS, check_holder, make_signal
+from waveshrink.transform import HaarSystem, haar_coeff_closed_form, haar_dwt
 
 SAMPLE_COUNT_MESSAGE = "sample count must be a power of two >= 2"
 NOISE_RANGE_MESSAGE = "noise range b must be finite and > 0"
@@ -158,3 +160,34 @@ def test_unknown_signal_kind_message():
         make_signal("spline", 1.0, 1.0)
     assert str(exc.value) == (f"unknown signal kind 'spline'; choose from "
                               f"{SIGNAL_KINDS}")
+
+
+def interval_system():
+    return wavelet_system("interval", 256, 1.0, 2)
+
+
+# entry points that take samples, or a batch of them along the last axis
+SAMPLE_ENTRY_POINTS = {
+    "shrink": lambda y: shrink(y, config(n=256, alpha=0.5)),
+    "shrink-batch": lambda y: shrink(np.stack([y, y]), config(n=256, alpha=0.5)),
+    "in_event_A": lambda y: in_event_A(y, 1.0),
+    "haar_dwt": lambda y: haar_dwt(y, 0),
+    "haar_coeff_closed_form": lambda y: haar_coeff_closed_form(y, 0, 0),
+    "HaarSystem.analyze": lambda y: HaarSystem(256, 0).analyze(y),
+    "HaarSystem.synthesize": lambda y: HaarSystem(256, 0).synthesize(y),
+    "IntervalSystem.analyze": lambda y: interval_system().analyze(y),
+    "IntervalSystem.synthesize": lambda y: interval_system().synthesize(y),
+    "interval_dwt": lambda y: interval_dwt(y, interval_system()),
+    "check_holder": lambda y: check_holder(y, 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("entry", SAMPLE_ENTRY_POINTS)
+def test_complex_samples_are_rejected(entry):
+    # the cast to float would drop the imaginary parts, with only a warning
+    y = np.full(256, 0.25 + 0.5j)
+    with pytest.raises(ValueError, match="samples must be real, got complex values"):
+        SAMPLE_ENTRY_POINTS[entry](y)
+    with pytest.raises(ValueError, match="samples must be real"):
+        SAMPLE_ENTRY_POINTS[entry](y.real.tolist()[:-1] + [0.5j])
+    SAMPLE_ENTRY_POINTS[entry](y.real)
