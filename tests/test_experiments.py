@@ -107,7 +107,8 @@ class TestTrialSemantics:
         assert [(c.n, c.in_A.dtype, c.in_A.shape) for c in cells] == \
             [(n, bool, (3,)) for n in (256, 256, 512, 512)]
         write_reports(tmp_path / "r.jsonl", cells)
-        rows = [json.loads(line) for line in open(tmp_path / "r.jsonl")]
+        text = (tmp_path / "r.jsonl").read_text()
+        rows = [json.loads(line) for line in text.splitlines()]
         assert {(r["n"], type(r["in_A"])) for r in rows} == \
             {(256, bool), (512, type(None))}
         for s in summarize(plan, cells):
