@@ -1,6 +1,7 @@
 """Build time, transform time and peak RSS of the interval system over an n grid.
 
-Each n runs in a fresh interpreter, so its peak RSS is its own.  dwt+idwt
+Each n runs in a fresh interpreter, so its peak RSS is its own; an n whose
+run fails prints its last error line and makes the script exit 1.  dwt+idwt
 is one ``IntervalSystem.analyze`` and one ``synthesize`` of a single signal:
 the orthonormal transform and its inverse in the flat coefficient layout,
 with no rescaling and no split into levels.  The same pair is also timed on
@@ -71,6 +72,7 @@ def main() -> int:
         return 0
     print(f"{'n':>7} {'build_s':>9} {'dwt+idwt_ms':>12} {'1row_ns/v':>10} {'rows':>5} "
           f"{'batch_ns/v':>11} {'haar_ns/v':>10} {'ratio':>6} {'peak_rss_mb':>12}")
+    failed = False
     for e in range(args.min_exp, args.max_exp + 1):
         proc = subprocess.run(
             [sys.executable, __file__, "--moments", str(args.moments),
@@ -78,6 +80,7 @@ def main() -> int:
             capture_output=True, text=True)
         if proc.returncode != 0:
             print(f"{2 ** e:>7} failed: {proc.stderr.strip().splitlines()[-1]}")
+            failed = True
             continue
         r = json.loads(proc.stdout)
         print(f"{r['n']:>7} {r['build_s']:>9.4f} {r['dwt_idwt_ms']:>12.3f} "
@@ -85,7 +88,7 @@ def main() -> int:
               f"{r['batch_ns_per_value']:>11.1f} {r['haar_ns_per_value']:>10.1f} "
               f"{r['batch_ns_per_value'] / r['haar_ns_per_value']:>6.2f} "
               f"{r['peak_rss_mb']:>12.1f}")
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

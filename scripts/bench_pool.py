@@ -8,9 +8,9 @@ run.  The 1-worker and k-worker runs alternate, ``--repeats`` times each, and
 the medians are printed.  The k-worker runs shard the tasks over
 ``min(k, tasks)`` processes whatever the plan's size (``_POOL_VALUES`` set to
 1), so every row shows what a pool costs or saves; ``rule`` is the process
-count run_plan picks for the plan at k workers, where 1 means the tasks run in
-the caller.  A ratio under 1 where ``rule`` is 1, or over 1 where it is more,
-says the constant does not fit this host.
+count run_plan cuts the plan's tasks for at k workers, where 1 means they run
+in the caller.  A ratio under 1 where ``rule`` is 1, or over 1 where it is
+more, says the constant does not fit this host.
 
     PYTHONPATH=src python scripts/bench_pool.py --workers 2 --trials 40 160 640
 """
@@ -71,8 +71,7 @@ def main() -> int:
                 for times, workers in sides:
                     times.append(timed_run(plan, workers))
             values = plan.trials * len(plan.deltas) * sum(plan.ns)
-            rule = max(1, experiments._task_processes(
-                plan, experiments._plan_tasks(plan, k), k))
+            rule = max(1, experiments._task_processes(plan, k))
             w1, wk = statistics.median(one), statistics.median(many)
             print(f"{name:>8} {trials:>6} {values / 2 ** 20:>9.2f} {1e3 * w1:>9.1f} "
                   f"{1e3 * wk:>9.1f} {wk / w1:>6.2f} {rule:>4}")

@@ -260,9 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="master seed; overrides the plan's master_seed")
     p.add_argument("--workers", type=int, default=1,
-                   help="most worker processes (default 1); the tasks of a plan "
-                        "under 2 * 2^18 noise values run in this process, and "
-                        "missing interval systems are still built in a pool")
+                   help="most worker processes (default 1); a plan under "
+                        "2 * 2^18 noise values runs in this process")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("rates", help="fit convergence rates from summary CSVs")

@@ -7,8 +7,8 @@ regardless of execution order or worker count.
 
 :func:`run_plan` runs each cell as tasks, each a share of the cell's trials:
 one task per cell in the calling process, and with a pool about one share per
-process, never smaller than one batch.  A plan gets a pool for its tasks only
-when it draws enough noise values to pay for one (``_POOL_VALUES``).  A task
+process, never smaller than one batch.  A plan gets a pool only when it draws
+enough noise values to pay for one (``_POOL_VALUES``).  A task
 is one :func:`run_cell` call, which makes the signal, the config and the
 signal's coefficients Wf once and runs its trials through the transform,
 thresholding, error and exceedance computations in (trials, n) batches.  A
@@ -29,10 +29,10 @@ columns, event A among them at every n; the writers print it only at n in
 Interval systems come from one store per process
 (:func:`~waveshrink.shrinkage.wavelet_systems`).  :func:`run_plan` resolves
 the system of each n before any task runs: systems missing from the
-caller's store are built once each, in a pool's workers whenever there is
-more than one worker, and kept in the caller.  Every task then carries its
-system, so workers never build one for a task, whatever the start method,
-and a process that runs several plans on the same systems builds each once.
+caller's store are built once each, by the plan's pool if it has one, else
+in the caller, and kept in the caller.  Every task then carries its system,
+so workers never build one for a task, whatever the start method, and a
+process that runs several plans on the same systems builds each once.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ import json
 import math
 import numbers
 import os
-from contextlib import ExitStack
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from itertools import groupby, repeat
 from typing import Iterable, Optional, Sequence
@@ -70,7 +70,6 @@ from .shrinkage import (
     _threshold_in_place,
     apply_threshold,
     coarse_level_for,
-    min_samples,
     system_moments,
     threshold_rule,
     wavelet_system,
@@ -112,8 +111,9 @@ _SHARE_MIN_N = 2 ** 14
 #   interval N = 2, n = 2^8..2^12:  0.21 1.85, 0.41 1.17, 0.82 0.98, 3.3 0.61
 # Both cross 1 between 0.4 and 1 Mi values.  The 0.83 Mi Haar plan gets two
 # processes, the rule's one miss; the 0.82 Mi interval plan gets two at a tie.
-# Missing interval systems are built in a pool at any plan size:
-# one N = 2 build took 24, 38 and 56 ms at n = 2^8, 2^10 and 2^12.
+# Under the rule the missing interval systems are built in the caller too: a
+# cold N = 2 plan at n = 2^8, 2^10, 2^12 with 40 trials took 0.073 s that
+# way, against 0.096 s with a 2-process pool for its builds alone.
 _POOL_VALUES = 2 ** 18
 # Percentile of max_sq_err / rate at the smallest n that sets the envelope.
 _ENVELOPE_QUANTILE = 99.9
@@ -195,11 +195,6 @@ class ExperimentPlan:
                 raise ValueError(f"{name} must not repeat a value, got {list(values)}")
         object.__setattr__(self, "ns", ns)
         object.__setattr__(self, "deltas", deltas)
-
-    def below_range(self, n: int) -> bool:
-        """True when n is below the deviation bounds' minimal sample count.
-        Such cells still run, and the bounds do not apply to them."""
-        return n < min_samples(self.alpha).padded
 
     def cells(self) -> list[tuple[int, int, float]]:
         """(cell index, n, delta) in deterministic order."""
@@ -418,16 +413,16 @@ def _run_task(task) -> CellResult:
     return run_cell(*task)
 
 
-def _plan_tasks(plan: ExperimentPlan, workers: int) -> list[tuple]:
+def _plan_tasks(plan: ExperimentPlan, shares: int) -> list[tuple]:
     """(plan, cell, n, delta, trial range) per task, in (cell, trial) order.
 
-    A task is a share of one cell: ``trials / workers`` trials, rounded up,
-    but never fewer than one batch of :func:`_chunk_trials`, so one worker
-    gets one task per cell and no cell has more tasks than batches.
+    A task is a share of one cell: ``trials / shares`` trials, rounded up,
+    but never fewer than one batch of :func:`_chunk_trials`, so one share
+    is one task per cell and no cell has more tasks than batches.
     """
     tasks = []
     for cell, n, delta in plan.cells():
-        step = max(_chunk_trials(n), -(-plan.trials // workers))
+        step = max(_chunk_trials(n), -(-plan.trials // shares))
         for start in range(0, plan.trials, step):
             tasks.append((plan, cell, n, delta,
                           range(start, min(start + step, plan.trials))))
@@ -438,36 +433,33 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> list[CellResult]:
     """One :class:`CellResult` per cell in ``plan.cells()`` order; none without trials.
 
     ``workers`` is an integer >= 1, the most processes a pool gets.  The
-    tasks get :func:`_task_processes` processes; when that is 1 or less they
-    run here, one task per cell.  The system of each n is resolved once,
-    before any task runs, and sent with every task of that n.  Interval
-    systems missing from this process's store are built by a pool whenever
-    ``workers`` > 1, else here, and stored here, so a later call with the
-    same systems builds none and, if its tasks run here, starts no pool.
+    tasks are cut for p = :func:`_task_processes` processes, and a pool of
+    ``min(p, tasks)`` processes builds the interval systems missing from
+    this process's store and then runs the tasks.  When that is 1 or less,
+    both run here, one task per cell, and no process starts.  The system of
+    each n is resolved once, before any task runs, stored here and sent
+    with every task of that n, so a later call with the same systems
+    builds none.
     """
     if not (is_integer(workers) and workers >= 1):
         raise ValueError(f"worker count must be an integer >= 1, got {workers!r}")
-    tasks = _plan_tasks(plan, workers)
-    processes = _task_processes(plan, tasks, workers)
-    with ExitStack() as stack:
-        if processes > 1:
-            task_map = build_map = stack.enter_context(_pool(processes)).map
-        else:
-            tasks, task_map, build_map = _plan_tasks(plan, 1), map, map
-            if workers > 1:
-                build_map = _pool_map(workers)
+    p = _task_processes(plan, workers)
+    tasks = _plan_tasks(plan, max(p, 1))
+    processes = min(p, len(tasks))
+    with _pool(processes) if processes > 1 else nullcontext() as pool:
+        task_map = pool.map if pool else map
         systems = wavelet_systems(plan.system, {t[2] for t in tasks},
-                                  plan.alpha, plan.moments, build_map=build_map)
+                                  plan.alpha, plan.moments, build_map=task_map)
         shares = list(task_map(_run_task, [t + (systems[t[2]],) for t in tasks]))
     return [_join(list(cell)) for _, cell in groupby(shares, lambda s: (s.n, s.delta))]
 
 
-def _task_processes(plan: ExperimentPlan, tasks: list, workers: int) -> int:
-    """Processes for ``tasks``, the plan's tasks for ``workers``:
-    ``min(workers, tasks, values // _POOL_VALUES)``, where ``values`` is the
-    number of noise values the plan draws."""
+def _task_processes(plan: ExperimentPlan, workers: int) -> int:
+    """p = ``min(workers, values // _POOL_VALUES)``, the processes a plan's
+    tasks are cut for, where ``values`` is the number of noise values the
+    plan draws; at 1 or less everything runs in the caller."""
     values = plan.trials * len(plan.deltas) * sum(plan.ns)
-    return min(workers, len(tasks), values // _POOL_VALUES)
+    return min(workers, values // _POOL_VALUES)
 
 
 def _pool(processes: int):
@@ -475,15 +467,6 @@ def _pool(processes: int):
     # imported here: multiprocessing costs a tenth of the package import
     from concurrent.futures import ProcessPoolExecutor
     return ProcessPoolExecutor(max_workers=processes)
-
-
-def _pool_map(workers: int):
-    """A ``map`` that runs in a pool of its own, of at most ``workers``
-    processes and one per item, and shuts the pool down before it returns."""
-    def pool_map(fn, items: list) -> list:
-        with _pool(min(workers, len(items))) as pool:
-            return list(pool.map(fn, items))
-    return pool_map
 
 
 def _join(shares: Sequence[CellResult]) -> CellResult:
@@ -518,7 +501,8 @@ def estimate_event_probability(noise_family: str, b: float, n: int, trials: int,
     with a Wilson 99% confidence interval.  Trial t draws the noise of
     :func:`run_cell`'s trial t of cell 0, and b = 0 is noise-free: for a plan
     of this family, b and master seed, the hits over ``trials`` trials are
-    ``run_cell(plan, 0, n, delta, range(trials), system).in_A.sum()``.
+    ``run_cell(plan, 0, n, delta, range(trials), system).in_A.sum()``, so at
+    b = 0 every trial, and no noise is drawn.
 
     The trials run in p = :func:`_share_count` contiguous shares, share 0 on
     this thread and each other share on a thread of its own; the hits are
@@ -532,6 +516,8 @@ def estimate_event_probability(noise_family: str, b: float, n: int, trials: int,
     if b != 0 or is_boolean(b):  # False is not the noise-free b = 0
         check_noise_range(b)
     system = _system_at(system, n)
+    if b == 0:  # every noise-free trial is in A: nothing to draw
+        return 1.0, wilson_interval(trials, trials)
     bound = coefficient_bound(b, system)
     p = _share_count(n, trials)
     hits = sum(_run_blocks(_event_hits, [

@@ -65,10 +65,14 @@ def _all_finite(x: np.ndarray) -> bool:
 
 def _real_array(values) -> np.ndarray:
     """``values`` as a float array, without a copy of a float64 array.
-    Complex values raise: the cast would drop their imaginary parts."""
+    Complex values raise: the cast would drop their imaginary parts, or fail
+    on complex numbers in an object array."""
     if np.iscomplexobj(values):
         raise ValueError("samples must be real, got complex values")
-    return np.asarray(values, dtype=float)
+    try:
+        return np.asarray(values, dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"samples must be real: {exc}") from exc
 
 
 def _as_samples(values) -> np.ndarray:

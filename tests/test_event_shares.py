@@ -93,6 +93,20 @@ def test_noise_free_shares(shares, p):
         (1.0, experiments.wilson_interval(7, 7))
 
 
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_noise_free_estimate_draws_nothing(shares, monkeypatch, name):
+    """Every noise-free trial is in A: no trial's stream is derived and no
+    share runs."""
+    def refuse(*args):
+        raise AssertionError(f"noise drawn for {args}")
+
+    monkeypatch.setattr(experiments, "_noise_batch", refuse)
+    used, system = shares(), SYSTEMS[name]()
+    assert estimate_event_probability("mixture", 0.0, system.n, 4000, 3, system) == \
+        (1.0, experiments.wilson_interval(4000, 4000))
+    assert used == []
+
+
 def test_share_count_rule(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
     assert _share_count(2 ** 13, 10 ** 4) == 1   # rows too short

@@ -59,10 +59,6 @@ class TestPlan:
             with pytest.raises(ValueError, match="whole numbers"):
                 tiny_plan(ns=(bad,))
 
-    def test_below_range(self):
-        assert tiny_plan().below_range(256)
-        assert not tiny_plan().below_range(512)
-
 
 class TestDeterminism:
     def test_trial_is_pure(self):

@@ -190,4 +190,9 @@ def test_complex_samples_are_rejected(entry):
         SAMPLE_ENTRY_POINTS[entry](y)
     with pytest.raises(ValueError, match="samples must be real"):
         SAMPLE_ENTRY_POINTS[entry](y.real.tolist()[:-1] + [0.5j])
+    # in an object array the float cast itself fails on a complex number
+    for objects in (y.astype(object), np.array(y.real.tolist()[:-1] + [1 + 0j], object)):
+        with pytest.raises(ValueError, match="samples must be real"):
+            SAMPLE_ENTRY_POINTS[entry](objects)
     SAMPLE_ENTRY_POINTS[entry](y.real)
+    SAMPLE_ENTRY_POINTS[entry](y.real.astype(object))

@@ -194,16 +194,16 @@ CELL_SHARES = {
 }
 
 
-@pytest.mark.parametrize("workers", sorted(CELL_SHARES))
-def test_tasks_are_cell_shares(workers):
+@pytest.mark.parametrize("shares", sorted(CELL_SHARES))
+def test_tasks_are_cell_shares(shares):
     plan = plan_of(ns=(1024, 2 ** 12, 2 ** 14), deltas=(0.5, 1.0), trials=50)
-    tasks = experiments._plan_tasks(plan, workers)
+    tasks = experiments._plan_tasks(plan, shares)
     assert [(task[1], t) for task in tasks for t in task[-1]] == \
         [(cell, t) for cell, _, _ in plan.cells() for t in range(plan.trials)]
     for cell, n, delta in plan.cells():
-        shares = [task for task in tasks if task[1] == cell]
-        assert all(task[:4] == (plan, cell, n, delta) for task in shares)
-        assert [len(task[-1]) for task in shares] == CELL_SHARES[workers][n]
+        cell_tasks = [task for task in tasks if task[1] == cell]
+        assert all(task[:4] == (plan, cell, n, delta) for task in cell_tasks)
+        assert [len(task[-1]) for task in cell_tasks] == CELL_SHARES[shares][n]
 
 
 def test_run_cell_makes_the_signal_once(analyzed, monkeypatch):
@@ -498,19 +498,31 @@ class TestWorkers:
         assert_same_columns(run_plan(plan, workers=2), serial)
         assert pools.sizes == []
 
-    def test_cold_store_under_the_rule_builds_in_a_pool(self, pools, store,
-                                                        monkeypatch):
-        plan = interval_plan()  # three systems, tasks under the rule
+    def test_cold_store_under_the_rule_starts_no_pool(self, pools, store,
+                                                      monkeypatch):
+        plan = interval_plan()  # three systems, under the rule
         ran = []
         monkeypatch.setattr(experiments, "_run_task",
                             lambda task: ran.append(task) or run_cell(*task))
         got = run_plan(plan, workers=2)
-        assert pools.sizes == [2] and pools.mapped == ["_build_system"]
-        # one task per cell, run here
-        assert [t[1] for t in ran] == list(range(len(plan.cells())))
+        assert pools.sizes == []
+        # the systems are built and stored here, one task per cell runs here
         assert sorted(store) == [(2, 16, 3), (2, 256, 3), (2, 512, 3)]
+        assert [t[1] for t in ran] == list(range(len(plan.cells())))
         store.clear()
         assert_same_columns(got, run_plan(plan))
+
+    def test_tasks_are_cut_for_the_processes(self, pools, monkeypatch):
+        # 32 trials at n = 2^14 draw 2 * 2^18 values: eight workers get a
+        # pool of two, and the cell two tasks, not eight
+        plan = plan_of(ns=(2 ** 14,), deltas=(1.0,), trials=32)
+        ran = []
+        monkeypatch.setattr(experiments, "_run_task",
+                            lambda task: ran.append(task) or run_cell(*task))
+        got = run_plan(plan, workers=8)
+        assert pools.sizes == [2]
+        assert [t[-2] for t in ran] == [range(0, 16), range(16, 32)]
+        assert_same_columns(got, run_plan(plan, workers=1))
 
 
 @pytest.fixture
@@ -620,13 +632,16 @@ class TestRealPool:
         store.clear()
         assert_same_columns(parallel, run_plan(self.PLAN, workers=1))
 
-    def test_cold_store_under_the_rule_runs_the_tasks_here(self, store,
-                                                           monkeypatch, tmp_path):
+    def test_cold_store_under_the_rule_runs_everything_here(self, store,
+                                                            monkeypatch, tmp_path):
         builds, tasks = tmp_path / "builds", tmp_path / "tasks"
-        log_calls(monkeypatch, interval, "build_interval_system", builds)
+        build = log_calls(monkeypatch, interval, "build_interval_system", builds)
         log_calls(monkeypatch, experiments, "_run_task", tasks)
         got = run_plan(self.PLAN, workers=2)
-        assert len(logged_pids(builds)) == 2
-        assert os.getpid() not in logged_pids(builds)
+        assert logged_pids(builds) == [os.getpid()] * 2
         assert logged_pids(tasks) == [os.getpid()] * len(self.PLAN.cells())
+        assert multiprocessing.active_children() == []
+
+        monkeypatch.setattr(interval, "build_interval_system", build)
+        store.clear()
         assert_same_columns(got, run_plan(self.PLAN, workers=1))
