@@ -112,8 +112,10 @@ _SHARE_MIN_N = 2 ** 14
 # Both cross 1 between 0.4 and 1 Mi values.  The 0.83 Mi Haar plan gets two
 # processes, the rule's one miss; the 0.82 Mi interval plan gets two at a tie.
 # Under the rule the missing interval systems are built in the caller too: a
-# cold N = 2 plan at n = 2^8, 2^10, 2^12 with 40 trials took 0.073 s that
-# way, against 0.096 s with a 2-process pool for its builds alone.
+# cold N = 2 plan at n = 2^8, 2^10, 2^12 with 40 trials took 0.096 s that
+# way, against 0.122 s with a 2-process pool for its builds alone (median of
+# 10 fresh processes); a cold N = 5 plan at n = 2^10..2^16 with 4 trials,
+# whose builds cost far more than its trials, took 0.87 s against 0.57 s.
 _POOL_VALUES = 2 ** 18
 # Percentile of max_sq_err / rate at the smallest n that sets the envelope.
 _ENVELOPE_QUANTILE = 99.9
