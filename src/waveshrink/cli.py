@@ -164,11 +164,10 @@ def cmd_rates(args: argparse.Namespace) -> int:
     return status
 
 
-# (system, vanishing moments, n) checked by ``verify``: the round trip at
-# each, Parseval for Haar and the orthogonality of W for the interval systems
+# (system, vanishing moments, n) checked by ``verify``, each the same way:
+# the round trip, Parseval and the orthogonality of W
 _VERIFY_SYSTEMS = (("haar", None, 8), ("haar", None, 64), ("haar", None, 1024),
                    ("interval", 2, 128), ("interval", 3, 256))
-_ROUNDTRIP_TOL = {"haar": 1e-10, "interval": 1e-8}
 
 
 def _verify_systems(rng: np.random.Generator) -> list[str]:
@@ -178,16 +177,14 @@ def _verify_systems(rng: np.random.Generator) -> list[str]:
         where = f"{kind} N={system.moments}, n={n}"
         y = rng.standard_normal(n)
         coeffs = system.analyze(y)
-        if np.max(np.abs(system.synthesize(coeffs) - y)) > _ROUNDTRIP_TOL[kind]:
+        if np.max(np.abs(system.synthesize(coeffs) - y)) > 1e-10:
             problems.append(f"roundtrip failed ({where})")
-        if kind == "haar":
-            if abs(np.sum(coeffs ** 2) - np.sum(y ** 2)) > 1e-10 * n:
-                problems.append(f"Parseval failed ({where})")
-        else:
-            # row i is W e_i, so this is the transpose of W
-            Wt = system.analyze(np.eye(n))
-            if np.max(np.abs(Wt @ Wt.T - np.eye(n))) > 1e-8:
-                problems.append(f"orthogonality failed ({where})")
+        if abs(np.sum(coeffs ** 2) - np.sum(y ** 2)) > 1e-10 * n:
+            problems.append(f"Parseval failed ({where})")
+        # row i is W e_i, so this is the transpose of W
+        Wt = system.analyze(np.eye(n))
+        if np.max(np.abs(Wt @ Wt.T - np.eye(n))) > 1e-8:
+            problems.append(f"orthogonality failed ({where})")
     y = rng.standard_normal(256)
     system = wavelet_system("haar", 256, 1.0)
     coeffs = system.analyze(y)

@@ -313,7 +313,7 @@ def run_cell(plan: ExperimentPlan, cell: int, n: int, delta: float,
     lam, lo = cfg.orthonormal_threshold, 2 ** cfg.coarse_level
     bound = coefficient_bound(plan.noise_bound, system)
     signal_c = system.analyze(f)
-    contraction = _contraction_bound(signal_c, lam, cfg.coarse_level)
+    contraction = _contraction_bound(signal_c, lam, cfg.coarse_level, cfg.mode)
     levels = range(cfg.coarse_level, system.finest_level)
     starts = [0] + [2 ** j for j in levels[1:]]
 
@@ -347,7 +347,7 @@ def run_cell(plan: ExperimentPlan, cell: int, n: int, delta: float,
         scratch = noise.reshape(-1)[: math.prod(details)].reshape(details)
         _threshold_in_place(c[:, lo:], lam, cfg.mode, scratch)
         _assert_detail_contraction(c, signal_c, contraction, cfg.coarse_level,
-                                   exceeds, cfg.mode, scratch)
+                                   exceeds, scratch)
 
         sq = system.synthesize(c)
         sq -= f
@@ -366,14 +366,18 @@ def run_trial(plan: ExperimentPlan, cell: int, n: int, delta: float,
     return run_cell(plan, cell, n, delta, range(trial, trial + 1))
 
 
-def _contraction_bound(signal: np.ndarray, lam: float, coarse_level: int) -> np.ndarray:
-    """min(|d_f|, 2 lambda) + tol over the detail coefficients of ``signal``,
-    the noise-free signal's flat orthonormal coefficients (n,), at the
-    threshold ``lam``, lambda * sqrt(n).  The slack tol is 1e-12 in the
-    integral convention, so 1e-12 * sqrt(n) here."""
+def _contraction_bound(signal: np.ndarray, lam: float, coarse_level: int,
+                       mode: str) -> np.ndarray:
+    """min(|d_f|, 2 lambda) soft and min(max(|d_f|, lambda), 2 lambda) hard
+    (a kept coefficient moves by its noise), plus tol, over the detail
+    coefficients of ``signal``, the noise-free signal's flat orthonormal
+    coefficients (n,), at the threshold ``lam``, lambda * sqrt(n).  The
+    slack tol is 1e-12 in the integral convention, so 1e-12 * sqrt(n) here."""
     tol = 1e-12 * math.sqrt(signal.shape[-1])
-    # rounding is monotone, so this is exactly min(|d_f| + tol, 2 lambda + tol)
+    # rounding is monotone, so this is exactly the bound + tol
     bound = np.abs(signal[2 ** coarse_level :])
+    if mode == "hard":
+        np.maximum(bound, lam, out=bound)
     np.minimum(bound, 2 * lam, out=bound)
     bound += tol
     return bound
@@ -381,21 +385,17 @@ def _contraction_bound(signal: np.ndarray, lam: float, coarse_level: int) -> np.
 
 def _assert_detail_contraction(shrunk: np.ndarray, signal: np.ndarray,
                                bound: np.ndarray, coarse_level: int,
-                               exceed: np.ndarray, mode: str,
-                               scratch: np.ndarray) -> None:
-    """When every noise coefficient of a trial is under lambda, soft
-    thresholding must move each of its detail coefficients by at most
-    min(|d_f|, 2 lambda).
+                               exceed: np.ndarray, scratch: np.ndarray) -> None:
+    """When every noise coefficient of a trial is under lambda, thresholding
+    must move each of its detail coefficients by at most ``bound``.
 
     ``shrunk`` holds the thresholded coefficients of a batch (trials, n) and
     ``signal`` those of the noise-free signal (n,), both flat and orthonormal,
     and ``bound`` is :func:`_contraction_bound` of ``signal``.  Trials with
-    nonzero ``exceed`` (trials,) and hard thresholding are not checked.
-    ``scratch``, an array of the shape of the detail columns
-    ``shrunk[:, lo:]``, is overwritten with the differences.
+    nonzero ``exceed`` (trials,) are not checked.  ``scratch``, an array of
+    the shape of the detail columns ``shrunk[:, lo:]``, is overwritten with
+    the differences.
     """
-    if mode != "soft":
-        return
     lo = 2 ** coarse_level
     diff = np.subtract(shrunk[:, lo:], signal[lo:], out=scratch)
     np.abs(diff, out=diff)

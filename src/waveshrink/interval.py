@@ -52,9 +52,11 @@ import numpy as np
 from .transform import (
     CoefficientPyramid,
     GeometryError,
+    _WaveletSystem,
     _as_samples,
-    _last_axis,
-    finest_level,
+    _index,
+    _pyramid,
+    _samples,
     is_integer,
 )
 
@@ -624,21 +626,18 @@ class BasisRow(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False)
-class IntervalSystem:
-    """Orthogonal transform for the interval wavelet basis with N =
-    ``moments`` in 2..MAX_MOMENTS vanishing moments, in banded form.
+class IntervalSystem(_WaveletSystem):
+    """The interval wavelet system with N = ``moments`` in 2..MAX_MOMENTS
+    vanishing moments, in banded form.
 
     ``levels[i]`` is the map of level j = coarse_level + i: it takes the
     2^(j+1) scaling coefficients of level j+1 (the samples, at j = J-1) to
     the 2^j scaling and 2^j detail coefficients of level j.  Together they
-    make the orthogonal n x n transform W, which maps samples to
-    sqrt(n)-scaled coefficients ordered approx block first, then detail
-    levels coarse to fine.  W is never stored: :meth:`analyze` and
-    :meth:`synthesize` apply it and its transpose, and :meth:`row` gives one
-    of its rows as the transpose applied to a unit vector.  As on
-    :class:`~waveshrink.transform.HaarSystem`, ``_analyze_into`` and
-    ``_synthesize_into`` write the same bytes into a given output with a
-    given scratch.
+    make the orthogonal n x n transform W.  W is never stored: ``analyze``
+    and ``synthesize`` apply it and its transpose, one level at a time, and
+    :meth:`row` gives one of its rows as the transpose applied to a unit
+    vector.  Each level runs over all rows of a batch as one flat stream
+    (see :meth:`_Band.across`).
     """
 
     moments: int
@@ -646,10 +645,6 @@ class IntervalSystem:
     n: int
     levels: tuple[_Level, ...] = field(repr=False)
     c_phi_estimate: float = 1.0
-
-    @property
-    def finest_level(self) -> int:
-        return finest_level(self.n)
 
     @property
     def nbytes(self) -> int:
@@ -675,20 +670,15 @@ class IntervalSystem:
         buf = np.empty(3 * size // 2) if scratch is None else scratch.reshape(-1)
         return buf[:size], buf[size:]
 
-    def analyze(self, samples) -> np.ndarray:
-        """W applied along the last axis: (..., n) -> (..., n).
-
-        Each level runs over all rows of the batch as one stream (see
-        :meth:`_Band.across`), from the input itself at the finest level.  Its
-        scaling and detail outputs go to a scratch buffer laid out as (kind,
-        row, k); the edges overwrite the boundary entries there, and the
-        details are copied into place once."""
-        x = _last_axis(samples, self.n)
-        return self._analyze_into(x, None, None)
-
     def _analyze_into(self, x: np.ndarray, out, scratch) -> np.ndarray:
-        """:meth:`analyze` of the float array x into ``out``, with
-        ``scratch`` (see :meth:`_scratch`); each None is allocated."""
+        """``analyze`` of the float array x into ``out``, with ``scratch``
+        (see :meth:`_scratch`); each None is allocated.
+
+        Each level runs over all rows of the batch as one stream, from the
+        input itself at the finest level.  Its scaling and detail outputs go
+        to a scratch buffer laid out as (kind, row, k); the edges overwrite
+        the boundary entries there, and the details are copied into place
+        once."""
         if out is None:
             out = np.empty(x.shape)
         rows = out.size // self.n
@@ -715,20 +705,15 @@ class IntervalSystem:
         flat[:, :half] = y3[0]
         return out
 
-    def synthesize(self, coeffs) -> np.ndarray:
-        """W.T applied along the last axis: the inverse of :meth:`analyze`.
+    def _synthesize_into(self, c: np.ndarray, out, scratch) -> np.ndarray:
+        """``synthesize`` of the float array c into ``out``, with ``scratch``
+        (see :meth:`_scratch`); each None is allocated.
 
         Each level copies its details beside the scaling coefficients of the
         coarser level, in a scratch buffer laid out as (kind, row, k), takes
         the boundary entries out for the edges and zeroes them there, then
         runs the bands over all rows as one stream into zeros.  The zeroed
         entries add +-0 to sums that start at +0, which changes no bit."""
-        c = _last_axis(coeffs, self.n)
-        return self._synthesize_into(c, None, None)
-
-    def _synthesize_into(self, c: np.ndarray, out, scratch) -> np.ndarray:
-        """:meth:`synthesize` of the float array c into ``out``, with
-        ``scratch`` (see :meth:`_scratch`); each None is allocated."""
         if out is None:
             out = np.empty(c.shape)
         rows = out.size // self.n
@@ -767,10 +752,8 @@ class IntervalSystem:
     def row(self, j: int, k: int, kind: str = "detail") -> BasisRow:
         """Row of W for the level-j scaling or detail coefficient k: a 1 at that
         coefficient, lifted through the level maps from level j on."""
-        if not self.coarse_level <= j < self.finest_level:
-            raise IndexError(f"level {j} out of range")
-        if not 0 <= k < 2 ** j:
-            raise IndexError(f"shift {k} out of range at level {j}")
+        _index("level", j, self.coarse_level, self.finest_level)
+        _index("shift", k, 0, 2 ** j)
         if kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
         start, values = k if kind == "scaling" else 2 ** j + k, np.ones(1)
@@ -807,12 +790,7 @@ def build_interval_system(moments: int, n: int, coarse_level: int) -> IntervalSy
     if not (is_integer(moments) and 2 <= moments <= MAX_MOMENTS):
         raise ValueError(f"the banded interval system takes N in 2..{MAX_MOMENTS}, "
                          f"got N={moments!r}; N = 1 is HaarSystem")
-    J = finest_level(n)
-    if not min_coarse_level(moments) <= coarse_level <= J:
-        raise GeometryError(
-            f"coarse level {coarse_level} out of range "
-            f"[{min_coarse_level(moments)}, {J}] for N={moments}"
-        )
+    J = IntervalSystem._check_geometry(n, coarse_level, min_coarse_level(moments))
     h = daubechies_filter(moments)
     taps = _frozen(np.vstack([h, highpass_from_lowpass(h)]))
     left, right = _sample_bases(n, moments)
@@ -858,12 +836,10 @@ def _c_phi(system: IntervalSystem) -> float:
 
 
 def interval_dwt(samples, system: IntervalSystem) -> CoefficientPyramid:
-    coeffs = system.analyze(_as_samples(samples))
-    coeffs *= 1.0 / np.sqrt(system.n)
-    return CoefficientPyramid.from_flat(coeffs, system.coarse_level)
+    """The system's coefficients of samples, in the integral convention."""
+    return _pyramid(system, _as_samples(samples))
 
 
 def interval_idwt(pyramid: CoefficientPyramid, system: IntervalSystem) -> np.ndarray:
-    if pyramid.n != system.n or pyramid.coarse_level != system.coarse_level:
-        raise ValueError("pyramid geometry does not match the system")
-    return system.synthesize(pyramid.with_scaling(True).flat())
+    """Exact inverse of :func:`interval_dwt`."""
+    return _samples(system, pyramid)

@@ -16,8 +16,7 @@ from typing import NamedTuple, Union
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .interval import IntervalSystem
-from .transform import HaarSystem, _as_samples, is_boolean
+from .transform import HaarSystem, _as_samples, _WaveletSystem, is_boolean
 
 NOISE_FAMILIES = ("uniform", "rademacher", "truncated", "mixture")
 # the sample counts at which simulate's writers print event A (in_A, and
@@ -25,7 +24,7 @@ NOISE_FAMILIES = ("uniform", "rademacher", "truncated", "mixture")
 EVENT_A_SIZES = (16, 256, 65536)
 
 Seed = Union[int, np.random.SeedSequence, "_SeedWords"]
-System = Union[str, HaarSystem, IntervalSystem]
+System = Union[str, _WaveletSystem]
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from .transform import (
     haar_idwt,
     is_boolean,
     is_integer,
+    _WaveletSystem,
     _all_finite,
     _block_count,
     _last_axis,
@@ -34,9 +35,6 @@ SYSTEM_KINDS = ("haar", "interval")
 # values ran 8-13% faster through it; at 2**18 values and below, Haar and
 # interval calls ran even or slower.
 _WORK_VALUES = 2 ** 19
-# shrink's scratch starts this many values (one 64-byte cache line) past the
-# coefficients, so that the two streams never sit at the same offset mod 4 KiB
-_STAGGER = 8
 
 
 def soft_threshold(x, lam: float):
@@ -182,7 +180,7 @@ def coarse_level_for(n: int, alpha: float, moments: int) -> int:
 
 
 def wavelet_system(kind: str, n: int, alpha: float,
-                   moments: Optional[int] = None) -> HaarSystem | IntervalSystem:
+                   moments: Optional[int] = None) -> _WaveletSystem:
     """The wavelet system the shrinkage pipeline uses for (kind, n, alpha, N),
     with N from :func:`system_moments` and the coarse level from
     :func:`coarse_level_for`: at N = 1, the Haar basis, a :class:`HaarSystem`
@@ -193,7 +191,7 @@ def wavelet_system(kind: str, n: int, alpha: float,
 
 
 def wavelet_systems(kind: str, ns, alpha: float, moments: Optional[int] = None,
-                    build_map=map) -> dict[int, HaarSystem | IntervalSystem]:
+                    build_map=map) -> dict[int, _WaveletSystem]:
     """:func:`wavelet_system` for every n of ``ns``, as a dict keyed by n.
 
     Interval systems live in one store per process, keyed by (N, n, J0), that
@@ -309,16 +307,15 @@ def shrink(y, config: ShrinkageConfig, system=None) -> np.ndarray:
 
     From :data:`_WORK_VALUES` (2**19) values on, a call makes two large
     allocations: the returned samples, and one work buffer of rows * (n + s)
-    values plus a stagger, s the system's ``_scratch_per_row``.  Its first
-    rows * n values hold the coefficients; the scratch that every stage uses
-    in turn (the analysis, the thresholding, the synthesis) starts one cache
-    line past them.  Smaller inputs let each stage allocate its own.
-    Nothing is kept after the call.
+    values, s the system's ``_scratch_per_row``.  Its first rows * n values
+    hold the coefficients, and the rest is the scratch that every stage uses
+    in turn (the analysis, the thresholding, the synthesis).  Smaller inputs
+    let each stage allocate its own.  Nothing is kept after the call.
 
     From 2**19 values on, on more than one usable core, the Haar transforms
     and the thresholding run in blocks on one thread per core (see
-    :meth:`~waveshrink.transform.HaarSystem.analyze`); the output bytes do
-    not depend on the number of blocks.
+    :class:`~waveshrink.transform.HaarSystem`); the output bytes do not
+    depend on the number of blocks.
     """
     if system is None:
         system = wavelet_system(config.system, config.n, config.alpha, config.moments)
@@ -335,9 +332,9 @@ def shrink(y, config: ShrinkageConfig, system=None) -> np.ndarray:
         out = coeffs = scratch = None
     else:
         out = np.empty(y.shape)
-        work = np.empty(size + _STAGGER + size // n * system._scratch_per_row)
+        work = np.empty(size + size // n * system._scratch_per_row)
         coeffs = work[:size].reshape(y.shape)
-        scratch = work[size + _STAGGER :].reshape(y.shape[:-1] + (-1,))
+        scratch = work[size:].reshape(y.shape[:-1] + (-1,))
     coeffs = system._analyze_into(y, coeffs, scratch)
     # p shares of the details along the last axis, each with the same columns
     # of the scratch

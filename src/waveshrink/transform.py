@@ -1,13 +1,16 @@
-"""Fast Haar analysis/synthesis on [0,1] and the coefficient pyramid.
+"""The wavelet-system interface, the Haar system on [0,1] and the
+coefficient pyramid.
 
-The pipeline's one coefficient convention is the orthonormal transform that
-:meth:`HaarSystem.analyze` and ``IntervalSystem.analyze`` return: the
-approximation block first, then level j at [2**j, 2**(j+1)).  The paper's
-lambda is stated for the integral convention (inner products of the
-piecewise-constant sample extension with the basis functions), which is the
-orthonormal one over sqrt(n), so the pipeline thresholds at lambda * sqrt(n)
-and scales no coefficient array.  Only :class:`CoefficientPyramid` (whose
-``scaled`` flag records the convention), :func:`haar_dwt`/:func:`haar_idwt`
+Both systems, :class:`HaarSystem` and
+:class:`~waveshrink.interval.IntervalSystem`, share the entry points and
+the geometry rule of :class:`_WaveletSystem`.  The pipeline's one
+coefficient convention is the orthonormal transform that ``analyze``
+returns.  The paper's lambda is stated for the integral convention (inner
+products of the piecewise-constant sample extension with the basis
+functions), which is the orthonormal one over sqrt(n), so the pipeline
+thresholds at lambda * sqrt(n) and scales no coefficient array.  Only
+:class:`CoefficientPyramid` (whose ``scaled`` flag records the convention),
+the adapters :func:`_pyramid`/:func:`_samples` behind the pyramid functions,
 and :func:`haar_coeff_closed_form` keep the integral convention.
 """
 from __future__ import annotations
@@ -43,6 +46,14 @@ def is_boolean(value) -> bool:
     """A Python or numpy bool (JSON true/false): never a number to the input
     rules, though it passes as 1 or 0 in arithmetic."""
     return isinstance(value, (bool, np.bool_))
+
+
+def _index(what: str, value, lo: int, hi: int):
+    """``value`` if it is an integer (not a bool) in [lo, hi), else
+    IndexError: the one rule for a level or a shift."""
+    if not (is_integer(value) and lo <= value < hi):
+        raise IndexError(f"{what} must be an integer in [{lo}, {hi}), got {value!r}")
+    return value
 
 
 def finest_level(n: int) -> int:
@@ -100,8 +111,8 @@ class CoefficientPyramid:
     scaled: bool = False
 
     def __post_init__(self):
-        if self.coarse_level < 0:
-            raise ValueError("coarse level must be >= 0")
+        if not (is_integer(self.coarse_level) and self.coarse_level >= 0):
+            raise ValueError(f"coarse level must be an integer >= 0, got {self.coarse_level!r}")
         if len(self.approx) != 2 ** self.coarse_level:
             raise ValueError(
                 f"approx block has {len(self.approx)} entries, "
@@ -124,9 +135,8 @@ class CoefficientPyramid:
         return 2 ** self.finest_level
 
     def detail(self, j: int) -> np.ndarray:
-        if not self.coarse_level <= j < self.finest_level:
-            raise IndexError(f"no detail level {j} in pyramid")
-        return self.details[j - self.coarse_level]
+        return self.details[_index("detail level", j, self.coarse_level, self.finest_level)
+                            - self.coarse_level]
 
     def with_scaling(self, scaled: bool) -> "CoefficientPyramid":
         if scaled == self.scaled:
@@ -167,20 +177,57 @@ def _last_axis(values, n: int) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class HaarSystem:
-    """The Haar system on [0,1] with the interface of
-    :class:`~waveshrink.interval.IntervalSystem`: :meth:`analyze` and
-    :meth:`synthesize` apply the orthonormal transform and its inverse along
-    the last axis, in the same flat layout.  Its functions are bounded by 1
-    (scaled), so c_phi is exact.
+class _WaveletSystem:
+    """An orthonormal wavelet system on [0,1]: n = 2**J samples, coarse
+    level J0, N = ``moments`` vanishing moments, and c_phi =
+    ``c_phi_estimate``, the bound on its scaled functions.
 
-    :meth:`analyze` and :meth:`synthesize` allocate their result and scratch
-    per call.  :meth:`_analyze_into` and :meth:`_synthesize_into` write the
-    same bytes into a given output with a given scratch (of the input's
-    leading shape plus (:attr:`_scratch_per_row`,) values), for
-    :func:`~waveshrink.shrinkage.shrink`; they check neither, and allocate
-    each that is None."""
+    :meth:`analyze` and :meth:`synthesize` apply its transform W and the
+    inverse W.T along the last axis, (..., n) -> (..., n), in one flat
+    layout: sqrt(n)-scaled coefficients, the approximation block first, then
+    the detail levels coarse to fine (level j at [2**j, 2**(j+1))).  A
+    batched row is bit-equal to that row transformed alone.  Each allocates
+    its result and scratch per call.  A subclass's ``_analyze_into(x, out,
+    scratch)`` and ``_synthesize_into(c, out, scratch)`` write the same bytes
+    into a given output with a given scratch (the input's leading shape plus
+    ``_scratch_per_row`` values), for :func:`~waveshrink.shrinkage.shrink`;
+    they check neither, and allocate each that is None."""
+
+    @property
+    def finest_level(self) -> int:
+        return finest_level(self.n)
+
+    def analyze(self, samples) -> np.ndarray:
+        """W applied along the last axis."""
+        return self._analyze_into(_last_axis(samples, self.n), None, None)
+
+    def synthesize(self, coeffs) -> np.ndarray:
+        """W.T applied along the last axis: the inverse of :meth:`analyze`."""
+        return self._synthesize_into(_last_axis(coeffs, self.n), None, None)
+
+    @staticmethod
+    def _check_geometry(n: int, coarse_level: int, lowest: int) -> int:
+        """J with n = 2**J: the one geometry rule of every system, a coarse
+        level that is an integer (not a bool) in [lowest, J], or GeometryError."""
+        J = finest_level(n)
+        if not (is_integer(coarse_level) and lowest <= coarse_level <= J):
+            raise GeometryError(f"coarse level must be an integer in [{lowest}, {J}] "
+                                f"at n={n}, got {coarse_level!r}")
+        return J
+
+
+@dataclass(frozen=True)
+class HaarSystem(_WaveletSystem):
+    """The Haar system on [0,1], from any coarse level in [0, J].  Its
+    functions are bounded by 1 (scaled), so c_phi is exact.
+
+    Its transforms split into p = :func:`_block_count` blocks: the levels
+    J-1 ... s of the samples [b n/p, (b+1) n/p) depend on those samples
+    alone, so with p > 1 (inputs of at least 2**19 values, on more than one
+    usable core) block b runs on a thread of its own, and the levels below
+    s = max(J0, log2 p) run on the calling thread.  Every coefficient goes
+    through the same operations whatever p is, so the output bytes do not
+    depend on it."""
 
     n: int
     coarse_level: int
@@ -188,35 +235,13 @@ class HaarSystem:
     c_phi_estimate: ClassVar[float] = 1.0
 
     def __post_init__(self):
-        J = finest_level(self.n)
-        if not 0 <= self.coarse_level <= J:
-            raise ValueError(f"coarse_level must be in [0, {J}], got {self.coarse_level}")
-
-    @property
-    def finest_level(self) -> int:
-        return finest_level(self.n)
+        self._check_geometry(self.n, self.coarse_level, 0)
 
     @property
     def _scratch_per_row(self) -> int:
         """Scratch values per row: n, the most any stage of a shrink needs
         (analysis 3n/4, synthesis n/2, the thresholding up to n)."""
         return self.n
-
-    def analyze(self, samples) -> np.ndarray:
-        """The orthonormal transform along the last axis, (..., n) -> (..., n):
-        sqrt(n)-scaled coefficients, the approximation block first, then the
-        detail levels coarse to fine (level j at [2**j, 2**(j+1))).  A batched
-        row is bit-equal to that row transformed alone.
-
-        Levels J-1 ... s of the samples [b n/p, (b+1) n/p) depend on those
-        samples alone, so with p = :func:`_block_count` > 1 (inputs of at
-        least 2**19 values, on more than one usable core) block b runs on a
-        thread of its own and this thread joins the p approximations for the
-        levels below s = max(J0, log2 p).  Every coefficient goes through the
-        same operations whatever p is, so the output bytes do not depend on it.
-        """
-        s = _last_axis(samples, self.n)
-        return self._analyze_into(s, None, None)
 
     def _analyze_into(self, s: np.ndarray, out, scratch) -> np.ndarray:
         """:meth:`analyze` of the float array s into ``out``, allocated where
@@ -244,16 +269,10 @@ class HaarSystem:
         out[..., : 2 ** J0] = s
         return out
 
-    def synthesize(self, coeffs) -> np.ndarray:
-        """Inverse of :meth:`analyze` along the last axis, split into the same
-        p blocks: this thread runs the levels below s, then block b writes
-        the samples [b n/p, (b+1) n/p) straight into the output, and the
-        output bytes do not depend on p."""
-        return self._synthesize_into(_last_axis(coeffs, self.n), None, None)
-
     def _synthesize_into(self, c: np.ndarray, out, scratch) -> np.ndarray:
         """:meth:`synthesize` of the float array c into ``out``, allocated where
-        None.  The levels between take n/2 values of ``scratch`` per row;
+        None; block b writes the samples [b n/p, (b+1) n/p) straight into
+        it.  The levels between take n/2 values of ``scratch`` per row;
         where scratch is None, the blocks' scratch is allocated, or at p = 1
         with out None too, each level's approximation and the result."""
         J, J0 = self.finest_level, self.coarse_level
@@ -395,19 +414,32 @@ def _synthesize_levels(s, c, levels, block: int, p: int, bufs):
     return s
 
 
+def _pyramid(system: _WaveletSystem, samples: np.ndarray) -> CoefficientPyramid:
+    """``system.analyze`` over sqrt(n), of samples checked by
+    :func:`_as_samples`: the pyramid in the integral convention."""
+    coeffs = system.analyze(samples)
+    coeffs *= 1.0 / np.sqrt(system.n)
+    return CoefficientPyramid.from_flat(coeffs, system.coarse_level)
+
+
+def _samples(system: _WaveletSystem, pyramid: CoefficientPyramid) -> np.ndarray:
+    """Inverse of :func:`_pyramid`: ``system.synthesize`` of the pyramid's
+    sqrt(n)-scaled flat vector, for a pyramid of the system's geometry."""
+    if (pyramid.n, pyramid.coarse_level) != (system.n, system.coarse_level):
+        raise GeometryError("pyramid geometry does not match the system")
+    return system.synthesize(pyramid.with_scaling(True).flat())
+
+
 def haar_dwt(values, coarse_level: int) -> CoefficientPyramid:
     """Haar wavelet coefficients of the piecewise-constant sample extension,
-    in the integral convention: :meth:`HaarSystem.analyze` over sqrt(n)."""
+    in the integral convention."""
     y = _as_samples(values)
-    coeffs = HaarSystem(len(y), coarse_level).analyze(y)
-    coeffs *= 1.0 / np.sqrt(len(y))
-    return CoefficientPyramid.from_flat(coeffs, coarse_level)
+    return _pyramid(HaarSystem(len(y), coarse_level), y)
 
 
 def haar_idwt(pyramid: CoefficientPyramid) -> np.ndarray:
     """Exact inverse of :func:`haar_dwt`."""
-    system = HaarSystem(pyramid.n, pyramid.coarse_level)
-    return system.synthesize(pyramid.with_scaling(True).flat())
+    return _samples(HaarSystem(pyramid.n, pyramid.coarse_level), pyramid)
 
 
 def haar_coeff_closed_form(values, j: int, k: int, kind: str = "detail") -> float:
@@ -418,10 +450,8 @@ def haar_coeff_closed_form(values, j: int, k: int, kind: str = "detail") -> floa
     """
     y = _as_samples(values)
     levels = finest_level(len(y))
-    if not 0 <= j <= levels:
-        raise IndexError(f"level {j} out of range [0, {levels}]")
-    if not 0 <= k < 2 ** j:
-        raise IndexError(f"shift {k} out of range at level {j}")
+    _index("level", j, 0, levels + 1)
+    _index("shift", k, 0, 2 ** j)
     block = 2 ** (levels - j)
     scale = 2.0 ** (-levels + j / 2.0)
     seg = y[k * block : (k + 1) * block]

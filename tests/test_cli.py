@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from waveshrink import cli
 from waveshrink.cli import main
 
 
@@ -374,6 +375,27 @@ class TestRatesAndVerify:
     def test_verify_passes(self, capsys):
         assert main(["verify"]) == 0
         assert "verify: OK" in capsys.readouterr().out
+
+    def test_verify_checks_every_system_the_same_way(self, monkeypatch, capsys):
+        # a transform off by one part in 10^6 fails each check on each system
+        class Scaled:
+            def __init__(self, system):
+                self.system = system
+
+            def __getattr__(self, name):
+                return getattr(self.system, name)
+
+            def analyze(self, x):
+                return self.system.analyze(x) * (1 + 1e-6)
+
+        build = cli.wavelet_system
+        monkeypatch.setattr(cli, "wavelet_system", lambda *args: Scaled(build(*args)))
+        assert main(["verify"]) == 2
+        err = capsys.readouterr().err
+        for kind, moments, n in cli._VERIFY_SYSTEMS:
+            where = f"({kind} N={moments or 1}, n={n})"
+            for check in ("roundtrip", "Parseval", "orthogonality"):
+                assert f"FAIL: {check} failed {where}" in err
 
     def test_usage_error_exit_code(self):
         assert main(["frobnicate"]) == 1

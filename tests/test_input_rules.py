@@ -17,7 +17,12 @@ from waveshrink.shrinkage import (
     wavelet_system,
 )
 from waveshrink.signals import SIGNAL_KINDS, check_holder, make_signal
-from waveshrink.transform import HaarSystem, haar_coeff_closed_form, haar_dwt
+from waveshrink.transform import (
+    CoefficientPyramid,
+    HaarSystem,
+    haar_coeff_closed_form,
+    haar_dwt,
+)
 
 SAMPLE_COUNT_MESSAGE = "sample count must be a power of two >= 2"
 NOISE_RANGE_MESSAGE = "noise range b must be finite and > 0"
@@ -196,3 +201,49 @@ def test_complex_samples_are_rejected(entry):
             SAMPLE_ENTRY_POINTS[entry](objects)
     SAMPLE_ENTRY_POINTS[entry](y.real)
     SAMPLE_ENTRY_POINTS[entry](y.real.astype(object))
+
+
+def row_system():
+    return build_interval_system(2, 64, 3)  # J0 = 3, J = 6
+
+
+COARSE_LEVEL_MESSAGE = "coarse level must be an integer in"
+INDEX_MESSAGE = "must be an integer in"
+# (entry point, its rule's exception and message, the first value past the
+# end of its range) per entry point that takes a coarse level, a level or a
+# shift
+LEVEL_ENTRY_POINTS = {
+    "HaarSystem": (lambda v: HaarSystem(16, v), GeometryError, COARSE_LEVEL_MESSAGE, 5),
+    "haar_dwt": (lambda v: haar_dwt(np.zeros(16), v), GeometryError, COARSE_LEVEL_MESSAGE, 5),
+    "build_interval_system": (lambda v: build_interval_system(2, 64, v), GeometryError,
+                              COARSE_LEVEL_MESSAGE, 7),
+    "haar_coeff_closed_form-j": (lambda v: haar_coeff_closed_form(np.zeros(16), v, 0, "approx"),
+                                 IndexError, INDEX_MESSAGE, 5),
+    "haar_coeff_closed_form-k": (lambda v: haar_coeff_closed_form(np.zeros(16), 2, v),
+                                 IndexError, INDEX_MESSAGE, 4),
+    "IntervalSystem.row-j": (lambda v: row_system().row(v, 0), IndexError, INDEX_MESSAGE, 6),
+    "IntervalSystem.row-k": (lambda v: row_system().row(3, v), IndexError, INDEX_MESSAGE, 8),
+    "CoefficientPyramid.detail": (lambda v: haar_dwt(np.zeros(16), 1).detail(v), IndexError,
+                                  INDEX_MESSAGE, 4),
+}
+
+
+@pytest.mark.parametrize("entry", LEVEL_ENTRY_POINTS)
+@pytest.mark.parametrize("value", [True, np.True_, 1.5, 3.0, -1, "past-the-end"])
+def test_level_rule(entry, value):
+    call, error, message, end = LEVEL_ENTRY_POINTS[entry]
+    with pytest.raises(error, match=message):
+        call(end if value == "past-the-end" else value)
+
+
+@pytest.mark.parametrize("entry", LEVEL_ENTRY_POINTS)
+def test_level_entry_points_take_integers(entry):
+    call, _, _, end = LEVEL_ENTRY_POINTS[entry]
+    call(end - 1)
+    call(np.int64(3))  # numpy integers are levels
+
+
+@pytest.mark.parametrize("value", [True, np.True_, 1.5, -1])
+def test_pyramid_coarse_level_rule(value):
+    with pytest.raises(ValueError, match="coarse level must be an integer >= 0"):
+        CoefficientPyramid(value, np.zeros(2), ())

@@ -265,14 +265,14 @@ class TestContractionCheck:
             exceed = np.zeros(len(shrunk), dtype=bool)
         if scratch is None:
             scratch = np.empty(shrunk[:, 2 ** coarse :].shape)
-        bound = _contraction_bound(signal, lam, coarse)
-        _assert_detail_contraction(shrunk, signal, bound, coarse, exceed, mode, scratch)
+        bound = _contraction_bound(signal, lam, coarse, mode)
+        _assert_detail_contraction(shrunk, signal, bound, coarse, exceed, scratch)
 
     def test_bound_is_min_of_signal_and_two_lambda_plus_slack(self):
         _, signal, coarse, lam = self.batch()
         d = np.abs(signal[2 ** coarse :])
         want = np.minimum(d + 8e-12, 2 * lam + 8e-12)  # slack 1e-12 * sqrt(64)
-        assert _contraction_bound(signal, lam, coarse).tobytes() == want.tobytes()
+        assert _contraction_bound(signal, lam, coarse, "soft").tobytes() == want.tobytes()
 
     def test_passes_on_soft_thresholded_signal(self):
         self.check(*self.batch())
@@ -302,10 +302,28 @@ class TestContractionCheck:
         with pytest.raises(RuntimeError, match="level 4 .batch row 1"):
             self.check(shrunk, signal, coarse, lam, exceed)
 
-    def test_hard_mode_is_not_checked(self):
+    def test_hard_mode_moves_at_most_max_of_signal_and_lambda(self):
+        # a kept coefficient moves by its noise, up to lambda, even where
+        # |d_f| is smaller; a killed one by |d_f|, at most 2 lambda
         shrunk, signal, coarse, lam = self.batch()
-        shrunk[3, 40] = signal[40] + 2.5 * lam
+        d = np.abs(signal)
+        small = 2 ** coarse + int(np.argmin(d[2 ** coarse :]))
+        assert d[small] < lam / 2
+        shrunk[3, small] = signal[small] + lam
         self.check(shrunk, signal, coarse, lam, mode="hard")
+        with pytest.raises(RuntimeError):
+            self.check(shrunk, signal, coarse, lam, mode="soft")
+        shrunk[3, 40] = signal[40] + min(max(d[40], lam), 2 * lam)
+        self.check(shrunk, signal, coarse, lam, mode="hard")
+        shrunk[3, 40] = signal[40] + 2.5 * lam
+        with pytest.raises(RuntimeError, match="level 5 .batch row 3"):
+            self.check(shrunk, signal, coarse, lam, mode="hard")
+
+    def test_hard_bound(self):
+        _, signal, coarse, lam = self.batch()
+        d = np.abs(signal[2 ** coarse :])
+        want = np.minimum(np.maximum(d, lam) + 8e-12, 2 * lam + 8e-12)
+        assert _contraction_bound(signal, lam, coarse, "hard").tobytes() == want.tobytes()
 
     def test_differences_go_to_the_scratch(self):
         shrunk, signal, coarse, lam = self.batch()

@@ -178,7 +178,7 @@ def test_shrink_makes_one_work_buffer_from_its_size_on(kind, moments, rows, monk
 
     monkeypatch.setattr(np, "empty", recording_empty)
     peak = allocated(shrink, y, config, system)
-    work = y.size + rows * system._scratch_per_row + 8
+    work = y.size + rows * system._scratch_per_row
     if y.size < _WORK_VALUES:
         assert work not in sizes  # each stage allocates its own
         return
