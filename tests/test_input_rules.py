@@ -233,7 +233,7 @@ LEVEL_ENTRY_POINTS = {
 def test_level_rule(entry, value):
     call, error, message, end = LEVEL_ENTRY_POINTS[entry]
     with pytest.raises(error, match=message):
-        call(end if value == "past-the-end" else value)
+        call(end if isinstance(value, str) else value)
 
 
 @pytest.mark.parametrize("entry", LEVEL_ENTRY_POINTS)
