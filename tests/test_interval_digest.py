@@ -15,18 +15,27 @@ Pinned per fingerprint:
 * for N = 2, 3 and 5 at n = 2^12 and J0 = min_coarse_level(N): SHA-256 of
   ``analyze`` and ``synthesize`` on a seeded (3, 2^12) batch, of
   ``interval_dwt(row).flat()`` and of ``interval_idwt`` of the pyramid
-  over ``row``, for the batch's first row.
+  over ``row``, for the batch's first row;
+* for N = 2 and 3 at n = 2^12: SHA-256 of ``shrink``, soft and hard, on a
+  seeded (3, 2^12) batch built as ``HAAR_DIGESTS``' input in
+  ``test_work_buffer.py`` (a step function plus uniform noise, so no libm);
+* SHA-256 of ``simulate``'s JSONL reports and CSV summary for one interval
+  N = 2 plan (``SIMULATE_PLAN``) at ``--seed 11`` and one worker.
 
 A change that moves one of these bytes changes a value here, and must say
 why.
 """
 import functools
 import hashlib
+import json
 import pprint
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from waveshrink.cli import main
 from waveshrink.interval import (
     MAX_MOMENTS,
     build_interval_system,
@@ -35,10 +44,15 @@ from waveshrink.interval import (
     interval_idwt,
     min_coarse_level,
 )
+from waveshrink.shrinkage import ShrinkageConfig, shrink
 from waveshrink.transform import CoefficientPyramid
 
 TRANSFORM_MOMENTS = (2, 3, 5)
 TRANSFORM_N = 2 ** 12
+SHRINK_MOMENTS = (2, 3)
+SIMULATE_PLAN = dict(signal_kind="linear", alpha=1.0, holder_const=1.0,
+                     noise_family="uniform", noise_bound=1.0, ns=[256, 2048],
+                     deltas=[1.0], trials=40, system="interval", moments=2)
 
 
 def fingerprint() -> str:
@@ -81,13 +95,40 @@ def transform_digests(moments: int) -> tuple[str, str, str, str]:
     return tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in outputs)
 
 
+@functools.cache
+def shrink_digests(moments: int) -> dict[str, str]:
+    rng = np.random.default_rng(2001)
+    shape = (3, TRANSFORM_N)
+    steps = rng.uniform(-4.0, 4.0, shape[:-1] + (16,))
+    y = np.repeat(steps, TRANSFORM_N // 16, axis=-1) + rng.uniform(-0.5, 0.5, shape)
+    digests = {}
+    for mode in ("soft", "hard"):
+        config = ShrinkageConfig.build(TRANSFORM_N, 1.0, 1.0, 1.0, 1.0, mode,
+                                       system="interval", moments=moments)
+        digests[mode] = hashlib.sha256(shrink(y, config).tobytes()).hexdigest()
+    return digests
+
+
+@functools.cache
+def simulate_digests() -> tuple[str, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        plan, reports, summary = (Path(tmp) / f for f in ("plan.json", "r.jsonl", "s.csv"))
+        plan.write_text(json.dumps(SIMULATE_PLAN))
+        assert main(["simulate", str(plan), str(reports), str(summary),
+                     "--seed", "11", "--workers", "1"]) == 0
+        return tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                     for path in (reports, summary))
+
+
 def pinned(part: str):
     """This host's pinned values of ``part``; fails, printing this host's
     whole set, on a fingerprint without one."""
     key = fingerprint()
     if key not in PINNED:
         found = {"c_phi": {k: c_phi_entry(k) for k in c_phi_keys()},
-                 "transforms": {m: transform_digests(m) for m in TRANSFORM_MOMENTS}}
+                 "transforms": {m: transform_digests(m) for m in TRANSFORM_MOMENTS},
+                 "shrink": {m: shrink_digests(m) for m in SHRINK_MOMENTS},
+                 "simulate": simulate_digests()}
         pytest.fail(f"no pinned interval bytes for host fingerprint {key!r}; "
                     f"add this entry to PINNED:\n{pprint.pformat({key: found})}")
     return PINNED[key][part]
@@ -103,6 +144,15 @@ def test_c_phi_table():
 @pytest.mark.parametrize("moments", TRANSFORM_MOMENTS)
 def test_transform_digests(moments):
     assert transform_digests(moments) == pinned("transforms")[moments]
+
+
+@pytest.mark.parametrize("moments", SHRINK_MOMENTS)
+def test_shrink_digests(moments):
+    assert shrink_digests(moments) == pinned("shrink")[moments]
+
+
+def test_simulate_digests():
+    assert simulate_digests() == pinned("simulate")
 
 
 PINNED = {
@@ -219,5 +269,13 @@ PINNED = {
                 "d4cf6941a5c950e467aed942a1571583d76a7eed4a988d9a2025f21ed0db926c",
                 "e603660993eaa55bd4a045d96d434f6d50fe750b7d6a158316095f7c113c6853"),
         },
+        "shrink": {
+            2: {"soft": "e0db89947ee2883924459f2169111c986b7904c17084f7065ee8f5ad9f49a4d4",
+                "hard": "f8f8644f2a7404717333f85fca641f9950e7b216e9e5a3c048d84746e0f51ffa"},
+            3: {"soft": "74ac938e98784ab1c7db83c6c2bfcf16e9a587b31e052421c5918ef90848cea8",
+                "hard": "8ee5c0fc481fb878db97daa6ea885cd297cb97304d823906dd2cb6e8cfc6c00c"},
+        },
+        "simulate": ("046bcbddd178626868cd1e4bd0f6c3af1a048ef21f98b7bd6a85a47f6d6d89ca",
+                     "a3e4076f7422c81d12d7e5e89ea2d45df61b3c38acf4bb587738116337c57b43"),
     },
 }
