@@ -42,7 +42,7 @@ import math
 import numbers
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from itertools import groupby, repeat
 from typing import Iterable, Optional, Sequence
 
@@ -57,6 +57,7 @@ from .noise import EVENT_A_SIZES as _EVENT_A_SIZES
 from .noise import (
     NoiseSpec,
     _SeedWords,
+    _check_noise_bound,
     _system_at,
     check_family,
     check_noise_range,
@@ -67,6 +68,8 @@ from .noise import (
 from .shrinkage import (
     ShrinkageConfig,
     _check_alpha,
+    _check_delta,
+    _check_holder_const,
     _threshold_in_place,
     apply_threshold,
     coarse_level_for,
@@ -78,10 +81,11 @@ from .shrinkage import (
 from .signals import make_signal
 from .transform import (
     _block_count,
+    _count,
+    _real,
     _run_blocks,
     haar_dwt,
     haar_idwt,
-    is_boolean,
     is_integer,
 )
 
@@ -151,45 +155,37 @@ class ExperimentPlan:
                 raise ValueError(f"{name}: must be {'a string' if text else 'a list'}, "
                                  f"got {value!r}")
         ns, deltas = tuple(self.ns), tuple(self.deltas)
-        # JSON true and false load as bools, which pass as the numbers 1 and 0,
-        # and a JSON string would fail in a check that names no field
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name in _TEXT_FIELDS or (value is None and f.default is None):
-                continue
-            for v in {"ns": ns, "deltas": deltas}.get(f.name, (value,)):
-                if is_boolean(v):
-                    raise ValueError(f"{f.name}: a boolean is not a number, got {value!r}")
-                # ns entries have their own rule, whole numbers, below
-                if f.name != "ns" and not isinstance(v, numbers.Real):
-                    raise ValueError(f"{f.name}: must be a number, got {value!r}")
-        if not is_integer(self.trials) or self.trials < 0:
-            raise ValueError(f"trials must be an integer >= 0, got {self.trials!r}")
+        # each number goes to its owner; a message not led by the field gets it
+        _check_alpha(self.alpha)
+        for field, check, values in (
+                ("holder_const", _check_holder_const, [self.holder_const]),
+                ("noise_bound", _check_noise_bound, [self.noise_bound]),
+                ("threshold_bound", check_noise_range,
+                 [] if self.threshold_bound is None else [self.threshold_bound]),
+                ("deltas", _check_delta, deltas)):
+            for value in values:
+                try:
+                    check(value)
+                except ValueError as exc:
+                    raise ValueError(f"{field}: {exc}") from None
+        _count("trials", self.trials, 0)
+        check_master_seed(self.master_seed)
         moments = system_moments(self.system, self.alpha, self.moments)
         threshold_rule(self.mode)
         check_family(self.noise_family)
-        check_master_seed(self.master_seed)
-        if not (math.isfinite(self.noise_bound) and self.noise_bound >= 0):
-            raise ValueError(
-                f"noise bound must be finite and >= 0, got {self.noise_bound}")
         if (self.noise_bound == 0) != (self.threshold_bound is not None):
             raise ValueError("threshold_bound must be set exactly when noise_bound is 0 "
                              f"(lambda uses it then), got noise_bound={self.noise_bound}")
-        if self.threshold_bound is not None and not (
-                math.isfinite(self.threshold_bound) and self.threshold_bound > 0):
-            raise ValueError(
-                f"threshold_bound must be finite and > 0, got {self.threshold_bound}")
         if not ns:
             raise ValueError("ns must name at least one sample count")
         for n in ns:
-            # 256 and 256.0 are the same count; 256.5 is not a count
-            if not (isinstance(n, numbers.Real) and float(n).is_integer()):
+            # 256 and 256.0 are the same count; 256.5 and true are not counts
+            if isinstance(n, bool) or not (isinstance(n, numbers.Real)
+                                           and float(n).is_integer()):
                 raise ValueError(f"ns entries must be whole numbers, got {n!r}")
             coarse_level_for(int(n), self.alpha, moments)  # power of two, large enough
         if not deltas:
             raise ValueError("deltas must name at least one delta")
-        if not all(math.isfinite(d) and d >= 0 for d in deltas):
-            raise ValueError(f"deltas must be finite and >= 0, got {list(deltas)}")
         make_signal(self.signal_kind, self.alpha, self.holder_const)
         ns, deltas = tuple(int(n) for n in ns), tuple(float(d) for d in deltas)
         for name, values in (("ns", ns), ("deltas", deltas)):
@@ -224,7 +220,9 @@ class CellResult:
     def __post_init__(self):
         if not (np.all(np.isfinite(self.max_sq_err)) and np.all(np.isfinite(self.mse))):
             raise ValueError("error fields must be finite")
-        if np.any(self.mse > self.max_sq_err + 1e-15):
+        # a float mean of n values in [0, max] is at most max * (1 + eps/2)^n,
+        # in any summation order (Higham 2002, Accuracy and Stability, sec. 4.2)
+        if np.any(self.mse > self.max_sq_err * (1.0 + self.n * np.finfo(float).eps)):
             raise ValueError("mean square error cannot exceed max square error")
 
 
@@ -251,9 +249,7 @@ class RateFit:
 def check_master_seed(master_seed) -> None:
     """The one master-seed rule, SeedSequence's: a non-negative integer.
     None would draw fresh entropy, so no run could be repeated."""
-    if not (is_integer(master_seed) and master_seed >= 0):
-        raise ValueError(f"master_seed must be a non-negative integer, "
-                         f"got {master_seed!r}")
+    _count("master_seed", master_seed, 0)
 
 
 def _chunk_trials(n: int) -> int:
@@ -443,8 +439,7 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> list[CellResult]:
     with every task of that n, so a later call with the same systems
     builds none.
     """
-    if not (is_integer(workers) and workers >= 1):
-        raise ValueError(f"worker count must be an integer >= 1, got {workers!r}")
+    _count("worker count", workers, 1)
     p = _task_processes(plan, workers)
     tasks = _plan_tasks(plan, max(p, 1))
     processes = min(p, len(tasks))
@@ -485,6 +480,7 @@ def wilson_interval(successes: int, trials: int,
     The bounds always contain the point estimate: rounding alone would put
     the upper bound one step below it at successes == trials.
     """
+    _real("Wilson z", z, 0, strict=True)
     if not (is_integer(successes) and is_integer(trials)
             and 0 <= successes <= trials and trials >= 1):
         raise ValueError(f"need integers 0 <= successes <= trials with trials >= 1, "
@@ -511,12 +507,10 @@ def estimate_event_probability(noise_family: str, b: float, n: int, trials: int,
     summed.  A trial's membership does not depend on its share, so the result
     does not depend on p.
     """
-    if not is_integer(trials) or trials < 1:
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    _count("trials", trials, 1)
     check_master_seed(master_seed)
     check_family(noise_family)
-    if b != 0 or is_boolean(b):  # False is not the noise-free b = 0
-        check_noise_range(b)
+    _check_noise_bound(b)
     system = _system_at(system, n)
     if b == 0:  # every noise-free trial is in A: nothing to draw
         return 1.0, wilson_interval(trials, trials)

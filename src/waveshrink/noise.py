@@ -10,13 +10,14 @@ noise coefficient.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .transform import HaarSystem, _as_samples, _WaveletSystem, is_boolean
+from .transform import HaarSystem, _as_samples, _count, _real, _WaveletSystem
 
 NOISE_FAMILIES = ("uniform", "rademacher", "truncated", "mixture")
 # the sample counts at which simulate's writers print event A (in_A, and
@@ -66,8 +67,14 @@ def check_family(family: str) -> None:
 
 def check_noise_range(b: float) -> None:
     """The one check of a total noise range b."""
-    if is_boolean(b) or not (math.isfinite(b) and b > 0):
-        raise ValueError(f"noise range b must be finite and > 0, got {b}")
+    _real("noise range b", b, 0, strict=True)
+
+
+def _check_noise_bound(b: float) -> None:
+    """The one check of a b that may be 0, noise-free, or a noise range;
+    False is not 0 (numpy's False is not a Real)."""
+    if isinstance(b, bool) or not (isinstance(b, numbers.Real) and b == 0):
+        check_noise_range(b)
 
 
 def _truncated_gaussian(rng: np.random.Generator, half: float, n: int) -> np.ndarray:
@@ -93,8 +100,7 @@ def _signs(bits: np.ndarray, half: float) -> np.ndarray:
 
 def sample_noise(spec: NoiseSpec, n: int) -> np.ndarray:
     """n independent draws, deterministic given (spec.seed, n)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _count("sample count n", n, 1)
     rng = np.random.default_rng(spec.seed)
     half = spec.b / 2.0
     if spec.family == "uniform":
@@ -162,10 +168,8 @@ def hoeffding_bound(m: int, t: float, lo: float, hi: float) -> float:
     """Hoeffding's two-sided inequality: for the sum S of m independent
     centered draws in [lo, hi],
     P(|S| <= t) >= max(0, 1 - 2 exp(-2t^2/(m(hi-lo)^2)))."""
-    if m < 1:
-        raise ValueError("need m >= 1")
-    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
-        raise ValueError("need finite hi > lo")
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError("need finite t > 0")
+    _count("draw count m", m, 1)
+    _real("Hoeffding t", t, 0, strict=True)
+    _real("lo", lo, -math.inf)
+    _real("hi", hi, lo, strict=True)
     return max(0.0, 1.0 - 2.0 * math.exp(-2.0 * t * t / (m * (hi - lo) ** 2)))

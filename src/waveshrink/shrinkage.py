@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -17,12 +18,12 @@ from .transform import (
     finest_level,
     haar_dwt,
     haar_idwt,
-    is_boolean,
     is_integer,
     _WaveletSystem,
     _all_finite,
     _block_count,
     _last_axis,
+    _real,
     _run_blocks,
 )
 
@@ -37,10 +38,16 @@ SYSTEM_KINDS = ("haar", "interval")
 _WORK_VALUES = 2 ** 19
 
 
+# the one check of each number of the estimator, through the real rule
+_check_alpha = partial(_real, "alpha", lowest=0, strict=True)
+_check_holder_const = partial(_real, "smoothness-class constant M", lowest=0, strict=True)
+_check_delta = partial(_real, "delta", lowest=0)
+_check_threshold = partial(_real, "threshold", lowest=0)  # lambda
+
+
 def soft_threshold(x, lam: float):
     """Shrink toward zero by lam; values within [-lam, lam] become 0."""
-    if lam < 0:
-        raise ValueError("threshold must be >= 0")
+    _check_threshold(lam)
     x = np.asarray(x, dtype=float)
     out = np.abs(x, out=np.empty_like(x))
     out -= lam
@@ -50,8 +57,7 @@ def soft_threshold(x, lam: float):
 
 def hard_threshold(x, lam: float):
     """Zero values with magnitude <= lam, keep the rest unchanged."""
-    if lam < 0:
-        raise ValueError("threshold must be >= 0")
+    _check_threshold(lam)
     x = np.asarray(x, dtype=float)
     return np.where(np.abs(x) <= lam, 0.0, x)
 
@@ -85,19 +91,16 @@ def threshold_rule(mode: str):
 def apply_threshold(pyramid: CoefficientPyramid, lam: float, mode: str = "soft"):
     """Threshold the detail coefficients; the approximation block passes through."""
     fn = threshold_rule(mode)
-    if lam < 0:
-        raise ValueError("threshold must be >= 0")
+    _check_threshold(lam)
     return pyramid.map_details(lambda d: fn(d, lam))
 
 
 def compute_threshold(n: int, delta: float, b: float, c_phi: float = 1.0) -> float:
     """Shrinkage threshold c_phi * b * (1 + 2*sqrt((1+delta)*ln 2)) * sqrt(log2(n)/n)."""
     finest_level(n)
-    if is_boolean(delta) or not (math.isfinite(delta) and delta >= 0):
-        raise ValueError(f"delta must be finite and >= 0, got {delta}")
+    _check_delta(delta)
     check_noise_range(b)
-    if is_boolean(c_phi) or not (math.isfinite(c_phi) and c_phi >= 1):
-        raise ValueError(f"wavelet-system constant must be finite and >= 1, got {c_phi}")
+    _real("wavelet-system constant", c_phi, 1)
     return c_phi * b * (1.0 + 2.0 * math.sqrt((1.0 + delta) * math.log(2.0))) \
         * math.sqrt(math.log2(n) / n)
 
@@ -105,11 +108,6 @@ def compute_threshold(n: int, delta: float, b: float, c_phi: float = 1.0) -> flo
 class MinSamples(NamedTuple):
     raw: float
     padded: int  # raw rounded up to the next power of two
-
-
-def _check_alpha(alpha: float) -> None:
-    if is_boolean(alpha) or not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
 
 
 def min_samples(alpha: float) -> MinSamples:
@@ -249,11 +247,7 @@ class ShrinkageConfig:
         object.__setattr__(self, "moments",
                            system_moments(self.system, self.alpha, self.moments))
         threshold_rule(self.mode)
-        if is_boolean(self.holder_const) or not (
-                math.isfinite(self.holder_const) and self.holder_const > 0):
-            raise ValueError(
-                f"smoothness-class constant M must be finite and > 0, "
-                f"got {self.holder_const}")
+        _check_holder_const(self.holder_const)
         self.coarse_level  # validates n against alpha and the moments
         self.threshold     # validates delta, b and c_phi
 

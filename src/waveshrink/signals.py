@@ -13,7 +13,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .transform import _as_samples, is_boolean
+from .shrinkage import _check_alpha, _check_holder_const
+from .transform import _as_samples
 
 # each signal kind and the largest alpha its certificate covers
 _CERTIFIED_ALPHA = {"constant": math.inf, "linear": 2, "cusp": 1, "oddcusp": 1,
@@ -68,16 +69,10 @@ def _weierstrass_evaluator(alpha: float, M: float):
     return evaluate
 
 
-def _check_class(alpha: float, M: float) -> None:
-    """The one check of a Hölder class (alpha, M)."""
-    if is_boolean(alpha) or is_boolean(M) or not (
-            math.isfinite(alpha) and alpha > 0 and math.isfinite(M) and M > 0):
-        raise ValueError(f"need finite alpha > 0 and M > 0, got alpha={alpha}, M={M}")
-
-
 def make_signal(kind: str, alpha: float, M: float) -> HolderSignal:
     """Build a certified Hölder-class signal of the given kind."""
-    _check_class(alpha, M)
+    _check_alpha(alpha)
+    _check_holder_const(M)
     if kind not in SIGNAL_KINDS:
         raise ValueError(f"unknown signal kind {kind!r}; choose from {SIGNAL_KINDS}")
     if alpha > _CERTIFIED_ALPHA[kind]:
@@ -135,7 +130,8 @@ def check_holder(samples, alpha: float, M: float) -> HolderCheck:
     """
     y = _as_samples(samples)
     n = len(y)
-    _check_class(alpha, M)
+    _check_alpha(alpha)
+    _check_holder_const(M)
     need = 1 + max(1, math.ceil(alpha))  # a pair of the last quotients
     if n < need:
         raise ValueError(f"need at least {need} samples at alpha={alpha}, got {n}")

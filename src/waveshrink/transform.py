@@ -16,6 +16,7 @@ and :func:`haar_coeff_closed_form` keep the integral convention.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 from typing import ClassVar
@@ -42,10 +43,20 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def is_boolean(value) -> bool:
-    """A Python or numpy bool (JSON true/false): never a number to the input
-    rules, though it passes as 1 or 0 in arithmetic."""
-    return isinstance(value, (bool, np.bool_))
+def _real(what: str, value, lowest, strict: bool = False) -> None:
+    """The one rule for a real input: a real number (numpy's too), not a bool,
+    finite and >= ``lowest``, or > it when ``strict``; else ValueError."""
+    if not ((type(value) is float or isinstance(value, numbers.Real)
+             and not isinstance(value, bool)) and math.isfinite(value)
+            and (value > lowest if strict else value >= lowest)):
+        raise ValueError(f"{what} must be finite and {'>' if strict else '>='} {lowest}, "
+                         f"got {value!r}")
+
+
+def _count(what: str, value, lowest: int) -> None:
+    """The one rule for a count: an integer, not a bool, >= ``lowest``."""
+    if not (is_integer(value) and value >= lowest):
+        raise ValueError(f"{what} must be an integer >= {lowest}, got {value!r}")
 
 
 def _index(what: str, value, lo: int, hi: int):
@@ -111,8 +122,7 @@ class CoefficientPyramid:
     scaled: bool = False
 
     def __post_init__(self):
-        if not (is_integer(self.coarse_level) and self.coarse_level >= 0):
-            raise ValueError(f"coarse level must be an integer >= 0, got {self.coarse_level!r}")
+        _count("coarse level", self.coarse_level, 0)
         if len(self.approx) != 2 ** self.coarse_level:
             raise ValueError(
                 f"approx block has {len(self.approx)} entries, "

@@ -208,19 +208,20 @@ class TestSimulate:
         ({"system": "interval", "moments": 3, "ns": [16]},
          "too small for a system with 3 vanishing moments"),
         ({"deltas": []}, "deltas must name"),
-        ({"deltas": [1.0, -0.5]}, "deltas must be finite and >= 0"),
+        ({"deltas": [1.0, -0.5]}, "deltas: delta must be finite and >= 0, got -0.5"),
         # JSON true loads as a bool, which Python counts as the integer 1
-        ({"trials": True}, "trials: a boolean is not a number"),
-        ({"master_seed": True}, "master_seed: a boolean is not a number"),
-        ({"system": "interval", "moments": True}, "moments: a boolean is not a number"),
-        ({"noise_bound": True}, "noise_bound: a boolean is not a number"),
-        ({"deltas": [1.0, False]}, "deltas: a boolean is not a number"),
+        ({"trials": True}, "trials must be an integer >= 0, got True"),
+        ({"master_seed": True}, "master_seed must be an integer >= 0, got True"),
+        ({"system": "interval", "moments": True},
+         "interval system needs an integer moments in [1, 5], got True"),
+        ({"noise_bound": True}, "noise_bound: noise range b must be finite and > 0, got True"),
+        ({"deltas": [1.0, False]}, "deltas: delta must be finite and >= 0, got False"),
         # a JSON string is not a number either
-        ({"alpha": "0.5"}, "alpha: must be a number, got '0.5'"),
-        ({"noise_bound": "1"}, "noise_bound: must be a number, got '1'"),
-        ({"deltas": [1.0, "2"]}, "deltas: must be a number, got [1.0, '2']"),
+        ({"alpha": "0.5"}, "alpha must be finite and > 0, got '0.5'"),
+        ({"noise_bound": "1"}, "noise_bound: noise range b must be finite and > 0, got '1'"),
+        ({"deltas": [1.0, "2"]}, "deltas: delta must be finite and >= 0, got '2'"),
         ({"noise_bound": 0.0, "threshold_bound": "1"},
-         "threshold_bound: must be a number"),
+         "threshold_bound: noise range b must be finite and > 0, got '1'"),
         # lambda takes its b from noise_bound > 0, so a threshold_bound
         # would be ignored
         ({"threshold_bound": 50}, "threshold_bound must be set exactly when "
@@ -253,12 +254,14 @@ class TestSimulate:
         assert not rep.exists() and not summ.exists()
 
     @pytest.mark.parametrize("override, message", [
-        ({"noise_bound": float("nan")}, "noise bound must be finite"),
-        ({"holder_const": float("nan")}, "need finite alpha > 0 and M > 0"),
-        ({"holder_const": -1.0}, "need finite alpha > 0 and M > 0"),
+        ({"noise_bound": float("nan")}, "noise_bound: noise range b must be finite"),
+        ({"holder_const": float("nan")},
+         "holder_const: smoothness-class constant M must be finite and > 0"),
+        ({"holder_const": -1.0},
+         "holder_const: smoothness-class constant M must be finite and > 0"),
         ({"alpha": float("nan")}, "alpha must be finite"),
         ({"noise_bound": 0.0, "threshold_bound": float("inf")},
-         "threshold_bound must be finite"),
+         "threshold_bound: noise range b must be finite"),
     ], ids=["noise-bound-nan", "holder-const-nan", "holder-const-negative",
             "alpha-nan", "threshold-bound-inf"])
     def test_non_finite_plan_values_rejected(self, tmp_path, capsys, override,
@@ -270,8 +273,8 @@ class TestSimulate:
         assert not rep.exists() and not summ.exists()
 
     @pytest.mark.parametrize("override, message", [
-        ({"master_seed": 1.5}, "master_seed must be a non-negative integer"),
-        ({"master_seed": -3}, "master_seed must be a non-negative integer"),
+        ({"master_seed": 1.5}, "master_seed must be an integer >= 0, got 1.5"),
+        ({"master_seed": -3}, "master_seed must be an integer >= 0, got -3"),
         ({"noise_family": "gaussian"}, "unknown noise family"),
         ({"system": "interval", "moments": 6},
          "interval system needs an integer moments in [1, 5]"),

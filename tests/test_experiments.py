@@ -132,10 +132,26 @@ class TestTrialSemantics:
             cell_of(**errors)
 
     def test_mse_over_max_in_any_row_is_rejected(self):
-        cell_of([1.0, 1.0, 0.0], [0.5, 1.0 + 1e-15, 1e-15])  # within the slack
-        with pytest.raises(ValueError, match="^mean square error cannot exceed "
-                                             "max square error$"):
-            cell_of([1.0, 1.0, 1.0], [0.5, 1.0 + 1e-14, 0.5])
+        # the slack is relative to the max, n * eps (n = 8 here), for the
+        # rounding of a mean of n values
+        eps = np.finfo(float).eps
+        cell_of([1.0, 2.0, 0.0], [0.5, 2.0 * (1 + 8 * eps), 0.0])
+        # a zero max admits only a zero mse: there is no absolute slack
+        for mse in ([0.5, 2.0 * (1 + 1e-9), 0.0], [0.5, 2.0 + 1e-14, 0.0],
+                    [0.5, 1.0, 1e-300]):
+            with pytest.raises(ValueError, match="^mean square error cannot exceed "
+                                                 "max square error$"):
+                cell_of([1.0, 2.0, 0.0], mse)
+
+    @pytest.mark.parametrize("family", ["uniform", "mixture"])
+    def test_mse_of_a_killed_signal_rounds_within_the_slack(self, family):
+        # every detail is killed at b = 1000, so the squared error is nearly
+        # constant across samples and the mean can round above the max
+        plan = tiny_plan(signal_kind="constant", alpha=1.0, noise_family=family,
+                         noise_bound=1000.0, ns=(64,), deltas=(1.0,), trials=400,
+                         master_seed=3)
+        (cell,) = run_plan(plan)
+        assert np.any(cell.mse > cell.max_sq_err)  # the case the slack is for
 
 
 class TestStatistics:

@@ -5,15 +5,24 @@ import math
 import numpy as np
 import pytest
 
-from waveshrink.experiments import ExperimentPlan, estimate_event_probability, fit_rate
+from waveshrink.experiments import (
+    ExperimentPlan,
+    estimate_event_probability,
+    fit_rate,
+    run_plan,
+    wilson_interval,
+)
 from waveshrink.interval import GeometryError, build_interval_system, interval_dwt
-from waveshrink.noise import NoiseSpec, in_event_A
+from waveshrink.noise import NoiseSpec, hoeffding_bound, in_event_A, sample_noise
 from waveshrink.shrinkage import (
     ShrinkageConfig,
+    apply_threshold,
     compute_levels,
     compute_threshold,
+    hard_threshold,
     min_samples,
     shrink,
+    soft_threshold,
     wavelet_system,
 )
 from waveshrink.signals import SIGNAL_KINDS, check_holder, make_signal
@@ -85,39 +94,111 @@ def config(**overrides):
     return ShrinkageConfig.build(**{**base, **overrides})
 
 
-# (entry point, message) per number that a rule owns, for the bool cases
+def plan(**overrides):
+    base = dict(signal_kind="sine", alpha=1.0, holder_const=1.0, noise_family="uniform",
+                noise_bound=1.0, ns=(256,), deltas=(1.0,), trials=1)
+    return ExperimentPlan(**{**base, **overrides})
+
+
+def pyramid():
+    return haar_dwt(np.zeros(16), 0)
+
+
+# (entry point, the message of its quantity's rule as a regular expression, a
+# value out of the rule's range) per number that a rule owns; 1 is a valid
+# value of each
 NUMBER_ENTRY_POINTS = {
     "compute_threshold-delta": (lambda v: compute_threshold(256, v, 1.0),
-                                "delta must be finite and >= 0"),
+                                "delta must be finite and >= 0", -0.5),
     "compute_threshold-c_phi": (lambda v: compute_threshold(256, 1.0, 1.0, v),
-                                "wavelet-system constant must be finite and >= 1"),
-    "ShrinkageConfig-delta": (lambda v: config(delta=v), "delta must be finite and >= 0"),
-    "ShrinkageConfig-b": (lambda v: config(noise_bound=v), NOISE_RANGE_MESSAGE),
+                                "wavelet-system constant must be finite and >= 1", 0.5),
+    "ShrinkageConfig-delta": (lambda v: config(delta=v), "delta must be finite and >= 0", -0.5),
+    "ShrinkageConfig-b": (lambda v: config(noise_bound=v), NOISE_RANGE_MESSAGE, 0.0),
     "ShrinkageConfig-M": (lambda v: config(holder_const=v),
-                          "smoothness-class constant M must be finite and > 0"),
-    "ShrinkageConfig-alpha": (lambda v: config(alpha=v), "alpha must be finite and > 0"),
-    "compute_levels-alpha": (lambda v: compute_levels(256, v), "alpha must be finite and > 0"),
-    "min_samples-alpha": (min_samples, "alpha must be finite and > 0"),
+                          "smoothness-class constant M must be finite and > 0", 0.0),
+    "ShrinkageConfig-alpha": (lambda v: config(alpha=v), "alpha must be finite and > 0", 0.0),
+    "compute_levels-alpha": (lambda v: compute_levels(256, v), "alpha must be finite and > 0",
+                             -1.0),
+    "min_samples-alpha": (min_samples, "alpha must be finite and > 0", 0.0),
     "fit_rate-alpha": (lambda v: fit_rate([16, 32, 64, 128], [1.0, 0.5, 0.25, 0.125], v),
-                       "alpha must be finite and > 0"),
-    "make_signal-alpha": (lambda v: make_signal("sine", v, 1.0),
-                          "need finite alpha > 0 and M > 0"),
-    "make_signal-M": (lambda v: make_signal("sine", 1.0, v), "need finite alpha > 0 and M > 0"),
+                       "alpha must be finite and > 0", 0.0),
+    "make_signal-alpha": (lambda v: make_signal("sine", v, 1.0), "alpha must be finite and > 0",
+                          0.0),
+    "make_signal-M": (lambda v: make_signal("sine", 1.0, v),
+                      "smoothness-class constant M must be finite and > 0", -1.0),
+    "check_holder-alpha": (lambda v: check_holder(np.zeros(16), v, 1.0),
+                           "alpha must be finite and > 0", 0.0),
+    "check_holder-M": (lambda v: check_holder(np.zeros(16), 1.0, v),
+                       "smoothness-class constant M must be finite and > 0", 0.0),
+    "NoiseSpec-b": (lambda v: NoiseSpec("uniform", v), NOISE_RANGE_MESSAGE, 0.0),
+    "in_event_A-b": (lambda v: in_event_A(np.zeros(16), v), NOISE_RANGE_MESSAGE, -1.0),
+    "sample_noise-n": (lambda v: sample_noise(NoiseSpec("uniform"), v),
+                       "sample count n must be an integer >= 1", 0),
+    "hoeffding_bound-m": (lambda v: hoeffding_bound(v, 1.0, -0.5, 0.5),
+                          "draw count m must be an integer >= 1", 0),
+    "hoeffding_bound-t": (lambda v: hoeffding_bound(1, v, -0.5, 0.5),
+                          "Hoeffding t must be finite and > 0", 0.0),
+    "hoeffding_bound-lo": (lambda v: hoeffding_bound(1, 1.0, v, 2.0),
+                           "lo must be finite and >= -inf", -math.inf),
+    "hoeffding_bound-hi": (lambda v: hoeffding_bound(1, 1.0, -1.0, v),
+                           "hi must be finite and > -1.0", -2.0),
+    "soft_threshold-lambda": (lambda v: soft_threshold(np.ones(4), v),
+                              "threshold must be finite and >= 0", -1.0),
+    "hard_threshold-lambda": (lambda v: hard_threshold(np.ones(4), v),
+                              "threshold must be finite and >= 0", -1.0),
+    "apply_threshold-lambda": (lambda v: apply_threshold(pyramid(), v),
+                               "threshold must be finite and >= 0", -1.0),
+    "wilson_interval-z": (lambda v: wilson_interval(3, 10, z=v),
+                          "Wilson z must be finite and > 0", 0.0),
+    "estimate-b": (lambda v: estimate_event_probability("uniform", v, 16, 2),
+                   NOISE_RANGE_MESSAGE, -1.0),
+    "estimate-trials": (lambda v: estimate_event_probability("uniform", 1.0, 16, v),
+                        "trials must be an integer >= 1", 0),
+    "estimate-master_seed": (lambda v: estimate_event_probability("uniform", 1.0, 16, 2, v),
+                             "master_seed must be an integer >= 0", -1),
+    "run_plan-workers": (lambda v: run_plan(plan(trials=0), v),
+                         "worker count must be an integer >= 1", 0),
+    "plan-alpha": (lambda v: plan(alpha=v), "alpha must be finite and > 0", 0.0),
+    "plan-holder_const": (lambda v: plan(holder_const=v),
+                          "holder_const: smoothness-class constant M must be finite and > 0",
+                          0.0),
+    "plan-noise_bound": (lambda v: plan(noise_bound=v), "noise_bound: " + NOISE_RANGE_MESSAGE,
+                         -1.0),
+    # None is the field's default, no threshold_bound, which noise_bound 0 needs
+    "plan-threshold_bound": (lambda v: plan(noise_bound=0.0, threshold_bound=v),
+                             f"threshold_bound(: {NOISE_RANGE_MESSAGE}| must be set exactly "
+                             f"when noise_bound is 0)", 0.0),
+    "plan-deltas": (lambda v: plan(deltas=(1.5, v)), "deltas: delta must be finite and >= 0",
+                    -0.5),
+    "plan-trials": (lambda v: plan(trials=v), "trials must be an integer >= 0", -1),
+    "plan-master_seed": (lambda v: plan(master_seed=v), "master_seed must be an integer >= 0",
+                         -1),
 }
 
 
 @pytest.mark.parametrize("entry", NUMBER_ENTRY_POINTS)
 @pytest.mark.parametrize("value", BOOLEANS)
 def test_booleans_are_not_numbers(entry, value):
-    call, message = NUMBER_ENTRY_POINTS[entry]
-    with pytest.raises(ValueError, match=message):
+    call, message, _ = NUMBER_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^{message}"):
         call(value)
 
 
 @pytest.mark.parametrize("entry", NUMBER_ENTRY_POINTS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "1", None, "out-of-range"])
+def test_number_rule(entry, value):
+    # one rule per quantity: a non-finite value, a string, None and a value
+    # out of range each raise ValueError, led by the quantity's name
+    call, message, out_of_range = NUMBER_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call(out_of_range if value == "out-of-range" else value)
+
+
+@pytest.mark.parametrize("entry", NUMBER_ENTRY_POINTS)
 def test_number_entry_points_take_numbers(entry):
-    # the valid value that the bool True would pass as
+    # the valid value that the bool True would pass as, and numpy's
     NUMBER_ENTRY_POINTS[entry][0](1)
+    NUMBER_ENTRY_POINTS[entry][0](np.int64(1))
 
 
 # entry points that take a master seed

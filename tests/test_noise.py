@@ -211,9 +211,9 @@ class TestHoeffding:
         with pytest.raises(ValueError):
             hoeffding_bound(1, 1.0, 1, -1)
         for t in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="finite t"):
+            with pytest.raises(ValueError, match="^Hoeffding t must be finite and > 0"):
                 hoeffding_bound(1, t, -1, 1)
-        with pytest.raises(ValueError, match="finite hi"):
+        with pytest.raises(ValueError, match="^hi must be finite and > -1"):
             hoeffding_bound(1, 1.0, -1, math.nan)
 
 

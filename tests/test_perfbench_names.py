@@ -1,8 +1,10 @@
-"""The package names that ``perfbench/tracer.py`` wraps still exist.
+"""The package names that ``perfbench/tracer.py`` wraps still exist, and
+the package's values that ``perfbench/workloads.py`` copies still agree.
 
 The tracer patches functions by module attribute and methods by class
 attribute, so a rename in the package breaks ``perfbench/run.py --trace 1``.
-This reads the tracer's tables only: nothing is installed or wrapped.
+This reads the tracer's tables and the workloads' constants only: nothing is
+installed, wrapped or run.
 """
 import importlib
 import importlib.util
@@ -10,18 +12,21 @@ import os
 
 import pytest
 
-TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                      "perfbench", "tracer.py")
+from waveshrink.noise import EVENT_A_SIZES
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  os.path.join(PERFBENCH, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-TABLES = load_tracer()
+TABLES = load("tracer")
 
 
 @pytest.mark.parametrize("module, attr", [entry[:2] for entry in TABLES._FUNCTIONS])
@@ -32,3 +37,9 @@ def test_wrapped_function_exists(module, attr):
 @pytest.mark.parametrize("module, cls, attr", [entry[:3] for entry in TABLES._METHODS])
 def test_wrapped_method_is_the_class_own(module, cls, attr):
     assert attr in getattr(importlib.import_module(module), cls).__dict__
+
+
+def test_workloads_check_event_A_at_the_package_sizes():
+    # the benchmark's output checks keep their own copy of the sizes whose
+    # reports carry event A
+    assert load("workloads")._EVENT_SIZES == EVENT_A_SIZES
