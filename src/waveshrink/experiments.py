@@ -22,9 +22,13 @@ max |We| gives event A, the exceedances are counted in the rows where it
 passes the threshold, and We + Wf is thresholded and synthesized.  This
 rounds differently from analyzing f + e (at most about 3e-14 relative in
 the error fields); seeds, event A and the exceedances are the same either
-way.  A cell's results are one :class:`CellResult` of
-columns, event A among them at every n; the writers print it only at n in
-``EVENT_A_SIZES``.
+way.  The thresholding finds the finest level that keeps a coefficient in
+the batch, and the synthesis stops its general levels there: above it every
+detail is +-0, and the closed form it takes instead gives the bytes of the
+full synthesis, so a row still does not depend on which trials share its
+batch.  A cell's results are one :class:`CellResult` of columns, event A and
+each trial's max |We| among them at every n; the writers print event A only
+at n in ``EVENT_A_SIZES``, and never the max.
 
 Interval systems come from one store per process
 (:func:`~waveshrink.shrinkage.wavelet_systems`).  :func:`run_plan` resolves
@@ -206,7 +210,10 @@ class CellResult:
     (uint64), ``max_sq_err`` and ``mse`` are (T,); ``in_A`` is (T,) bool,
     event A at every n; ``exceed_by_level`` is (T, levels),
     the noise coefficients over the threshold per level from the coarse
-    level up, the approximation block counted with the coarsest level."""
+    level up, the approximation block counted with the coarsest level;
+    ``noise_max`` is (T,), each trial's max |We| over all its noise
+    coefficients, the number event A and the exceedances are read from.
+    The writers do not print it."""
 
     n: int
     delta: float
@@ -216,6 +223,7 @@ class CellResult:
     mse: np.ndarray
     in_A: np.ndarray
     exceed_by_level: np.ndarray
+    noise_max: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if not (np.all(np.isfinite(self.max_sq_err)) and np.all(np.isfinite(self.mse))):
@@ -259,21 +267,23 @@ def _chunk_trials(n: int) -> int:
 
 
 def _noise_batch(family: str, b: float, master_seed: int, cell: int,
-                 trials: range, n: int) -> tuple[np.ndarray, np.ndarray]:
+                 trials: range, n: int, out=None) -> tuple[np.ndarray, np.ndarray]:
     """The seed column and the (len(trials), n) noise, zeros for b = 0, of a
-    batch of one cell's trials.  Trial t's PCG64 takes the four words of
+    batch of one cell's trials, written to the first rows of ``out`` where
+    it is given.  Trial t's PCG64 takes the four words of
     ``SeedSequence(master_seed, spawn_key=(cell, t)).generate_state(4, uint64)``,
     and its seed is word 0."""
     states = [np.random.SeedSequence(master_seed, spawn_key=(cell, t))
               .generate_state(4, np.uint64) for t in trials]
     seeds = np.array([words[0] for words in states], np.uint64)
-    if b == 0:  # NoiseSpec rejects any other b that is not > 0
-        return seeds, np.zeros((len(states), n))
-    if len(states) == 1:  # the row is the batch: no copy
+    if out is None and len(states) == 1 and b > 0:  # the row is the batch: no copy
         return seeds, sample_noise(NoiseSpec(family, b, _SeedWords(states[0])), n)[None]
-    noise = np.empty((len(states), n))
-    for row, words in zip(noise, states):
-        row[...] = sample_noise(NoiseSpec(family, b, _SeedWords(words)), n)
+    noise = (np.empty((len(states), n)) if out is None else out)[: len(states)]
+    if b == 0:  # NoiseSpec rejects any other b that is not > 0
+        noise[...] = 0.0
+    else:
+        for row, words in zip(noise, states):
+            row[...] = sample_noise(NoiseSpec(family, b, _SeedWords(words)), n)
     return seeds, noise
 
 
@@ -290,11 +300,16 @@ def run_cell(plan: ExperimentPlan, cell: int, n: int, delta: float,
     operations as a single trial would, so a row does not depend on which
     trials share its batch or its call.
 
-    A batch allocates three float (trials, n) arrays: the noise, its
-    coefficients and the synthesis output.  Once each row's max |We| is
-    read, the noise array is the thresholding's scratch and then holds the
-    contraction check's differences.  Exceedances are counted only for rows
-    whose max |We| passes lambda; the others count zero on every level.
+    A call makes one work buffer for one batch, which every batch reuses,
+    so no batch's arrays outlive it: the noise, its coefficients, the
+    synthesis output, each (trials, n), and the transforms' scratch.  Once
+    each row's max |We| is read, the noise array is the thresholding's
+    scratch and then holds the contraction check's differences.
+    Exceedances are counted only for rows whose max |We| passes lambda; the
+    others count zero on every level.  The thresholding returns the finest
+    level that keeps a coefficient in the batch, and the synthesis takes the
+    levels above it in closed form, with the bytes of the full synthesis
+    (see the systems' ``_synthesize_into``).
     """
     signal = make_signal(plan.signal_kind, plan.alpha, plan.holder_const)
     f = signal.sample(n)
@@ -315,22 +330,28 @@ def run_cell(plan: ExperimentPlan, cell: int, n: int, delta: float,
 
     T = len(trials)
     seed, max_sq, mse = np.empty(T, np.uint64), np.empty(T), np.empty(T)
-    in_A = np.empty(T, bool)
+    in_A, noise_max = np.empty(T, bool), np.empty(T)
     by_level = np.zeros((T, len(levels)), np.intp)
     step = _chunk_trials(n)
+    width = min(step, T)
+    work = np.empty(width * (2 * n + system._scratch_per_row))
+    noise_rows, out_rows = work[: 2 * width * n].reshape(2, width, n)
+    scratch_rows = work[2 * width * n :].reshape(width, system._scratch_per_row)
     for start in range(0, T, step):
         rows = slice(start, start + step)
         seed[rows], noise = _noise_batch(plan.noise_family, plan.noise_bound,
-                                         plan.master_seed, cell, trials[rows], n)
+                                         plan.master_seed, cell, trials[rows], n,
+                                         noise_rows)
+        k = len(noise)
 
         # W(f + e) = Wf + We: the noise is analyzed once, for event A, the
         # exceedances and, with Wf added, the estimate.  The noise is dead
         # once analyzed: |We| goes into its buffer, and then the scratch of
         # the thresholding and of the contraction check.
         c = system.analyze(noise)
-        top = np.max(np.abs(c, out=noise), axis=-1)
-        in_A[rows] = top <= bound
-        exceeds = top > lam
+        batch_max = noise_max[rows] = np.max(np.abs(c, out=noise), axis=-1)
+        in_A[rows] = batch_max <= bound
+        exceeds = batch_max > lam
         over = np.flatnonzero(exceeds)
         if over.size:  # the approximation block counts with the coarsest level
             by_level[start + over] = np.add.reduceat(noise[over] > lam, starts,
@@ -339,21 +360,19 @@ def run_cell(plan: ExperimentPlan, cell: int, n: int, delta: float,
         c += signal_c
         # packed from the buffer's start: as noise[:, lo:], the same scratch
         # ran up to twice as slow at 32 and 128 rows
-        details = (len(noise), n - lo)
+        details = (k, n - lo)
         scratch = noise.reshape(-1)[: math.prod(details)].reshape(details)
-        _threshold_in_place(c[:, lo:], lam, cfg.mode, scratch)
+        kept = _threshold_in_place(c, lam, cfg.mode, scratch, cfg.coarse_level)
         _assert_detail_contraction(c, signal_c, contraction, cfg.coarse_level,
                                    exceeds, scratch)
 
-        sq = system.synthesize(c)
+        sq = system._synthesize_into(c, out_rows[:k], scratch_rows[:k], kept)
         sq -= f
         np.square(sq, out=sq)
         max_sq[rows], mse[rows] = np.max(sq, axis=-1), np.mean(sq, axis=-1)
-        # either would stay alive through the next batch's analysis or
-        # synthesis, one more (trials, n) array at the peak
-        del sq, scratch
+        del c  # alive through the next batch's draws, one more array at the peak
     return CellResult(n, delta, np.arange(trials.start, trials.stop, trials.step),
-                      seed, max_sq, mse, in_A, by_level)
+                      seed, max_sq, mse, in_A, by_level, noise_max)
 
 
 def run_trial(plan: ExperimentPlan, cell: int, n: int, delta: float,
@@ -468,7 +487,7 @@ def _pool(processes: int):
 
 def _join(shares: Sequence[CellResult]) -> CellResult:
     """One cell's task shares, in trial order, as one result."""
-    columns = ("trial", "seed", "max_sq_err", "mse", "in_A", "exceed_by_level")
+    columns = ("trial", "seed", "max_sq_err", "mse", "in_A", "exceed_by_level", "noise_max")
     return replace(shares[0], **{k: np.concatenate([getattr(s, k) for s in shares])
                                  for k in columns})
 
@@ -481,10 +500,11 @@ def wilson_interval(successes: int, trials: int,
     the upper bound one step below it at successes == trials.
     """
     _real("Wilson z", z, 0, strict=True)
-    if not (is_integer(successes) and is_integer(trials)
-            and 0 <= successes <= trials and trials >= 1):
-        raise ValueError(f"need integers 0 <= successes <= trials with trials >= 1, "
-                         f"got successes={successes!r}, trials={trials!r}")
+    _count("successes", successes, 0)
+    _count("trials", trials, 1)
+    if successes > trials:
+        raise ValueError(f"successes must be <= trials, got successes={successes!r}, "
+                         f"trials={trials!r}")
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom

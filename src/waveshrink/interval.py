@@ -705,7 +705,7 @@ class IntervalSystem(_WaveletSystem):
         flat[:, :half] = y3[0]
         return out
 
-    def _synthesize_into(self, c: np.ndarray, out, scratch) -> np.ndarray:
+    def _synthesize_into(self, c: np.ndarray, out, scratch, kept=None) -> np.ndarray:
         """``synthesize`` of the float array c into ``out``, with ``scratch``
         (see :meth:`_scratch`); each None is allocated.
 
@@ -713,7 +713,15 @@ class IntervalSystem(_WaveletSystem):
         coarser level, in a scratch buffer laid out as (kind, row, k), takes
         the boundary entries out for the edges and zeroes them there, then
         runs the bands over all rows as one stream into zeros.  The zeroed
-        entries add +-0 to sums that start at +0, which changes no bit."""
+        entries add +-0 to sums that start at +0, which changes no bit.
+
+        ``kept`` (default J - 1) is the finest level whose details may be
+        nonzero; every detail above it must be +-0.  The levels above it
+        put +0 in place of their details and run only the scaling band:
+        each entry's sum starts at +0 and so is never -0, and a +-0 term
+        added to such a sum changes no bit.  The edges' sums may differ in
+        the sign of a zero, but they too are added into entries that are
+        never -0."""
         if out is None:
             out = np.empty(c.shape)
         rows = out.size // self.n
@@ -723,6 +731,7 @@ class IntervalSystem(_WaveletSystem):
         flat = c.reshape(rows, self.n)
         bufs = self._scratch(rows, scratch)
         last = len(self.levels) - 1
+        top = len(self.levels) if kept is None else kept + 1 - self.coarse_level
         for i, level in enumerate(self.levels):
             half = level.size // 2
             m = rows * half
@@ -734,7 +743,12 @@ class IntervalSystem(_WaveletSystem):
             y3 = y.reshape(2, rows, half)
             if i == 0:
                 y3[0] = flat[:, :half]
-            y3[1] = flat[:, half : level.size]
+            if i < top:
+                y3[1] = flat[:, half : level.size]
+                band, coeffs = level.pair, y
+            else:
+                y3[1] = 0.0
+                band, coeffs = level.scaling, y[0]
             yv = y3.transpose(1, 0, 2)
             parts = [e.apply_transpose(yv) for e in level.edges]
             yv[..., level.pair.hi + 1 :] = 0.0
@@ -743,7 +757,7 @@ class IntervalSystem(_WaveletSystem):
             nxt = bufs[(last - i - 1) % 2]
             x, tmp = (out.reshape(-1), bufs[1]) if i == last else (nxt[: 2 * m], nxt[2 * m :])
             x[...] = 0.0
-            level.pair.across(rows, half).synthesize(y, x, tmp)
+            band.across(rows, half).synthesize(coeffs, x, tmp)
             x2 = x.reshape(rows, level.size)
             for e, part in zip(level.edges, parts):
                 x2[:, e.start : e.stop] += part

@@ -198,10 +198,13 @@ class _WaveletSystem:
     the detail levels coarse to fine (level j at [2**j, 2**(j+1))).  A
     batched row is bit-equal to that row transformed alone.  Each allocates
     its result and scratch per call.  A subclass's ``_analyze_into(x, out,
-    scratch)`` and ``_synthesize_into(c, out, scratch)`` write the same bytes
-    into a given output with a given scratch (the input's leading shape plus
-    ``_scratch_per_row`` values), for :func:`~waveshrink.shrinkage.shrink`;
-    they check neither, and allocate each that is None."""
+    scratch)`` and ``_synthesize_into(c, out, scratch, kept)`` write the same
+    bytes into a given output with a given scratch (the input's leading
+    shape plus ``_scratch_per_row`` values), for
+    :func:`~waveshrink.shrinkage.shrink`; they check neither, and allocate
+    each that is None.  ``kept`` (default J - 1) is the finest level whose
+    details may be nonzero: the levels above it, whose details must all be
+    +-0, are synthesized in a closed form with the same bytes."""
 
     @property
     def finest_level(self) -> int:
@@ -279,18 +282,46 @@ class HaarSystem(_WaveletSystem):
         out[..., : 2 ** J0] = s
         return out
 
-    def _synthesize_into(self, c: np.ndarray, out, scratch) -> np.ndarray:
+    def _synthesize_into(self, c: np.ndarray, out, scratch, kept=None) -> np.ndarray:
         """:meth:`synthesize` of the float array c into ``out``, allocated where
         None; block b writes the samples [b n/p, (b+1) n/p) straight into
         it.  The levels between take n/2 values of ``scratch`` per row;
         where scratch is None, the blocks' scratch is allocated, or at p = 1
-        with out None too, each level's approximation and the result."""
+        with out None too, each level's approximation and the result.
+
+        ``kept`` (default J - 1) is the finest level whose details may be
+        nonzero; every detail above it must be +-0.  Levels J0..kept run as
+        above.  Above kept, (s + d)/sqrt(2) and (s - d)/sqrt(2) are both
+        exactly s/sqrt(2) for d = +-0 and s != 0, and a nonzero s divided by
+        sqrt(2) is never 0.  So the approximations of level kept + 1 are
+        divided by sqrt(2) once per level left, on that small array, and
+        each is copied into its 2**(J-kept-1) samples.  A +-0 approximation
+        would take its sign from the details, so where one appears (on the
+        calling thread, or in a block) every level runs as above."""
         J, J0 = self.finest_level, self.coarse_level
+        top = J if kept is None else kept + 1  # the first level of +-0 details
         p, split = _split(c.size, J, J0)
-        s = _synthesize_levels(c[..., : 2 ** J0].copy(), c, range(J0, split), 0, 1, None)
-        levels = range(split, J)
+        own = p == 1 and out is None and scratch is None  # each level allocates
+        if own:
+            split = top
+        s = _synthesize_levels(c[..., : 2 ** J0].copy(), c, range(J0, min(top, split)),
+                               0, 1, None)
         lead, m = c.shape[:-1], self.n // p
-        if p == 1 and out is None and scratch is None:
+        if top < J and top <= split:
+            if s.all():
+                if out is None:
+                    out = np.empty(c.shape)
+                for _ in range(J - top):
+                    s /= _SQRT2
+                pairs = out.reshape(lead + (p, m // 2, 2))
+                w = max(2 ** top // p, 1)
+                _run_blocks(_spread, [(s[..., b * 2 ** top // p :][..., :w], pairs[..., b, :, :])
+                                      for b in range(p)])
+                return out
+            s = _synthesize_levels(s, c, range(top, split), 0, 1, None)
+            top = J
+        levels = range(split, J)
+        if own:
             bufs = [None]
         else:
             # each block's share of the output, as pairs, and n/2p values
@@ -301,8 +332,8 @@ class HaarSystem(_WaveletSystem):
             bufs = [(pairs[..., b, :, :], block)
                     for b, block in enumerate(_block_scratch(scratch, p, c.size // p // 2))]
         w = 2 ** split // p
-        fine = _run_blocks(_synthesize_levels, [
-            (s[..., b * w : (b + 1) * w], c, levels, b, p, bufs[b]) for b in range(p)])
+        fine = _run_blocks(_synthesize_block, [
+            (s[..., b * w : (b + 1) * w], c, levels, top, b, p, bufs[b]) for b in range(p)])
         if out is None:
             return fine[0]
         if not levels:  # J0 = J: the coefficients are the samples
@@ -397,14 +428,15 @@ def _analyze_levels(s, out, levels, block: int, p: int, bufs):
     return s
 
 
-def _synthesize_levels(s, c, levels, block: int, p: int, bufs):
+def _synthesize_levels(s, c, levels, block: int, p: int, bufs, last_in_pairs=True):
     """Inverse of :func:`_analyze_levels` for ``levels`` (coarse to fine)
     from s, the block's share of the approximation below the first level,
     and its shares of c's details.  Each level writes its approximation as
     (..., 2**j // p, 2) pairs: with ``bufs`` = (pairs, scratch), the last
     level and every second level before it to the front of pairs, a
-    (..., m/2, 2) view, and the others to the front of the flat scratch;
-    with bufs None, each to a new array.  Returns the last approximation."""
+    (..., m/2, 2) view, and the others to the front of the flat scratch
+    (the other way round where ``last_in_pairs`` is false); with bufs
+    None, each to a new array.  Returns the last approximation."""
     lead = c.shape[:-1]
     for j in levels:
         w = (1 << j) // p
@@ -413,7 +445,7 @@ def _synthesize_levels(s, c, levels, block: int, p: int, bufs):
         # (s ± d) / sqrt(2) written as pairs, one division for both
         if bufs is None:
             out = np.empty(lead + (w, 2))
-        elif (levels[-1] - j) % 2 == 0:
+        elif (levels[-1] - j + last_in_pairs) % 2:
             out = bufs[0][..., :w, :]
         else:
             out = bufs[1][: 2 * d.size].reshape(lead + (w, 2))
@@ -422,6 +454,30 @@ def _synthesize_levels(s, c, levels, block: int, p: int, bufs):
         out /= _SQRT2
         s = out.reshape(lead + (2 * w,))
     return s
+
+
+def _synthesize_block(s, c, levels, top: int, block: int, p: int, bufs):
+    """:func:`_synthesize_levels` of ``levels`` (split ... J-1) for block
+    ``block`` of p, where every detail of the levels from ``top`` on is
+    +-0: the levels below top as there, and the rest in closed form (see
+    :meth:`HaarSystem._synthesize_into`) from the approximations of level
+    top, which go to the scratch of ``bufs``, a pair of buffers.  Where one
+    of those is +-0, all of ``levels`` run again, as there."""
+    if top < levels.stop:
+        t = _synthesize_levels(s, c, range(levels.start, top), block, p, bufs,
+                               last_in_pairs=False)
+        if t.all():
+            for _ in range(levels.stop - top):
+                t /= _SQRT2
+            _spread(t, bufs[0])
+            return None
+    return _synthesize_levels(s, c, levels, block, p, bufs)
+
+
+def _spread(t, pairs) -> None:
+    """Each of the W values of t (..., W) into its share of ``pairs`` (...,
+    m/2, 2), a block's samples, m/W samples each."""
+    pairs.reshape(pairs.shape[:-2] + (t.shape[-1], -1, 2))[...] = t[..., None, None]
 
 
 def _pyramid(system: _WaveletSystem, samples: np.ndarray) -> CoefficientPyramid:

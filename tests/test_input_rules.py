@@ -150,6 +150,10 @@ NUMBER_ENTRY_POINTS = {
                                "threshold must be finite and >= 0", -1.0),
     "wilson_interval-z": (lambda v: wilson_interval(3, 10, z=v),
                           "Wilson z must be finite and > 0", 0.0),
+    "wilson_interval-successes": (lambda v: wilson_interval(v, 10),
+                                  "successes must be an integer >= 0", -1),
+    "wilson_interval-trials": (lambda v: wilson_interval(0, v),
+                               "trials must be an integer >= 1", 0),
     "estimate-b": (lambda v: estimate_event_probability("uniform", v, 16, 2),
                    NOISE_RANGE_MESSAGE, -1.0),
     "estimate-trials": (lambda v: estimate_event_probability("uniform", 1.0, 16, v),
@@ -199,6 +203,19 @@ def test_number_entry_points_take_numbers(entry):
     # the valid value that the bool True would pass as, and numpy's
     NUMBER_ENTRY_POINTS[entry][0](1)
     NUMBER_ENTRY_POINTS[entry][0](np.int64(1))
+
+
+@pytest.mark.parametrize("successes, trials, message", [
+    (2.0, 3, "successes must be an integer >= 0, got 2.0"),
+    (1, 2.0, "trials must be an integer >= 1, got 2.0"),
+    (-1, 3, "successes must be an integer >= 0, got -1"),
+    (4, 3, "successes must be <= trials, got successes=4, trials=3"),
+])
+def test_wilson_counts_are_checked_one_at_a_time(successes, trials, message):
+    # each count through the count rule, then one check that names both
+    with pytest.raises(ValueError) as exc:
+        wilson_interval(successes, trials)
+    assert str(exc.value) == message
 
 
 # entry points that take a master seed

@@ -250,6 +250,25 @@ def test_more_batches_do_not_raise_the_peak():
     assert peak(range(20)) - peak(range(2)) < batch_array / 2
 
 
+@pytest.mark.parametrize("kind, moments, alpha", [("haar", None, 0.5), ("interval", 2, 1.0)])
+def test_noise_max_is_each_trials_largest_noise_coefficient(kind, moments, alpha):
+    plan = plan_of(ns=(256,), deltas=(1.0,), trials=6, alpha=alpha, system=kind,
+                   moments=moments, noise_family="mixture")
+    cell, n, delta = plan.cells()[0]
+    system = wavelet_system(kind, n, alpha, moments)
+    result = run_cell(plan, cell, n, delta, range(6), system)
+    bound = noise.coefficient_bound(plan.noise_bound, system)
+    assert result.noise_max.dtype == np.float64 and result.noise_max.shape == (6,)
+    assert np.array_equal(result.in_A, result.noise_max <= bound)
+    _, e = experiments._noise_batch(plan.noise_family, plan.noise_bound, plan.master_seed,
+                                    cell, range(4, 5), n)
+    assert result.noise_max[4] == np.max(np.abs(system.analyze(e[0])))
+    # a cell's shares join in trial order
+    joined = experiments._join([run_cell(plan, cell, n, delta, range(0, 2), system),
+                                run_cell(plan, cell, n, delta, range(2, 6), system)])
+    assert joined.noise_max.tobytes() == result.noise_max.tobytes()
+
+
 class TestContractionCheck:
     @staticmethod
     def batch(trials=5, n=64, coarse=2, lam=0.3):
