@@ -477,7 +477,8 @@ def _synthesize_block(s, c, levels, top: int, block: int, p: int, bufs):
 def _spread(t, pairs) -> None:
     """Each of the W values of t (..., W) into its share of ``pairs`` (...,
     m/2, 2), a block's samples, m/W samples each."""
-    pairs.reshape(pairs.shape[:-2] + (t.shape[-1], -1, 2))[...] = t[..., None, None]
+    w = t.shape[-1]
+    pairs.reshape(pairs.shape[:-2] + (w, pairs.shape[-2] // w, 2))[...] = t[..., None, None]
 
 
 def _pyramid(system: _WaveletSystem, samples: np.ndarray) -> CoefficientPyramid:

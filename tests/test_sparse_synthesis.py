@@ -139,6 +139,15 @@ def test_a_signed_zero_approximation_in_one_block_runs_every_level(blocks, p):
         assert_synthesis_matches(system, got, 1)
 
 
+@pytest.mark.parametrize("lead", [(0,), (2, 0)])
+@pytest.mark.parametrize("system", [HaarSystem(2 ** 8, 0)] + interval_systems(), ids=repr)
+def test_a_batch_without_rows(system, lead):
+    c = np.empty(lead + (system.n,))
+    assert _threshold_in_place(c, LAM, "soft", None, system.coarse_level) == \
+        system.coarse_level - 1
+    assert_synthesis_matches(system, c, system.coarse_level - 1)
+
+
 def test_closed_form_levels_are_a_copy_of_the_scaled_approximations():
     """The samples above the kept level are the level-(kept+1) approximations
     divided by sqrt(2) once per level, each repeated over its block."""
