@@ -23,12 +23,12 @@ passes the threshold, and We + Wf is thresholded and synthesized.  This
 rounds differently from analyzing f + e (at most about 3e-14 relative in
 the error fields); seeds, event A and the exceedances are the same either
 way.  The thresholding finds the finest level that keeps a coefficient in
-the batch, and the synthesis stops its general levels there: above it every
-detail is +-0, and the closed form it takes instead gives the bytes of the
-full synthesis, so a row still does not depend on which trials share its
-batch.  A cell's results are one :class:`CellResult` of columns, event A and
-each trial's max |We| among them at every n; the writers print event A only
-at n in ``EVENT_A_SIZES``, and never the max.
+the batch, and the synthesis takes the levels above it in a closed form with
+the bytes of the full synthesis (see the systems' ``_synthesize_into``), so a
+row still does not depend on which trials share its batch.  A cell's results
+are one :class:`CellResult` of columns, event A and each trial's max |We|
+among them at every n; the writers print event A only at n in
+``EVENT_A_SIZES``, and never the max.
 
 Interval systems come from one store per process
 (:func:`~waveshrink.shrinkage.wavelet_systems`).  :func:`run_plan` resolves

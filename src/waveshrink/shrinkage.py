@@ -70,18 +70,18 @@ def hard_threshold(x, lam: float):
 _THRESHOLD_FNS = {"soft": soft_threshold, "hard": hard_threshold}
 
 
-def _threshold_in_place(c: np.ndarray, lam: float, mode: str, scratch=None,
-                        coarse_level: Optional[int] = None) -> int:
-    """Threshold the float array c in place under ``mode``, to the bytes that
-    :func:`soft_threshold` or :func:`hard_threshold` return, and return
-    ``kept``, the finest level where a value survives.
+def _threshold_in_place(c: np.ndarray, lam: float, mode: str, scratch,
+                        coarse_level: int) -> int:
+    """Threshold the detail coefficients of the float array c in place under
+    ``mode``, to the bytes that :func:`soft_threshold` or
+    :func:`hard_threshold` return, and return ``kept``, the finest level
+    where a value survives, or J0 - 1 where none does.
 
-    With ``coarse_level`` J0, c holds flat coefficients (..., n): its
-    approximation block passes through, and level j's details are columns
-    [2**j, 2**(j+1)); ``kept`` is J0 - 1 when no level keeps a value.
-    Without it, all of c is one level, level 0.  ``scratch``, an array of
-    the shape of the thresholded columns (c[..., 2**J0:], or c), is
-    overwritten, or None to allocate what is needed.
+    c holds flat coefficients (..., n) from coarse level J0 =
+    ``coarse_level``: its approximation block passes through, and level j's
+    details are columns [2**j, 2**(j+1)).  ``scratch``, an array of the
+    shape of c[..., 2**J0:], is overwritten, or None to allocate what is
+    needed.
 
     From the finest level down, while more than :data:`_SCAN_VALUES` values
     are left, a level is read with ``np.maximum.reduce`` and
@@ -93,28 +93,24 @@ def _threshold_in_place(c: np.ndarray, lam: float, mode: str, scratch=None,
     in p = :func:`_block_count` shares, each on a thread of its own with the
     same columns of scratch; a share's part of a level is scanned alone,
     which changes no byte.  c must be finite."""
-    n = c.shape[-1]
-    if coarse_level is None:
-        lo, levels = 0, 0
-    else:
-        lo, levels = 1 << coarse_level, finest_level(n) - coarse_level
-    p = _block_count(c.size, levels)
+    n, lo = c.shape[-1], 1 << coarse_level
+    p = _block_count(c.size, finest_level(n) - coarse_level)
     cuts = [lo + k * (n - lo) // p for k in range(p + 1)]
     kept = _run_blocks(_threshold_share, [
-        (c, a, b, lam, mode, lo, None if scratch is None else scratch[..., a - lo : b - lo])
+        (c, a, b, lam, mode, None if scratch is None else scratch[..., a - lo : b - lo])
         for a, b in zip(cuts, cuts[1:])])
-    return max(kept) if coarse_level is None else max(coarse_level - 1, *kept)
+    return max(coarse_level - 1, *kept)
 
 
-def _threshold_share(c: np.ndarray, a: int, b: int, lam: float, mode: str, lo: int,
+def _threshold_share(c: np.ndarray, a: int, b: int, lam: float, mode: str,
                      scratch) -> int:
-    """:func:`_threshold_in_place` of columns [a, b) of c, whose levels start
-    at the powers of two above ``lo`` (one level, 0, at lo = 0); returns the
-    finest level that keeps a value there, or -1.  ``scratch``, an array
-    of the share's shape, or None.  It runs on helper threads: numpy only,
-    and no allocation of the share's size when scratch is given."""
+    """:func:`_threshold_in_place` of the detail columns [a, b) of c, whose
+    levels start at powers of two; returns the finest level that keeps a
+    value there, or -1.  ``scratch``, an array of the share's shape, or
+    None.  It runs on helper threads: numpy only, and no allocation of the
+    share's size when scratch is given."""
     rows, stop, kept = c.size // c.shape[-1], b, None
-    while lo and rows * (stop - a) > _SCAN_VALUES:
+    while rows * (stop - a) > _SCAN_VALUES:
         level = (stop - 1).bit_length() - 1
         start = max(a, 1 << level)
         x = c[..., start:stop]
@@ -139,9 +135,7 @@ def _threshold_share(c: np.ndarray, a: int, b: int, lam: float, mode: str, lo: i
         np.greater(mag, lam, out=mag)  # 1.0 where x is kept, 0.0 where not
         x *= mag
         x += 0.0  # a killed negative's -0.0 becomes hard_threshold's 0.0
-    if kept is None and not lo:
-        kept = 0 if x.any() else -1
-    elif kept is None:  # under _SCAN_VALUES values: the columns not +-0 now
+    if kept is None:  # under _SCAN_VALUES values: the columns not +-0 now
         hit = np.flatnonzero(x.reshape(-1, stop - a).any(axis=0))
         kept = (a + int(hit[-1])).bit_length() - 1 if hit.size else -1
     return kept
@@ -361,12 +355,9 @@ def shrink(y, config: ShrinkageConfig, system=None) -> np.ndarray:
 
     The thresholding returns ``kept``, the finest level where some
     coefficient of the call survives (:func:`_threshold_in_place`), and the
-    synthesis runs the general levels only up to it.  Every level above it
-    holds only +-0 details, so the synthesis takes a closed form there: the
-    Haar system divides the level-(kept+1) approximations by sqrt(2) once
-    per level and copies each into its block of samples, and the interval
-    system runs only its scaling taps and edges.  Both give the bytes of the
-    full synthesis (see the systems' ``_synthesize_into``).
+    synthesis takes the levels above it, whose details are all +-0, in a
+    closed form with the bytes of the full synthesis (see the systems'
+    ``_synthesize_into``).
 
     ``y`` is one sample vector or a batch (..., n), and each row of a batch
     comes out bit-equal to that row denoised alone.  ``y`` is never written.

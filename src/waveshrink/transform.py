@@ -290,53 +290,34 @@ class HaarSystem(_WaveletSystem):
         with out None too, each level's approximation and the result.
 
         ``kept`` (default J - 1) is the finest level whose details may be
-        nonzero; every detail above it must be +-0.  Levels J0..kept run as
-        above.  Above kept, (s + d)/sqrt(2) and (s - d)/sqrt(2) are both
-        exactly s/sqrt(2) for d = +-0 and s != 0, and a nonzero s divided by
-        sqrt(2) is never 0.  So the approximations of level kept + 1 are
-        divided by sqrt(2) once per level left, on that small array, and
-        each is copied into its 2**(J-kept-1) samples.  A +-0 approximation
-        would take its sign from the details, so where one appears (on the
-        calling thread, or in a block) every level runs as above."""
+        nonzero; every detail above it must be +-0.  Above kept,
+        (s + d)/sqrt(2) and (s - d)/sqrt(2) are both exactly s/sqrt(2) for
+        d = +-0 and s != 0, and a nonzero s divided by sqrt(2) is never 0.
+        So from level top, kept + 1 or the blocks' first level if that is
+        finer, each block divides its approximations of level top by sqrt(2)
+        once per level left, on that small array, and copies each into its
+        2**(J-top) samples.  A +-0 approximation would take its sign from
+        the details, so a block where one appears runs its levels as above."""
         J, J0 = self.finest_level, self.coarse_level
-        top = J if kept is None else kept + 1  # the first level of +-0 details
         p, split = _split(c.size, J, J0)
+        top = J if kept is None else max(kept + 1, split)
+        s = _synthesize_levels(c[..., : 2 ** J0].copy(), c, range(J0, split), 0, 1, None)
         own = p == 1 and out is None and scratch is None  # each level allocates
-        if own:
-            split = top
-        s = _synthesize_levels(c[..., : 2 ** J0].copy(), c, range(J0, min(top, split)),
-                               0, 1, None)
-        lead, m = c.shape[:-1], self.n // p
-        if top < J and top <= split:
-            if s.all():
-                if out is None:
-                    out = np.empty(c.shape)
-                for _ in range(J - top):
-                    s /= _SQRT2
-                pairs = out.reshape(lead + (p, m // 2, 2))
-                w = max(2 ** top // p, 1)
-                _run_blocks(_spread, [(s[..., b * 2 ** top // p :][..., :w], pairs[..., b, :, :])
-                                      for b in range(p)])
-                return out
-            s = _synthesize_levels(s, c, range(top, split), 0, 1, None)
-            top = J
-        levels = range(split, J)
-        if own:
-            bufs = [None]
-        else:
-            # each block's share of the output, as pairs, and n/2p values
-            # per row of scratch
+        if not own:
             if out is None:
                 out = np.empty(c.shape)
-            pairs = out.reshape(lead + (p, m // 2, 2))
-            bufs = [(pairs[..., b, :, :], block)
-                    for b, block in enumerate(_block_scratch(scratch, p, c.size // p // 2))]
-        w = 2 ** split // p
-        fine = _run_blocks(_synthesize_block, [
-            (s[..., b * w : (b + 1) * w], c, levels, top, b, p, bufs[b]) for b in range(p)])
+            flat = np.empty(c.size // 2) if scratch is None else scratch.reshape(-1)
+        # block b's buffers: its m samples of out, as pairs, and n/2p values
+        # per row of scratch
+        lead, w, m, size = c.shape[:-1], 2 ** split // p, self.n // p, c.size // p // 2
+        fine = _run_blocks(_synthesize_levels, [
+            (s[..., b * w : (b + 1) * w], c, range(split, J), b, p,
+             None if own else (out[..., b * m : (b + 1) * m].reshape(lead + (m // 2, 2)),
+                               flat[b * size : (b + 1) * size]), top)
+            for b in range(p)])
         if out is None:
             return fine[0]
-        if not levels:  # J0 = J: the coefficients are the samples
+        if split == J:  # J0 = J: the coefficients are the samples
             out[...] = fine[0]
         return out
 
@@ -428,57 +409,48 @@ def _analyze_levels(s, out, levels, block: int, p: int, bufs):
     return s
 
 
-def _synthesize_levels(s, c, levels, block: int, p: int, bufs, last_in_pairs=True):
+def _synthesize_levels(s, c, levels, block: int, p: int, bufs, top=None):
     """Inverse of :func:`_analyze_levels` for ``levels`` (coarse to fine)
     from s, the block's share of the approximation below the first level,
     and its shares of c's details.  Each level writes its approximation as
     (..., 2**j // p, 2) pairs: with ``bufs`` = (pairs, scratch), the last
     level and every second level before it to the front of pairs, a
-    (..., m/2, 2) view, and the others to the front of the flat scratch
-    (the other way round where ``last_in_pairs`` is false); with bufs
-    None, each to a new array.  Returns the last approximation."""
+    (..., m/2, 2) view of the block's m samples, and the others to the
+    front of the flat scratch; with bufs None, each to a new array.
+    Returns the last approximation.
+
+    Every detail of the levels from ``top`` on must be +-0.  At level top,
+    where no approximation is +-0, the rest is the closed form of
+    :meth:`HaarSystem._synthesize_into`: s divided by sqrt(2) once per
+    level left, the first time into the scratch (s may sit in pairs), and
+    each value copied into its samples, which it returns: pairs, or a new
+    (..., m) array."""
     lead = c.shape[:-1]
     for j in levels:
         w = (1 << j) // p
+        if j == top and s.all():
+            t = np.divide(s, _SQRT2, None if bufs is None else
+                          bufs[1][: s.size].reshape(s.shape))
+            for _ in range(levels.stop - top - 1):
+                t /= _SQRT2
+            m = (1 << levels.stop) // p
+            samples = np.empty(lead + (m,)) if bufs is None else bufs[0]
+            samples.reshape(lead + (w, m // w))[...] = t[..., None]
+            return samples
         lo = (1 << j) + block * w
         d = c[..., lo : lo + w]
         # (s ± d) / sqrt(2) written as pairs, one division for both
         if bufs is None:
             out = np.empty(lead + (w, 2))
-        elif (levels[-1] - j + last_in_pairs) % 2:
-            out = bufs[0][..., :w, :]
-        else:
+        elif (levels[-1] - j) % 2:
             out = bufs[1][: 2 * d.size].reshape(lead + (w, 2))
+        else:
+            out = bufs[0][..., :w, :]
         np.add(s, d, out=out[..., 0])
         np.subtract(s, d, out=out[..., 1])
         out /= _SQRT2
         s = out.reshape(lead + (2 * w,))
     return s
-
-
-def _synthesize_block(s, c, levels, top: int, block: int, p: int, bufs):
-    """:func:`_synthesize_levels` of ``levels`` (split ... J-1) for block
-    ``block`` of p, where every detail of the levels from ``top`` on is
-    +-0: the levels below top as there, and the rest in closed form (see
-    :meth:`HaarSystem._synthesize_into`) from the approximations of level
-    top, which go to the scratch of ``bufs``, a pair of buffers.  Where one
-    of those is +-0, all of ``levels`` run again, as there."""
-    if top < levels.stop:
-        t = _synthesize_levels(s, c, range(levels.start, top), block, p, bufs,
-                               last_in_pairs=False)
-        if t.all():
-            for _ in range(levels.stop - top):
-                t /= _SQRT2
-            _spread(t, bufs[0])
-            return None
-    return _synthesize_levels(s, c, levels, block, p, bufs)
-
-
-def _spread(t, pairs) -> None:
-    """Each of the W values of t (..., W) into its share of ``pairs`` (...,
-    m/2, 2), a block's samples, m/W samples each."""
-    w = t.shape[-1]
-    pairs.reshape(pairs.shape[:-2] + (w, pairs.shape[-2] // w, 2))[...] = t[..., None, None]
 
 
 def _pyramid(system: _WaveletSystem, samples: np.ndarray) -> CoefficientPyramid:

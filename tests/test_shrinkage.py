@@ -73,12 +73,17 @@ class TestThresholdFunctions:
                     min_size=1, max_size=40), lams, st.booleans())
     def test_in_place_gives_the_bytes_of_the_rules(self, xs, lam, scratch):
         """Signed zeros included: a killed negative coefficient is -0.0 under
-        soft thresholding and 0.0 under hard thresholding."""
+        soft thresholding and 0.0 under hard thresholding.  The values are
+        the details of a flat vector at J0 = 0, after its approximation."""
         x = np.array(xs + [lam, -lam])
+        c = np.zeros(2 ** len(x).bit_length())
+        c[0], c[1 : x.size + 1] = -3.0 * lam - 1.0, x
         for mode, fn in (("soft", soft_threshold), ("hard", hard_threshold)):
-            got = x.copy()
-            _threshold_in_place(got, lam, mode, np.empty_like(x) if scratch else None)
-            assert got.tobytes() == fn(x, lam).tobytes()
+            got = c.copy()
+            _threshold_in_place(got, lam, mode,
+                                np.empty(c.size - 1) if scratch else None, 0)
+            assert got[:1].tobytes() == c[:1].tobytes()
+            assert got[1:].tobytes() == fn(c[1:], lam).tobytes()
 
     def test_negative_lambda_rejected(self):
         for fn in (soft_threshold, hard_threshold):

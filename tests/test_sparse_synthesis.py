@@ -78,12 +78,15 @@ def test_threshold_gives_the_rules_bytes_and_the_finest_kept_level(
 
 
 @pytest.mark.parametrize("mode", ["soft", "hard"])
-def test_threshold_without_levels_is_one_level(mode):
-    for x, kept in ((np.array([LAM, -LAM, 0.0, -0.0, 0.5, -0.5]), -1),
-                    (np.array([LAM, -0.0, -2.0]), 0)):
-        got = x.copy()
-        assert _threshold_in_place(got, LAM, mode) == kept
-        assert_same_bytes(got, RULES[mode](x, LAM))
+def test_threshold_of_one_detail_level(mode):
+    """n = 2**(J0+1): one detail level, J0, after approximations inside
+    [-lam, lam] that pass through; kept is J0 - 1 when it keeps nothing."""
+    approx = [0.5, -0.0, LAM, -0.5]
+    for details, kept in (([LAM, -LAM, 0.0, -0.0], 1), ([0.5, -0.5, -0.0, -2.0], 2)):
+        c = np.array(approx + details)
+        got = c.copy()
+        assert _threshold_in_place(got, LAM, mode, None, 2) == kept
+        assert_same_bytes(got, expected(c, 2, mode))
 
 
 def haar_systems():

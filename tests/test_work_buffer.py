@@ -17,6 +17,7 @@ from waveshrink.shrinkage import (
     ShrinkageConfig,
     _threshold_in_place,
     shrink,
+    threshold_rule,
     wavelet_system,
 )
 from waveshrink.transform import (
@@ -32,11 +33,11 @@ MOMENTS = [2, 3, 4, 5]
 
 
 def composed(y, config, system):
-    """shrink as analyze, _threshold_in_place, synthesize, each allocating
-    its own arrays."""
+    """shrink as analyze, the public thresholding rule on the details, and
+    synthesize, each allocating its own arrays."""
     coeffs = system.analyze(np.asarray(y, dtype=float))
-    _threshold_in_place(coeffs[..., 2 ** config.coarse_level :],
-                        config.orthonormal_threshold, config.mode)
+    details = coeffs[..., 2 ** config.coarse_level :]
+    details[...] = threshold_rule(config.mode)(details, config.orthonormal_threshold)
     return system.synthesize(coeffs)
 
 
@@ -157,9 +158,16 @@ def test_block_helpers_allocate_nothing_when_every_buffer_is_given(lead):
     s = noisy(lead + (2 ** 14 // p,), 3)
     bufs = (np.empty(lead + (2 ** 14, 2)), np.empty(rows * 2 ** 14))
     assert allocated(_synthesize_levels, s, out, coarse, block, p, bufs) < small
+    # the closed form from the range's first level and from inside it, on
+    # approximations that are not +-0; its samples come in equal pairs
+    s = np.abs(s) + 1.0
+    for top in coarse:
+        assert allocated(_synthesize_levels, s, out, coarse, block, p, bufs, top) < small
+        pairs = _synthesize_levels(s, out, coarse, block, p, bufs, top).reshape(lead + (-1, 2))
+        assert np.array_equal(pairs[..., 0], pairs[..., 1])
     for mode in ("soft", "hard"):
-        scratch = np.empty(x.shape)
-        assert allocated(_threshold_in_place, x, 0.5, mode, scratch) < small
+        scratch = np.empty(lead + (n // p - 1,))
+        assert allocated(_threshold_in_place, x, 0.5, mode, scratch, 0) < small
 
 
 @pytest.mark.parametrize("rows", [_WORK_VALUES // 2 ** 14 // 2, _WORK_VALUES // 2 ** 14])
