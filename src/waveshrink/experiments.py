@@ -41,7 +41,6 @@ process that runs several plans on the same systems builds each once.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import numbers
 import os
@@ -129,6 +128,14 @@ _POOL_VALUES = 2 ** 18
 _ENVELOPE_QUANTILE = 99.9
 # The plan's fields that are not numbers.
 _TEXT_FIELDS = ("signal_kind", "noise_family", "mode", "system")
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx, after O'Neill's
+# seed_seq; its streams are stable under NEP 19): pool size in uint32 words,
+# hash constants and multipliers, and the mix's multipliers and shift
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R, _XSHIFT = 0xCA01F9DD, 0x4973F715, 16
+_MASK32 = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -266,25 +273,101 @@ def _chunk_trials(n: int) -> int:
     return max(1, _CHUNK_ELEMENTS // n)
 
 
-def _noise_batch(family: str, b: float, master_seed: int, cell: int,
-                 trials: range, n: int, out=None) -> tuple[np.ndarray, np.ndarray]:
-    """The seed column and the (len(trials), n) noise, zeros for b = 0, of a
-    batch of one cell's trials, written to the first rows of ``out`` where
-    it is given.  Trial t's PCG64 takes the four words of
-    ``SeedSequence(master_seed, spawn_key=(cell, t)).generate_state(4, uint64)``,
-    and its seed is word 0."""
-    states = [np.random.SeedSequence(master_seed, spawn_key=(cell, t))
-              .generate_state(4, np.uint64) for t in trials]
-    seeds = np.array([words[0] for words in states], np.uint64)
-    if out is None and len(states) == 1 and b > 0:  # the row is the batch: no copy
-        return seeds, sample_noise(NoiseSpec(family, b, _SeedWords(states[0])), n)[None]
-    noise = (np.empty((len(states), n)) if out is None else out)[: len(states)]
+def _uint32_words(value) -> list[int]:
+    """SeedSequence's uint32 words of a non-negative integer, least
+    significant first; 0 is one word.  ``int`` first: shifts of a numpy
+    integer would overflow."""
+    value = int(value)
+    return [value >> s & _MASK32 for s in range(0, max(value.bit_length(), 1), 32)]
+
+
+def _chain(start: int, mult: int, steps: int) -> list[int]:
+    """SeedSequence's running hash constant: ``start`` and its next ``steps``
+    products by ``mult``, mod 2^32."""
+    chain = [start]
+    for _ in range(steps):
+        chain.append(chain[-1] * mult & _MASK32)
+    return chain
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two uint32 words, on Python ints or uint32 arrays."""
+    x = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return x ^ x >> _XSHIFT
+
+
+def _seed_words(master_seed, cell: int, trials: range) -> np.ndarray:
+    """(len(trials), 4) uint64: row i is
+    ``SeedSequence(master_seed, spawn_key=(cell, trials[i])).generate_state(4, np.uint64)``,
+    the four words trial ``trials[i]``'s PCG64 takes (word 0 is its seed).
+
+    SeedSequence hashes its uint32 entropy words (the master seed's, padded
+    to the pool size since a spawn key is given, then the cell's, then the
+    trial's) into a pool of four words, through a chain of hash constants
+    that does not depend on the words.  So the pool of the words before the
+    trial's is made once, in Python ints, and each trial's words are mixed
+    into it for every row at once in uint32 arrays, whose products wrap mod
+    2^32 as the C code's do.
+    """
+    ends = (trials[0], trials[-1]) if trials else (0, 0)
+    if min(ends) < 0 or max(ends) >= 2 ** 64:
+        raise ValueError(f"trial indices must be integers in [0, 2^64), got {trials}")
+    entropy = _uint32_words(master_seed)
+    entropy += [0] * (_POOL_SIZE - len(entropy)) + _uint32_words(cell)
+    h = _INIT_A
+
+    def hashmix(value):
+        nonlocal h
+        value ^= h
+        h = h * _MULT_A & _MASK32
+        value = value * h & _MASK32
+        return value ^ value >> _XSHIFT
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        pool = [_mix(p, hashmix(word)) for p in pool]
+
+    def mix_in(rows, words):
+        # one trial word per row into each of the pool's words: the next
+        # _POOL_SIZE hashmix calls, as columns
+        nonlocal h
+        chain = np.array(_chain(h, _MULT_A, _POOL_SIZE), np.uint32)
+        h = int(chain[-1])
+        value = (words[:, None] ^ chain[:-1]) * chain[1:]
+        return _mix(rows, value ^ value >> _XSHIFT)
+
+    t = np.arange(trials.start, trials.stop, trials.step, dtype=np.uint64)
+    rows = mix_in(np.array(pool, np.uint32), t.astype(np.uint32))  # the low words
+    if max(ends) >> 32:  # trials from 2^32 on have two
+        high = (t >> 32).astype(np.uint32)
+        two = np.flatnonzero(high)
+        rows[two] = mix_in(rows[two], high[two])
+    # generate_state: the pool cycled to 8 uint32 words, read as 4 uint64
+    # words little-endian
+    chain = np.array(_chain(_INIT_B, _MULT_B, 2 * _POOL_SIZE), np.uint32)
+    state = (np.concatenate((rows, rows), axis=1) ^ chain[:-1]) * chain[1:]
+    state ^= state >> _XSHIFT
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+def _noise_batch(family: str, b: float, words: np.ndarray, n: int,
+                 out=None) -> np.ndarray:
+    """The (len(words), n) noise, zeros for b = 0, of a batch of trials whose
+    PCG64s take the rows of ``words`` (:func:`_seed_words`), written to the
+    first rows of ``out`` where it is given."""
+    if out is None and len(words) == 1 and b > 0:  # the row is the batch: no copy
+        return sample_noise(NoiseSpec(family, b, _SeedWords(words[0])), n)[None]
+    noise = (np.empty((len(words), n)) if out is None else out)[: len(words)]
     if b == 0:  # NoiseSpec rejects any other b that is not > 0
         noise[...] = 0.0
     else:
-        for row, words in zip(noise, states):
-            row[...] = sample_noise(NoiseSpec(family, b, _SeedWords(words)), n)
-    return seeds, noise
+        for row, state in zip(noise, words):
+            row[...] = sample_noise(NoiseSpec(family, b, _SeedWords(state)), n)
+    return noise
 
 
 def run_cell(plan: ExperimentPlan, cell: int, n: int, delta: float,
@@ -293,8 +376,9 @@ def run_cell(plan: ExperimentPlan, cell: int, n: int, delta: float,
 
     ``system`` is the cell's wavelet system; by default it is resolved with
     :func:`~waveshrink.shrinkage.wavelet_system` for the plan and n.  The
-    signal, the config, the signal's coefficients, the contraction bound and
-    the columns are made once per call.  Batches of :func:`_chunk_trials`
+    signal, the config, the signal's coefficients, the contraction bound,
+    the trials' seed words (:func:`_seed_words`) and the columns are made
+    once per call.  Batches of :func:`_chunk_trials`
     rows fill the columns: each trial draws its noise from its own seed, and
     the rows of a (trials, n) batch go through the same elementwise
     operations as a single trial would, so a row does not depend on which
@@ -329,7 +413,8 @@ def run_cell(plan: ExperimentPlan, cell: int, n: int, delta: float,
     starts = [0] + [2 ** j for j in levels[1:]]
 
     T = len(trials)
-    seed, max_sq, mse = np.empty(T, np.uint64), np.empty(T), np.empty(T)
+    words = _seed_words(plan.master_seed, cell, trials)
+    max_sq, mse = np.empty(T), np.empty(T)
     in_A, noise_max = np.empty(T, bool), np.empty(T)
     by_level = np.zeros((T, len(levels)), np.intp)
     step = _chunk_trials(n)
@@ -339,9 +424,8 @@ def run_cell(plan: ExperimentPlan, cell: int, n: int, delta: float,
     scratch_rows = work[2 * width * n :].reshape(width, system._scratch_per_row)
     for start in range(0, T, step):
         rows = slice(start, start + step)
-        seed[rows], noise = _noise_batch(plan.noise_family, plan.noise_bound,
-                                         plan.master_seed, cell, trials[rows], n,
-                                         noise_rows)
+        noise = _noise_batch(plan.noise_family, plan.noise_bound, words[rows], n,
+                             noise_rows)
         k = len(noise)
 
         # W(f + e) = Wf + We: the noise is analyzed once, for event A, the
@@ -372,7 +456,7 @@ def run_cell(plan: ExperimentPlan, cell: int, n: int, delta: float,
         max_sq[rows], mse[rows] = np.max(sq, axis=-1), np.mean(sq, axis=-1)
         del c  # alive through the next batch's draws, one more array at the peak
     return CellResult(n, delta, np.arange(trials.start, trials.stop, trials.step),
-                      seed, max_sq, mse, in_A, by_level, noise_max)
+                      words[:, 0].copy(), max_sq, mse, in_A, by_level, noise_max)
 
 
 def run_trial(plan: ExperimentPlan, cell: int, n: int, delta: float,
@@ -557,9 +641,10 @@ def _event_hits(family: str, b: float, system, bound: float, master_seed: int,
     :func:`_chunk_trials` rows.  Runs on helper threads: numpy's draws and
     large ufuncs release the GIL."""
     hits, step = 0, _chunk_trials(system.n)
+    words = _seed_words(master_seed, 0, trials)
     for start in range(0, len(trials), step):
-        c = system.analyze(_noise_batch(family, b, master_seed, 0,
-                                        trials[start : start + step], system.n)[1])
+        c = system.analyze(_noise_batch(family, b, words[start : start + step],
+                                        system.n))
         hits += int(np.count_nonzero(np.max(np.abs(c, out=c), axis=-1) <= bound))
     return hits
 
@@ -610,6 +695,11 @@ def summarize(plan: ExperimentPlan, cells: Sequence[CellResult]) -> list[CellSum
 
 _JSONL_FIELDS = ("trial", "n", "delta", "max_sq_err", "mse", "in_A",
                  "exceed_count", "seed")
+# one report line, as json.dumps writes the fields: floats in repr (json's
+# format for finite floats, and CellResult and the plan hold only finite
+# ones), in_A as true, false or null
+_JSONL_LINE = ('{"trial": %d, "n": %d, "delta": %r, "max_sq_err": %r, "mse": %r, '
+               '"in_A": %s, "exceed_count": %d, "seed": %d}\n')
 _CSV_FIELDS = ("n", "delta", "q50_max", "q50_mse", "p_within_envelope",
                "p_A_hat", "ci_lo", "ci_hi")
 
@@ -626,14 +716,17 @@ def atomic_write(path, write_fn) -> None:
 
 
 def write_reports(path, cells: Iterable[CellResult]) -> None:
-    """JSON lines from the cells' columns, one per trial with the fixed field set."""
+    """JSON lines from the cells' columns, one per trial with the fixed field
+    set, each line byte-equal to ``json.dumps(dict(zip(_JSONL_FIELDS, row)))``
+    and each cell's lines in one write."""
     def write(fh):
         for c in cells:
-            in_A = c.in_A.tolist() if c.n in _EVENT_A_SIZES else repeat(None)
-            for row in zip(c.trial.tolist(), repeat(c.n), repeat(c.delta),
-                           c.max_sq_err.tolist(), c.mse.tolist(), in_A,
-                           c.exceed_by_level.sum(axis=-1).tolist(), c.seed.tolist()):
-                fh.write(json.dumps(dict(zip(_JSONL_FIELDS, row))) + "\n")
+            in_A = (np.where(c.in_A, "true", "false").tolist()
+                    if c.n in _EVENT_A_SIZES else repeat("null"))
+            rows = zip(c.trial.tolist(), repeat(c.n), repeat(float(c.delta)),
+                       c.max_sq_err.tolist(), c.mse.tolist(), in_A,
+                       c.exceed_by_level.sum(axis=-1).tolist(), c.seed.tolist())
+            fh.write("".join(map(_JSONL_LINE.__mod__, rows)))
     atomic_write(path, write)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -289,6 +290,33 @@ class TestSerialization:
             # types are the same value exactly
             assert [(type(v), repr(v)) for v in row.values()] == \
                 [(type(v), repr(v)) for v in values]
+
+    def test_jsonl_lines_are_json_dumps_of_the_fields(self, tmp_path, monkeypatch):
+        # in_A true and false at an EVENT_A_SIZES n, null at another
+        assert 16 in EVENT_A_SIZES and 32 not in EVENT_A_SIZES
+        cells = [CellResult(n, delta, np.array([0, 7]),
+                            np.array([0, 2 ** 64 - 1], np.uint64),
+                            np.array([5e-324, 1e308]), np.array([5e-324, 1.0]),
+                            np.array([True, False]),
+                            np.array([[0, 0], [400_000, 600_000]]))
+                 for delta in (0.0, 2.5, 0.1, 1e-300) for n in (16, 32)]
+        want = []
+        for c in cells:  # the oracle: json.dumps of each row's fields
+            for i in range(len(c.trial)):
+                in_A = bool(c.in_A[i]) if c.n in EVENT_A_SIZES else None
+                row = (int(c.trial[i]), c.n, c.delta, float(c.max_sq_err[i]),
+                       float(c.mse[i]), in_A, int(c.exceed_by_level[i].sum()),
+                       int(c.seed[i]))
+                want.append(json.dumps(dict(zip(_JSONL_FIELDS, row))) + "\n")
+        path = tmp_path / "r.jsonl"
+        write_reports(path, cells)
+        assert path.read_text().splitlines(keepends=True) == want
+        # each cell's lines go out in one write
+        writes = []
+        monkeypatch.setattr(experiments, "atomic_write",
+                            lambda path, write: write(types.SimpleNamespace(write=writes.append)))
+        write_reports(path, cells)
+        assert writes == ["".join(want[2 * i : 2 * i + 2]) for i in range(len(cells))]
 
     def test_csv_format(self, tmp_path):
         plan = tiny_plan(trials=2)

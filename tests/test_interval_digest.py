@@ -20,7 +20,10 @@ Pinned per fingerprint:
   seeded (3, 2^12) batch built as ``HAAR_DIGESTS``' input in
   ``test_work_buffer.py`` (a step function plus uniform noise, so no libm);
 * SHA-256 of ``simulate``'s JSONL reports and CSV summary for one interval
-  N = 2 plan (``SIMULATE_PLAN``) at ``--seed 11`` and one worker.
+  N = 2 plan (``SIMULATE_PLAN``) at ``--seed 11`` and one worker;
+* the same for CI's N = 3 mixture and N = 5 truncated plans
+  (``CI_PLANS``), one pair per plan that both one and two workers must
+  write.
 
 A change that moves one of these bytes changes a value here, and must say
 why.
@@ -53,6 +56,13 @@ SHRINK_MOMENTS = (2, 3)
 SIMULATE_PLAN = dict(signal_kind="linear", alpha=1.0, holder_const=1.0,
                      noise_family="uniform", noise_bound=1.0, ns=[256, 2048],
                      deltas=[1.0], trials=40, system="interval", moments=2)
+# CI's worker-count plans on N = 3 and 5, with the linear signal for CI's
+# sine, so that no libm sin enters the bytes.  Each draws 342 x 2304 noise
+# values, just over 3 * 2^18, so two workers run its tasks in two processes.
+CI_PLANS = {
+    f"{family}-{moments}": dict(SIMULATE_PLAN, noise_family=family, ns=[256, 2048],
+                                trials=342, moments=moments)
+    for family, moments in (("mixture", 3), ("truncated", 5))}
 
 
 def fingerprint() -> str:
@@ -110,12 +120,13 @@ def shrink_digests(moments: int) -> dict[str, str]:
 
 
 @functools.cache
-def simulate_digests() -> tuple[str, str]:
+def simulate_digests(name: str = "", workers: int = 1) -> tuple[str, str]:
+    """Of ``CI_PLANS[name]``, or of ``SIMULATE_PLAN`` by default."""
     with tempfile.TemporaryDirectory() as tmp:
         plan, reports, summary = (Path(tmp) / f for f in ("plan.json", "r.jsonl", "s.csv"))
-        plan.write_text(json.dumps(SIMULATE_PLAN))
+        plan.write_text(json.dumps(CI_PLANS[name] if name else SIMULATE_PLAN))
         assert main(["simulate", str(plan), str(reports), str(summary),
-                     "--seed", "11", "--workers", "1"]) == 0
+                     "--seed", "11", "--workers", str(workers)]) == 0
         return tuple(hashlib.sha256(path.read_bytes()).hexdigest()
                      for path in (reports, summary))
 
@@ -128,7 +139,8 @@ def pinned(part: str):
         found = {"c_phi": {k: c_phi_entry(k) for k in c_phi_keys()},
                  "transforms": {m: transform_digests(m) for m in TRANSFORM_MOMENTS},
                  "shrink": {m: shrink_digests(m) for m in SHRINK_MOMENTS},
-                 "simulate": simulate_digests()}
+                 "simulate": simulate_digests(),
+                 "simulate_ci": {name: simulate_digests(name) for name in CI_PLANS}}
         pytest.fail(f"no pinned interval bytes for host fingerprint {key!r}; "
                     f"add this entry to PINNED:\n{pprint.pformat({key: found})}")
     return PINNED[key][part]
@@ -153,6 +165,12 @@ def test_shrink_digests(moments):
 
 def test_simulate_digests():
     assert simulate_digests() == pinned("simulate")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(CI_PLANS))
+def test_ci_plan_simulate_digests(name, workers):
+    assert simulate_digests(name, workers) == pinned("simulate_ci")[name]
 
 
 PINNED = {
@@ -277,5 +295,13 @@ PINNED = {
         },
         "simulate": ("046bcbddd178626868cd1e4bd0f6c3af1a048ef21f98b7bd6a85a47f6d6d89ca",
                      "a3e4076f7422c81d12d7e5e89ea2d45df61b3c38acf4bb587738116337c57b43"),
+        "simulate_ci": {
+            "mixture-3": (
+                "c5fdf988e6ddf516da71a94f0eaf942497d5218316821701301dbb4ac6d653c4",
+                "32ae8d6980d27ea7df0d023a451d241c63f99598b46bc48a22b4ac444455d644"),
+            "truncated-5": (
+                "8fb370ec854203194026b081661b6d331eda8494aca66bfbfa31ed9048aab0d5",
+                "99db77acbd7672d06190e8185fcfc46150f0867a30acf1b708d0c29329a7d0d6"),
+        },
     },
 }

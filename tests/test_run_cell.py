@@ -260,8 +260,8 @@ def test_noise_max_is_each_trials_largest_noise_coefficient(kind, moments, alpha
     bound = noise.coefficient_bound(plan.noise_bound, system)
     assert result.noise_max.dtype == np.float64 and result.noise_max.shape == (6,)
     assert np.array_equal(result.in_A, result.noise_max <= bound)
-    _, e = experiments._noise_batch(plan.noise_family, plan.noise_bound, plan.master_seed,
-                                    cell, range(4, 5), n)
+    words = experiments._seed_words(plan.master_seed, cell, range(4, 5))
+    e = experiments._noise_batch(plan.noise_family, plan.noise_bound, words, n)
     assert result.noise_max[4] == np.max(np.abs(system.analyze(e[0])))
     # a cell's shares join in trial order
     joined = experiments._join([run_cell(plan, cell, n, delta, range(0, 2), system),
@@ -408,7 +408,8 @@ class TestSeedWords:
     through noise._SeedWords: the seed column is word 0, and each row is the
     row that the SeedSequence itself draws."""
 
-    MASTERS = [0, 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1, 10 ** 30]
+    # 1, 1, 2, 2, 2, 4 and 5 uint32 words
+    MASTERS = [0, 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1, 10 ** 30, 2 ** 130 + 9]
 
     @pytest.mark.parametrize("master", MASTERS)
     @pytest.mark.parametrize("cell", [0, 3])
@@ -436,6 +437,26 @@ class TestSeedWords:
         for row, seq in zip(rows, seqs):
             want = noise.sample_noise(noise.NoiseSpec(family, b, seq), n)
             assert row.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("master", MASTERS + [2 ** 64, np.int64(2 ** 62 + 3),
+                                        np.uint64(2 ** 64 - 1)])
+    @pytest.mark.parametrize("cell", [0, 3, 2 ** 32 + 1])
+    def test_seed_words_are_the_seed_sequences(self, master, cell):
+        # empty, one trial, stepped, descending, and across 2^32 and up to
+        # 2^64, where a trial index takes two words of the spawn key
+        for trials in (range(0), range(5, 6), range(2, 40, 7), range(10, 0, -3),
+                       range(2 ** 32 - 3, 2 ** 32 + 3), range(2 ** 64 - 2, 2 ** 64)):
+            got = experiments._seed_words(master, cell, trials)
+            want = [np.random.SeedSequence(master, spawn_key=(cell, t))
+                    .generate_state(4, np.uint64) for t in trials]
+            assert got.dtype == np.uint64 and got.shape == (len(trials), 4)
+            assert got.tolist() == [w.tolist() for w in want]
+
+    @pytest.mark.parametrize("trials", [range(-1, 2), range(2 ** 64 - 1, 2 ** 64 + 1),
+                                        range(2 ** 64 + 3, 2, -1)])
+    def test_seed_words_take_trial_indices_in_the_uint64_range(self, trials):
+        with pytest.raises(ValueError, match=r"trial indices must be integers in \[0, 2\^64\)"):
+            experiments._seed_words(7, 0, trials)
 
     @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (2, np.uint64),
                                                 (3, np.uint64), (8, np.uint32),
