@@ -273,14 +273,6 @@ def _chunk_trials(n: int) -> int:
     return max(1, _CHUNK_ELEMENTS // n)
 
 
-def _uint32_words(value) -> list[int]:
-    """SeedSequence's uint32 words of a non-negative integer, least
-    significant first; 0 is one word.  ``int`` first: shifts of a numpy
-    integer would overflow."""
-    value = int(value)
-    return [value >> s & _MASK32 for s in range(0, max(value.bit_length(), 1), 32)]
-
-
 def _chain(start: int, mult: int, steps: int) -> list[int]:
     """SeedSequence's running hash constant: ``start`` and its next ``steps``
     products by ``mult``, mod 2^32."""
@@ -291,7 +283,7 @@ def _chain(start: int, mult: int, steps: int) -> list[int]:
 
 
 def _mix(x, y):
-    """SeedSequence's mix of two uint32 words, on Python ints or uint32 arrays."""
+    """SeedSequence's mix of two uint32 words, on uint32 arrays."""
     x = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
     return x ^ x >> _XSHIFT
 
@@ -305,31 +297,21 @@ def _seed_words(master_seed, cell: int, trials: range) -> np.ndarray:
     to the pool size since a spawn key is given, then the cell's, then the
     trial's) into a pool of four words, through a chain of hash constants
     that does not depend on the words.  So the pool of the words before the
-    trial's is made once, in Python ints, and each trial's words are mixed
-    into it for every row at once in uint32 arrays, whose products wrap mod
-    2^32 as the C code's do.
+    trial's is numpy's own, ``SeedSequence(master_seed, spawn_key=(cell,))``'s,
+    made once, and each trial's words are mixed into it for every row at once
+    in uint32 arrays, whose products wrap mod 2^32 as the C code's do.  Making
+    that pool of L entropy words stepped the chain 4 times per word (4 for
+    the first four, 12 in their cross-mix, 4 for each later word), so the
+    trials' mix starts 4 L steps in.
     """
     ends = (trials[0], trials[-1]) if trials else (0, 0)
     if min(ends) < 0 or max(ends) >= 2 ** 64:
         raise ValueError(f"trial indices must be integers in [0, 2^64), got {trials}")
-    entropy = _uint32_words(master_seed)
-    entropy += [0] * (_POOL_SIZE - len(entropy)) + _uint32_words(cell)
-    h = _INIT_A
-
-    def hashmix(value):
-        nonlocal h
-        value ^= h
-        h = h * _MULT_A & _MASK32
-        value = value * h & _MASK32
-        return value ^ value >> _XSHIFT
-
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        pool = [_mix(p, hashmix(word)) for p in pool]
+    pool = np.random.SeedSequence(master_seed, spawn_key=(cell,)).pool
+    master_words, cell_words = ((max(int(v).bit_length(), 1) + 31) // 32
+                                for v in (master_seed, cell))
+    steps = _POOL_SIZE * (max(_POOL_SIZE, master_words) + cell_words)
+    h = _INIT_A * pow(_MULT_A, steps, 2 ** 32) & _MASK32
 
     def mix_in(rows, words):
         # one trial word per row into each of the pool's words: the next
@@ -341,7 +323,7 @@ def _seed_words(master_seed, cell: int, trials: range) -> np.ndarray:
         return _mix(rows, value ^ value >> _XSHIFT)
 
     t = np.arange(trials.start, trials.stop, trials.step, dtype=np.uint64)
-    rows = mix_in(np.array(pool, np.uint32), t.astype(np.uint32))  # the low words
+    rows = mix_in(pool, t.astype(np.uint32))  # the low words
     if max(ends) >> 32:  # trials from 2^32 on have two
         high = (t >> 32).astype(np.uint32)
         two = np.flatnonzero(high)

@@ -439,11 +439,13 @@ class TestSeedWords:
             assert row.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("master", MASTERS + [2 ** 64, np.int64(2 ** 62 + 3),
-                                        np.uint64(2 ** 64 - 1)])
-    @pytest.mark.parametrize("cell", [0, 3, 2 ** 32 + 1])
+                                        np.uint64(2 ** 64 - 1), 2 ** 200 + 3])
+    @pytest.mark.parametrize("cell", [0, 3, 2 ** 32 + 1, 2 ** 70])
     def test_seed_words_are_the_seed_sequences(self, master, cell):
         # empty, one trial, stepped, descending, and across 2^32 and up to
-        # 2^64, where a trial index takes two words of the spawn key
+        # 2^64, where a trial index takes two words of the spawn key; masters
+        # of up to seven uint32 words and cells of up to three, so the
+        # pool's entropy runs from four to ten words
         for trials in (range(0), range(5, 6), range(2, 40, 7), range(10, 0, -3),
                        range(2 ** 32 - 3, 2 ** 32 + 3), range(2 ** 64 - 2, 2 ** 64)):
             got = experiments._seed_words(master, cell, trials)

@@ -291,16 +291,23 @@ class TestShrinkDifferential:
 class TestShrinkIsLipschitz:
     """Soft ``shrink`` is 1-Lipschitz in l2 as a function of the noise, since
     it is an orthogonal analysis, a coordinatewise 1-Lipschitz threshold and
-    an orthogonal synthesis.  Hard thresholding jumps at the threshold, so it
-    has no such bound and is left out."""
+    an orthogonal synthesis; so the max error moves by at most as much, the
+    premise of the Talagrand bound for the maximum.  Hard thresholding jumps
+    at the threshold: a detail coefficient kept in one analysis and killed
+    in the other moves by at most |delta| + lambda sqrt(n), so with k such
+    coefficients the outputs are at most ||e1 - e2|| + lambda sqrt(n) sqrt(k)
+    apart."""
 
-    @pytest.mark.parametrize("kind, moments", [("haar", None), ("interval", 2),
-                                               ("interval", 3)])
-    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([256, 512]),
-           spread=st.floats(0.01, 1.0))
-    @settings(max_examples=60, deadline=None)
-    def test_soft_shrink_is_one_lipschitz(self, kind, moments, seed, n, spread):
-        system, cfg = _pipeline(kind, n, moments, "soft")
+    CASES = pytest.mark.parametrize("kind, moments", [("haar", None), ("interval", 2),
+                                                      ("interval", 3)])
+    DRAWS = given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([256, 512]),
+                  spread=st.floats(0.01, 1.0))
+
+    @staticmethod
+    def _pair(kind, moments, mode, seed, n, spread):
+        """The system, the config, the signal, two noise rows and their
+        shrunk samples."""
+        system, cfg = _pipeline(kind, n, moments, mode)
         lam = cfg.orthonormal_threshold
         rng = np.random.default_rng(seed)
         # a pair of noisy vectors whose coefficients straddle +lam and -lam:
@@ -313,9 +320,29 @@ class TestShrinkIsLipschitz:
             * (centers + lam * spread * rng.uniform(-1, 1, n))
         f = make_signal("sine", 1.0, 1.0).sample(n)
         e = system.synthesize(np.stack([c1, c2])) - f
-        out = shrink(f + e, cfg, system)
-        ratio = np.linalg.norm(out[0] - out[1]) / np.linalg.norm(e[0] - e[1])
-        assert ratio <= 1 + 1e-12
+        return system, cfg, f, e, shrink(f + e, cfg, system)
+
+    @CASES
+    @DRAWS
+    @settings(max_examples=60, deadline=None)
+    def test_soft_shrink_is_one_lipschitz(self, kind, moments, seed, n, spread):
+        _, _, f, e, out = self._pair(kind, moments, "soft", seed, n, spread)
+        step = np.linalg.norm(e[0] - e[1])
+        assert np.linalg.norm(out[0] - out[1]) / step <= 1 + 1e-12
+        worst = np.abs(out - f).max(axis=-1)
+        assert abs(worst[0] - worst[1]) / step <= 1 + 1e-12
+
+    @CASES
+    @DRAWS
+    @settings(max_examples=60, deadline=None)
+    def test_hard_shrink_moves_by_the_switched_coefficients(self, kind, moments, seed,
+                                                            n, spread):
+        system, cfg, f, e, out = self._pair(kind, moments, "hard", seed, n, spread)
+        lam = cfg.orthonormal_threshold  # lambda sqrt(n)
+        details = np.abs(system.analyze(f + e)[:, 2 ** cfg.coarse_level:]) > lam
+        switched = np.count_nonzero(details[0] != details[1])
+        bound = np.linalg.norm(e[0] - e[1]) + lam * np.sqrt(switched)
+        assert np.linalg.norm(out[0] - out[1]) / bound <= 1 + 1e-12
 
 
 class TestShrinkSystemMatch:

@@ -13,8 +13,10 @@ import pytest
 
 from test_work_buffer import assert_same_bytes
 from waveshrink.shrinkage import (
+    ShrinkageConfig,
     _threshold_in_place,
     hard_threshold,
+    shrink,
     soft_threshold,
     wavelet_system,
 )
@@ -149,6 +151,12 @@ def test_a_batch_without_rows(system, lead):
     assert _threshold_in_place(c, LAM, "soft", None, system.coarse_level) == \
         system.coarse_level - 1
     assert_synthesis_matches(system, c, system.coarse_level - 1)
+    # and shrink gives an empty batch back in its shape
+    kind = "haar" if system.moments == 1 else "interval"
+    config = ShrinkageConfig.build(system.n, 1.0, 1.0, 1.0, 1.0, "soft", kind,
+                                   system.moments, system.c_phi_estimate)
+    got = shrink(np.empty(lead + (system.n,)), config, system)
+    assert got.shape == lead + (system.n,) and got.size == 0
 
 
 def test_closed_form_levels_are_a_copy_of_the_scaled_approximations():
