@@ -411,10 +411,11 @@ def run_cell(plan: ExperimentPlan, cell: int, n: int, delta: float,
         k = len(noise)
 
         # W(f + e) = Wf + We: the noise is analyzed once, for event A, the
-        # exceedances and, with Wf added, the estimate.  The noise is dead
-        # once analyzed: |We| goes into its buffer, and then the scratch of
-        # the thresholding and of the contraction check.
-        c = system.analyze(noise)
+        # exceedances and, with Wf added, the estimate, by the kernel alone:
+        # it is drawn here, so it needs no input check.  It is dead once
+        # analyzed: |We| goes into its buffer, and then the scratch of the
+        # thresholding and of the contraction check.
+        c = system._analyze_into(noise, None, None)
         batch_max = noise_max[rows] = np.max(np.abs(c, out=noise), axis=-1)
         in_A[rows] = batch_max <= bound
         exceeds = batch_max > lam
@@ -620,13 +621,14 @@ def _share_count(n: int, trials: int) -> int:
 def _event_hits(family: str, b: float, system, bound: float, master_seed: int,
                 trials: range) -> int:
     """How many of ``trials`` draw noise in event A, in batches of
-    :func:`_chunk_trials` rows.  Runs on helper threads: numpy's draws and
-    large ufuncs release the GIL."""
+    :func:`_chunk_trials` rows, analyzed by the system's kernel without an
+    input check: the noise is drawn here.  Runs on helper threads: numpy's
+    draws and large ufuncs release the GIL."""
     hits, step = 0, _chunk_trials(system.n)
     words = _seed_words(master_seed, 0, trials)
     for start in range(0, len(trials), step):
-        c = system.analyze(_noise_batch(family, b, words[start : start + step],
-                                        system.n))
+        c = system._analyze_into(_noise_batch(family, b, words[start : start + step],
+                                              system.n), None, None)
         hits += int(np.count_nonzero(np.max(np.abs(c, out=c), axis=-1) <= bound))
     return hits
 

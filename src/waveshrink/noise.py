@@ -145,7 +145,7 @@ def _system_at(system: System, n: int):
             raise ValueError(f"unknown wavelet system {system!r}")
         return HaarSystem(n, 0)
     if system.n != n:
-        raise ValueError("wavelet system size does not match the noise vector")
+        raise ValueError(f"wavelet system size {system.n} does not match n={n}")
     return system
 
 

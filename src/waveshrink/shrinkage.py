@@ -20,7 +20,6 @@ from .transform import (
     haar_idwt,
     is_integer,
     _WaveletSystem,
-    _all_finite,
     _block_count,
     _last_axis,
     _real,
@@ -385,8 +384,6 @@ def shrink(y, config: ShrinkageConfig, system=None) -> np.ndarray:
         raise ValueError(f"system (n, coarse level, moments, c_phi) {got} does "
                          f"not match the config's {want}")
     y = _last_axis(y, system.n)
-    if not _all_finite(y):
-        raise ValueError("samples must be finite")
     n, size = system.n, y.size
     if size < _WORK_VALUES:
         out = coeffs = scratch = None

@@ -180,10 +180,14 @@ class CoefficientPyramid:
 
 
 def _last_axis(values, n: int) -> np.ndarray:
-    """``values`` as a float array of length n along the last axis."""
+    """``values`` as a finite float array of length n along the last axis:
+    the one entry rule of ``analyze``, ``synthesize`` and
+    :func:`~waveshrink.shrinkage.shrink`."""
     x = _real_array(values)
     if x.shape[-1:] != (n,):
         raise ValueError(f"expected length {n} along the last axis, got shape {x.shape}")
+    if not _all_finite(x):
+        raise ValueError("samples must be finite")
     return x
 
 
@@ -196,15 +200,18 @@ class _WaveletSystem:
     inverse W.T along the last axis, (..., n) -> (..., n), in one flat
     layout: sqrt(n)-scaled coefficients, the approximation block first, then
     the detail levels coarse to fine (level j at [2**j, 2**(j+1))).  A
-    batched row is bit-equal to that row transformed alone.  Each allocates
-    its result and scratch per call.  A subclass's ``_analyze_into(x, out,
-    scratch)`` and ``_synthesize_into(c, out, scratch, kept)`` write the same
-    bytes into a given output with a given scratch (the input's leading
-    shape plus ``_scratch_per_row`` values), for
-    :func:`~waveshrink.shrinkage.shrink`; they check neither, and allocate
-    each that is None.  ``kept`` (default J - 1) is the finest level whose
-    details may be nonzero: the levels above it, whose details must all be
-    +-0, are synthesized in a closed form with the same bytes."""
+    batched row is bit-equal to that row transformed alone.  Each checks
+    its input once, by :func:`_last_axis`, and calls the subclass's kernel,
+    ``_analyze_into(x, out, scratch)`` or ``_synthesize_into(c, out,
+    scratch, kept)``, which callers that checked or drew their input
+    (:func:`~waveshrink.shrinkage.shrink`, the Monte Carlo batches) call
+    directly.  A kernel checks nothing; it writes into the given output
+    and scratch (the input's leading shape plus ``_scratch_per_row``
+    values), allocating each that is None once per call, except Haar
+    analysis at p = 1 without scratch, whose levels allocate their own.
+    ``kept`` (default J - 1) is the finest level whose details may be
+    nonzero: the levels above it, whose details must all be +-0, are
+    synthesized in a closed form with the same bytes."""
 
     @property
     def finest_level(self) -> int:
@@ -260,7 +267,7 @@ class HaarSystem(_WaveletSystem):
         """:meth:`analyze` of the float array s into ``out``, allocated where
         None.  The levels' approximations take 3n/4 values of ``scratch`` per
         row; where scratch is None, the blocks' scratch is allocated, or at
-        p = 1 each level's approximation."""
+        p = 1 each level's approximation, which measured faster there."""
         if out is None:
             out = np.empty(s.shape)
         J, J0 = self.finest_level, self.coarse_level
@@ -273,8 +280,10 @@ class HaarSystem(_WaveletSystem):
             # two regions of each block's scratch, n/2p and n/4p values per
             # row: a level reads one while it writes the other
             half = s.size // p // 2
-            bufs = [(block[:half], block[half:])
-                    for block in _block_scratch(scratch, p, half + half // 2)]
+            size = half + half // 2
+            flat = np.empty(p * size) if scratch is None else scratch.reshape(-1)
+            bufs = [(flat[b * size : b * size + half], flat[b * size + half : (b + 1) * size])
+                    for b in range(p)]
         approx = _run_blocks(_analyze_levels, [
             (s[..., b * m : (b + 1) * m], out, levels, b, p, bufs[b]) for b in range(p)])
         s = approx[0] if p == 1 else np.concatenate(approx, axis=-1)
@@ -283,11 +292,11 @@ class HaarSystem(_WaveletSystem):
         return out
 
     def _synthesize_into(self, c: np.ndarray, out, scratch, kept=None) -> np.ndarray:
-        """:meth:`synthesize` of the float array c into ``out``, allocated where
-        None; block b writes the samples [b n/p, (b+1) n/p) straight into
-        it.  The levels between take n/2 values of ``scratch`` per row;
-        where scratch is None, the blocks' scratch is allocated, or at p = 1
-        with out None too, each level's approximation and the result.
+        """:meth:`synthesize` of the float array c into ``out``; block b
+        writes the samples [b n/p, (b+1) n/p) straight into it.  The blocks'
+        levels take n/2 values of ``scratch`` per row.  Each of out and
+        scratch that is None is allocated once per call; only the few
+        levels below the blocks, on the calling thread, allocate their own.
 
         ``kept`` (default J - 1) is the finest level whose details may be
         nonzero; every detail above it must be +-0.  Above kept,
@@ -301,33 +310,21 @@ class HaarSystem(_WaveletSystem):
         J, J0 = self.finest_level, self.coarse_level
         p, split = _split(c.size, J, J0)
         top = J if kept is None else max(kept + 1, split)
+        if out is None:
+            out = np.empty(c.shape)
+        flat = np.empty(c.size // 2) if scratch is None else scratch.reshape(-1)
         s = _synthesize_levels(c[..., : 2 ** J0].copy(), c, range(J0, split), 0, 1, None)
-        own = p == 1 and out is None and scratch is None  # each level allocates
-        if not own:
-            if out is None:
-                out = np.empty(c.shape)
-            flat = np.empty(c.size // 2) if scratch is None else scratch.reshape(-1)
         # block b's buffers: its m samples of out, as pairs, and n/2p values
         # per row of scratch
         lead, w, m, size = c.shape[:-1], 2 ** split // p, self.n // p, c.size // p // 2
-        fine = _run_blocks(_synthesize_levels, [
+        _run_blocks(_synthesize_levels, [
             (s[..., b * w : (b + 1) * w], c, range(split, J), b, p,
-             None if own else (out[..., b * m : (b + 1) * m].reshape(lead + (m // 2, 2)),
-                               flat[b * size : (b + 1) * size]), top)
+             (out[..., b * m : (b + 1) * m].reshape(lead + (m // 2, 2)),
+              flat[b * size : (b + 1) * size]), top)
             for b in range(p)])
-        if out is None:
-            return fine[0]
         if split == J:  # J0 = J: the coefficients are the samples
-            out[...] = fine[0]
+            out[...] = s
         return out
-
-
-def _block_scratch(scratch, p: int, size: int) -> np.ndarray:
-    """p regions of ``size`` values each, as a (p, size) view of the front
-    of ``scratch``, or a new array where scratch is None."""
-    if scratch is None:
-        return np.empty((p, size))
-    return scratch.reshape(-1)[: p * size].reshape(p, size)
 
 
 def _usable_cores() -> int:
@@ -416,27 +413,26 @@ def _synthesize_levels(s, c, levels, block: int, p: int, bufs, top=None):
     (..., 2**j // p, 2) pairs: with ``bufs`` = (pairs, scratch), the last
     level and every second level before it to the front of pairs, a
     (..., m/2, 2) view of the block's m samples, and the others to the
-    front of the flat scratch; with bufs None, each to a new array.
-    Returns the last approximation.
+    front of the flat scratch; with bufs None (the calling thread's levels
+    below the blocks), each to a new array.  Returns the last
+    approximation.
 
-    Every detail of the levels from ``top`` on must be +-0.  At level top,
-    where no approximation is +-0, the rest is the closed form of
-    :meth:`HaarSystem._synthesize_into`: s divided by sqrt(2) once per
-    level left, the first time into the scratch (s may sit in pairs), and
-    each value copied into its samples, which it returns: pairs, or a new
-    (..., m) array."""
+    Every detail of the levels from ``top`` on must be +-0, and bufs must
+    be given.  At level top, where no approximation is +-0, the rest is
+    the closed form of :meth:`HaarSystem._synthesize_into`: s divided by
+    sqrt(2) once per level left, the first time into the scratch (s may
+    sit in pairs), and each value copied into its samples, the pairs,
+    which it returns."""
     lead = c.shape[:-1]
     for j in levels:
         w = (1 << j) // p
         if j == top and s.all():
-            t = np.divide(s, _SQRT2, None if bufs is None else
-                          bufs[1][: s.size].reshape(s.shape))
+            t = np.divide(s, _SQRT2, bufs[1][: s.size].reshape(s.shape))
             for _ in range(levels.stop - top - 1):
                 t /= _SQRT2
             m = (1 << levels.stop) // p
-            samples = np.empty(lead + (m,)) if bufs is None else bufs[0]
-            samples.reshape(lead + (w, m // w))[...] = t[..., None]
-            return samples
+            bufs[0].reshape(lead + (w, m // w))[...] = t[..., None]
+            return bufs[0]
         lo = (1 << j) + block * w
         d = c[..., lo : lo + w]
         # (s ± d) / sqrt(2) written as pairs, one division for both

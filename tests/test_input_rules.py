@@ -301,6 +301,15 @@ def test_complex_samples_are_rejected(entry):
     SAMPLE_ENTRY_POINTS[entry](y.real.astype(object))
 
 
+@pytest.mark.parametrize("entry", SAMPLE_ENTRY_POINTS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_samples_are_rejected(entry, bad):
+    y = np.full(256, 0.25)
+    y[17] = bad
+    with pytest.raises(ValueError, match="samples must be finite"):
+        SAMPLE_ENTRY_POINTS[entry](y)
+
+
 def row_system():
     return build_interval_system(2, 64, 3)  # J0 = 3, J = 6
 

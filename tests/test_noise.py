@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from waveshrink.experiments import estimate_event_probability
 from waveshrink.interval import GeometryError, build_interval_system, min_coarse_level
 from waveshrink.noise import (
     NOISE_FAMILIES,
@@ -157,6 +158,9 @@ class TestEventA:
             in_event_A(np.zeros(256), 1.0, "daubechies")
         with pytest.raises(ValueError, match="size"):
             in_event_A(np.zeros(256), 1.0, HaarSystem(16, 0))
+        # the estimate takes n, not a noise vector: the message names both sizes
+        with pytest.raises(ValueError, match="wavelet system size 512 does not match n=256"):
+            estimate_event_probability("uniform", 1.0, 256, 10, system=HaarSystem(512, 0))
 
     @pytest.mark.parametrize("n, floor", [(2, 1 - 4 * math.exp(-2)),
                                           (16, 1 - 32 * math.exp(-8)),

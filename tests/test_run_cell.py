@@ -161,15 +161,17 @@ def test_reports_do_not_depend_on_chunking():
 
 @pytest.fixture
 def analyzed(monkeypatch):
-    """The shapes Haar analysis is applied to, in call order."""
+    """The shapes Haar analysis is applied to, in call order.  It records the
+    kernel, ``_analyze_into``: ``analyze`` calls it after its input check,
+    and ``run_cell`` calls it directly on the noise it draws."""
     shapes = []
-    analyze = HaarSystem.analyze
+    analyze_into = HaarSystem._analyze_into
 
-    def recording(self, samples):
+    def recording(self, samples, out, scratch):
         shapes.append(np.shape(samples))
-        return analyze(self, samples)
+        return analyze_into(self, samples, out, scratch)
 
-    monkeypatch.setattr(HaarSystem, "analyze", recording)
+    monkeypatch.setattr(HaarSystem, "_analyze_into", recording)
     return shapes
 
 

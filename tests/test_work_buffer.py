@@ -170,13 +170,8 @@ def test_block_helpers_allocate_nothing_when_every_buffer_is_given(lead):
         assert allocated(_threshold_in_place, x, 0.5, mode, scratch, 0) < small
 
 
-@pytest.mark.parametrize("rows", [_WORK_VALUES // 2 ** 14 // 2, _WORK_VALUES // 2 ** 14])
-@pytest.mark.parametrize("kind, moments", [("haar", None), ("interval", 2)])
-def test_shrink_makes_one_work_buffer_from_its_size_on(kind, moments, rows, monkeypatch):
-    n = 2 ** 14
-    config = ShrinkageConfig.build(n, 1.0, 1.0, 1.0, 1.0, system=kind, moments=moments)
-    system = wavelet_system(kind, n, 1.0, moments)
-    y = noisy((rows, n), 4)
+def recorded_sizes(monkeypatch):
+    """The sizes of the arrays ``np.empty`` makes from now on, in order."""
     sizes = []
     real_empty = np.empty
 
@@ -185,6 +180,17 @@ def test_shrink_makes_one_work_buffer_from_its_size_on(kind, moments, rows, monk
         return real_empty(shape, *args, **kwargs)
 
     monkeypatch.setattr(np, "empty", recording_empty)
+    return sizes
+
+
+@pytest.mark.parametrize("rows", [_WORK_VALUES // 2 ** 14 // 2, _WORK_VALUES // 2 ** 14])
+@pytest.mark.parametrize("kind, moments", [("haar", None), ("interval", 2)])
+def test_shrink_makes_one_work_buffer_from_its_size_on(kind, moments, rows, monkeypatch):
+    n = 2 ** 14
+    config = ShrinkageConfig.build(n, 1.0, 1.0, 1.0, 1.0, system=kind, moments=moments)
+    system = wavelet_system(kind, n, 1.0, moments)
+    y = noisy((rows, n), 4)
+    sizes = recorded_sizes(monkeypatch)
     peak = allocated(shrink, y, config, system)
     work = y.size + rows * system._scratch_per_row
     if y.size < _WORK_VALUES:
@@ -195,6 +201,27 @@ def test_shrink_makes_one_work_buffer_from_its_size_on(kind, moments, rows, monk
     # values or more) beside them; the slack holds numpy's fixed-size ufunc
     # buffers of the block threads
     assert peak < 8 * (work + y.size + y.size // 4)
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_haar_synthesis_allocates_its_output_and_half_of_it(blocks, lead, monkeypatch):
+    """One block: the output and a scratch of n/2 values per row, once per
+    call, with or without the closed form above the kept level."""
+    system = HaarSystem(2 ** 10, 0)
+    x = noisy(lead + (system.n,), 5)
+    want = system.synthesize(x)
+    # levels 0..2 keep details that leave every level-3 approximation
+    # nonzero, so levels 3 and up take the closed form
+    c = np.zeros(x.shape)
+    c[..., :8] = [8.0, 1.0, 1.0, -1.0, 0.5, -0.5, 0.5, -0.5]
+    sparse = system.synthesize(c)
+    blocks(1)
+    sizes = recorded_sizes(monkeypatch)
+    assert_same_bytes(system.synthesize(x), want)
+    assert sizes == [x.size, x.size // 2]
+    sizes.clear()
+    assert_same_bytes(system._synthesize_into(c, None, None, 2), sparse)
+    assert sizes == [c.size, c.size // 2]
 
 
 # SHA-256 of shrink on Haar, inputs from default_rng alone: a step function
