@@ -40,7 +40,6 @@ process that runs several plans on the same systems builds each once.
 """
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 import os
@@ -686,41 +685,39 @@ _JSONL_LINE = ('{"trial": %d, "n": %d, "delta": %r, "max_sq_err": %r, "mse": %r,
                '"in_A": %s, "exceed_count": %d, "seed": %d}\n')
 _CSV_FIELDS = ("n", "delta", "q50_max", "q50_mse", "p_within_envelope",
                "p_A_hat", "ci_lo", "ci_hi")
+_CSV_LINE = "%d" + ",%.17g" * 7 + "\n"
 
 
-def atomic_write(path, write_fn) -> None:
+def atomic_write(path, chunks: Iterable[str]) -> None:
+    """Write the text chunks to ``<path>.tmp.<pid>``, then rename it over
+    ``path``; an error leaves ``path`` as it was (see the README)."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w", newline="") as fh:
-            write_fn(fh)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
 
 
+def _cell_lines(c: CellResult) -> str:
+    in_A = (np.where(c.in_A, "true", "false").tolist()
+            if c.n in _EVENT_A_SIZES else repeat("null"))
+    rows = zip(c.trial.tolist(), repeat(c.n), repeat(float(c.delta)),
+               c.max_sq_err.tolist(), c.mse.tolist(), in_A,
+               c.exceed_by_level.sum(axis=-1).tolist(), c.seed.tolist())
+    return "".join(map(_JSONL_LINE.__mod__, rows))
+
+
 def write_reports(path, cells: Iterable[CellResult]) -> None:
     """JSON lines from the cells' columns, one per trial with the fixed field
     set, each line byte-equal to ``json.dumps(dict(zip(_JSONL_FIELDS, row)))``
     and each cell's lines in one write."""
-    def write(fh):
-        for c in cells:
-            in_A = (np.where(c.in_A, "true", "false").tolist()
-                    if c.n in _EVENT_A_SIZES else repeat("null"))
-            rows = zip(c.trial.tolist(), repeat(c.n), repeat(float(c.delta)),
-                       c.max_sq_err.tolist(), c.mse.tolist(), in_A,
-                       c.exceed_by_level.sum(axis=-1).tolist(), c.seed.tolist())
-            fh.write("".join(map(_JSONL_LINE.__mod__, rows)))
-    atomic_write(path, write)
+    atomic_write(path, map(_cell_lines, cells))
 
 
 def write_summaries(path, summaries: Iterable[CellSummary]) -> None:
     """CSV with the fixed header, 17 significant digits."""
-    def write(fh):
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(_CSV_FIELDS)
-        for s in summaries:
-            row = [getattr(s, k) for k in _CSV_FIELDS]
-            w.writerow([f"{v:.17g}" if isinstance(v, float) else str(v)
-                        for v in row])
-    atomic_write(path, write)
+    rows = (tuple(getattr(s, k) for k in _CSV_FIELDS) for s in summaries)
+    atomic_write(path, [",".join(_CSV_FIELDS) + "\n", *map(_CSV_LINE.__mod__, rows)])

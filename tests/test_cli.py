@@ -128,6 +128,24 @@ class TestDenoise:
                     + ["--bogus"]) == 1
 
 
+@pytest.mark.parametrize("size", [1, 2**16 - 1, 2**16, 2**16 + 1])
+def test_write_column_is_one_format_per_value(tmp_path, monkeypatch, size):
+    rng = np.random.default_rng(size)
+    values = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+    special = [-0.0, 5e-324, -1e308, 1 / 3]
+    values[:len(special)] = special[:size]
+    values[-1] = special[-1]
+    path = tmp_path / "o.csv"
+    cli._write_column(str(path), values)
+    assert path.read_bytes() == "".join(f"{v:.17g}\n" for v in values).encode()
+    # one chunk per block of at most 2^16 values
+    chunks = []
+    monkeypatch.setattr(cli, "atomic_write", lambda path, it: chunks.extend(it))
+    cli._write_column(str(path), values)
+    assert [c.count("\n") for c in chunks] == \
+        [min(2**16, size - i) for i in range(0, size, 2**16)]
+
+
 class TestSimulate:
     def plan(self, tmp_path, **overrides):
         raw = dict(signal_kind="cusp", alpha=0.5, holder_const=1.0,

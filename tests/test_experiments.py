@@ -1,6 +1,7 @@
+import csv
+import io
 import json
 import math
-import types
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 from trial_oracle import assert_same_columns
 from waveshrink import experiments
 from waveshrink.experiments import (
+    _CSV_FIELDS,
     _JSONL_FIELDS,
     CellResult,
+    CellSummary,
     ExperimentPlan,
     estimate_event_probability,
     fit_rate,
@@ -314,7 +317,7 @@ class TestSerialization:
         # each cell's lines go out in one write
         writes = []
         monkeypatch.setattr(experiments, "atomic_write",
-                            lambda path, write: write(types.SimpleNamespace(write=writes.append)))
+                            lambda path, chunks: writes.extend(chunks))
         write_reports(path, cells)
         assert writes == ["".join(want[2 * i : 2 * i + 2]) for i in range(len(cells))]
 
@@ -331,6 +334,35 @@ class TestSerialization:
         # 17-significant-digit floats survive a parse round trip exactly
         val = float(lines[1].split(",")[2])
         assert val == summaries[0].q50_max
+
+    def test_csv_lines_are_csv_writer_rows(self, tmp_path):
+        # the oracle: csv.writer rows of str(n) and each float at .17g
+        values = [math.nan, 5e-324, 1e308, 1 / 3, -0.0, 1.0]
+        summaries = [CellSummary(n, delta, *(values[(i + k) % 6] for k in range(6)))
+                     for i, (n, delta) in enumerate(
+                         (n, d) for n in (16, 65536) for d in (0.0, 1e-300, 2.5))]
+        want = io.StringIO()
+        w = csv.writer(want, lineterminator="\n")
+        w.writerow(_CSV_FIELDS)
+        for s in summaries:
+            w.writerow([f"{v:.17g}" if isinstance(v, float) else str(v)
+                        for v in (getattr(s, k) for k in _CSV_FIELDS)])
+        path = tmp_path / "s.csv"
+        write_summaries(path, summaries)
+        assert path.read_bytes() == want.getvalue().encode()
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old,bytes\n1,2\n")
+        class Boom(Exception):
+            pass
+        def chunks():
+            yield "new,bytes\n"
+            raise Boom
+        with pytest.raises(Boom):
+            experiments.atomic_write(path, chunks())
+        assert path.read_bytes() == b"old,bytes\n1,2\n"
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_no_partial_files(self, tmp_path):
         path = tmp_path / "out.jsonl"
